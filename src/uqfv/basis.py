@@ -185,8 +185,6 @@ class GpcBasis:
         mids = partition.midpoints
         halves = 0.5 * partition.widths
         self.nodes = mids[:, None] + halves[:, None] * rule.ref_nodes[None, :]
-        # projection matrix phi_k(t_q) * w_q, used by project()
-        self._phi_w = self.phi * rule.weights
 
     @property
     def n_elements(self) -> int:
@@ -200,33 +198,17 @@ class GpcBasis:
     def n_coeffs(self) -> int:
         return self.degree + 1
 
-    def project(self, values, node_axis: int = -1) -> np.ndarray:
-        """Coefficients of node samples: <u phi_k f> by quadrature.
+    def project(self, values) -> np.ndarray:
+        """Coefficients <u phi_k f> of node samples by quadrature.
 
-        ``values`` carries the element's quadrature-node samples along
-        ``node_axis``; that axis is replaced by the coefficient axis.
+        ``values`` has the solver layout (..., Q, d): node axis second to
+        last, component axis last. The result is (..., K+1, d).
         """
-        v = np.asarray(values, dtype=float)
-        if v.shape[node_axis] != self.n_nodes:
-            raise ValueError(
-                f"expected {self.n_nodes} node samples along axis {node_axis}, "
-                f"got {v.shape[node_axis]}"
-            )
-        v = np.moveaxis(v, node_axis, -1)
-        coeffs = v @ self._phi_w.T
-        return np.moveaxis(coeffs, -1, node_axis)
+        return np.einsum("...qd,kq,q->...kd", values, self.phi, self.rule.weights)
 
-    def reconstruct(self, coeffs, coeff_axis: int = -1) -> np.ndarray:
-        """Evaluate the polynomial with given coefficients at the quadrature nodes."""
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape[coeff_axis] != self.n_coeffs:
-            raise ValueError(
-                f"expected {self.n_coeffs} coefficients along axis {coeff_axis}, "
-                f"got {c.shape[coeff_axis]}"
-            )
-        c = np.moveaxis(c, coeff_axis, -1)
-        vals = c @ self.phi
-        return np.moveaxis(vals, -1, coeff_axis)
+    def reconstruct(self, coeffs) -> np.ndarray:
+        """Values at the quadrature nodes, (..., K+1, d) -> (..., Q, d)."""
+        return np.einsum("...kd,kq->...qd", coeffs, self.phi)
 
     def eval_at(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Element index and local basis table (degree+1, ...) at arbitrary points."""

@@ -90,7 +90,6 @@ class MethodSpec:
     t_end: float
     cfl: float = 0.9
     nodes: int = 100
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ _SECTION_KEYS = {
         "quad_points": int,
         "cc_level": int,
     },
-    "method": {"name": str, "t_end": float, "cfl": float, "nodes": int, "seed": int},
+    "method": {"name": str, "t_end": float, "cfl": float, "nodes": int},
     "filter": {"kind": str, "strength": float, "order": int, "dt_scaled": bool},
     "limiter": {"enabled": bool, "epsilon": float},
     "newton": {"tol": float, "max_iter": int, "max_halvings": int},
@@ -364,7 +363,7 @@ def _parse_method(s: _Section, problem: ProblemSpec) -> MethodSpec:
     nodes = s.get("nodes", 100)
     if nodes < 1:
         raise ConfigError(f"[method] nodes must be >= 1, got {nodes}")
-    return MethodSpec(name=name, t_end=t_end, cfl=cfl, nodes=nodes, seed=s.get("seed"))
+    return MethodSpec(name=name, t_end=t_end, cfl=cfl, nodes=nodes)
 
 
 def _parse_filter(s: _Section) -> FilterConfig:

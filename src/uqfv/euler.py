@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "GasModel",
+    "SolverError",
     "InadmissibleStateError",
     "DualRangeError",
     "pressure",
@@ -32,7 +33,11 @@ __all__ = [
 ]
 
 
-class InadmissibleStateError(ValueError):
+class SolverError(Exception):
+    """A failure inside a solver step; the time loop prefixes the step number."""
+
+
+class InadmissibleStateError(SolverError, ValueError):
     """State outside the hyperbolicity set (rho <= 0 or p <= 0)."""
 
 
@@ -122,10 +127,13 @@ def max_wave_speed(u, gas: GasModel, axis: int = 0) -> np.ndarray:
     return _wave_speed_unchecked(u, gas, axis)
 
 
-def _wave_speed_unchecked(u: np.ndarray, gas: GasModel, axis: int) -> np.ndarray:
-    rho, m, _ = _parts(u)
+def _sound_speed_unchecked(u: np.ndarray, gas: GasModel) -> np.ndarray:
     p = (gas.gamma - 1.0) * _internal_energy(u)
-    return np.abs(m[..., axis] / rho) + np.sqrt(gas.gamma * p / rho)
+    return np.sqrt(gas.gamma * p / u[..., 0])
+
+
+def _wave_speed_unchecked(u: np.ndarray, gas: GasModel, axis: int) -> np.ndarray:
+    return np.abs(u[..., 1 + axis] / u[..., 0]) + _sound_speed_unchecked(u, gas)
 
 
 def entropy(u, gas: GasModel) -> np.ndarray:
@@ -213,17 +221,28 @@ def entropy_gradient_inverse(lam, gas: GasModel) -> np.ndarray:
 
 
 def _dual_to_state_unchecked(lam: np.ndarray, gas: GasModel) -> np.ndarray:
+    return _dual_state_parts(lam, gas)[0]
+
+
+def _dual_state_parts(lam: np.ndarray, gas: GasModel):
+    """The gradient inverse on valid duals, and the intermediates _dual_eval reuses.
+
+    Returns (u, ile, log_neg, gm, g2, log_rho). This is the one formula for
+    (rho, m, E): the states the flux sees are the states Newton matches.
+    """
     l_rho, l_m, l_en = _dual_parts(lam)
-    qm = np.sum(l_m * l_m, axis=-1)
-    rho = np.exp(
-        (l_rho - np.log(-l_en) - gas.gamma - 0.5 * qm / l_en) / (gas.gamma - 1.0)
-    )
+    ile = -1.0 / l_en
+    log_neg = np.log(-l_en)
+    gm = l_m * ile[..., None]  # g_m = -l_m / l_E, also m / rho
+    g2 = np.sum(gm * gm, axis=-1)
+    a = 1.0 / (gas.gamma - 1.0)
+    log_rho = a * (l_rho - log_neg - gas.gamma - 0.5 * l_en * g2)
+    rho = np.exp(log_rho)
     u = np.empty_like(lam)
     u[..., 0] = rho
-    u[..., 1:-1] = -rho[..., None] * l_m / l_en[..., None]
-    # E = e_int + |m|^2/(2 rho) with e_int = -rho/l_E
-    u[..., -1] = -rho / l_en + 0.5 * rho * qm / (l_en * l_en)
-    return u
+    u[..., 1:-1] = rho[..., None] * gm
+    u[..., -1] = rho * ile + 0.5 * rho * g2
+    return u, ile, log_neg, gm, g2, log_rho
 
 
 def _dual_eval(lam: np.ndarray, gas: GasModel):
@@ -234,25 +253,15 @@ def _dual_eval(lam: np.ndarray, gas: GasModel):
     Hessian of s*, symmetric positive definite). One exponential per dual
     vector; all other quantities are reused algebraically.
     """
-    l_rho, l_m, l_en = _dual_parts(lam)
-    ile = -1.0 / l_en
-    log_neg = np.log(-l_en)
-    gm = l_m * ile[..., None]  # g_m = -l_m / l_E, also m / rho
-    g2 = np.sum(gm * gm, axis=-1)
-    a = 1.0 / (gas.gamma - 1.0)
-    log_rho = a * (l_rho - log_neg - gas.gamma - 0.5 * l_en * g2)
-    rho = np.exp(log_rho)
+    u, ile, log_neg, gm, g2, log_rho = _dual_state_parts(lam, gas)
+    rho = u[..., 0]
     e_int = rho * ile
     d = lam.shape[-1]
-    u = np.empty_like(lam)
-    u[..., 0] = rho
-    u[..., 1:-1] = rho[..., None] * gm
-    u[..., -1] = e_int + 0.5 * rho * g2
     # s(u) = -rho ((1-gamma) log rho - log(-l_E))
     sstar = np.sum(lam * u, axis=-1) + rho * (
         (1.0 - gas.gamma) * log_rho - log_neg
     )
-    ar = a * rho
+    ar = (1.0 / (gas.gamma - 1.0)) * rho
     h = ile + 0.5 * g2
     jac = np.empty(lam.shape + (d,))
     jac[..., 0, 0] = ar

@@ -5,12 +5,13 @@ vector per (spatial cell, random element, polynomial index, conserved
 component). The flux machinery works pointwise in the random variable:
 states are reconstructed at the quadrature nodes, numerical fluxes are
 evaluated per node, and the flux differences are projected back onto the
-basis.
+basis. ``integrate`` is the one time loop every solver hands its step to.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,9 @@ from .basis import GpcBasis
 from .euler import (
     GasModel,
     InadmissibleStateError,
+    SolverError,
     _flux_unchecked,
+    _sound_speed_unchecked,
     _wave_speed_unchecked,
     is_admissible,
 )
@@ -36,6 +39,7 @@ __all__ = [
     "extend_node_states",
     "moment_flux_divergence",
     "deterministic_solve",
+    "integrate",
     "RunStats",
     "RunResult",
 ]
@@ -163,7 +167,7 @@ class MomentField:
 
     def node_states(self) -> np.ndarray:
         """Reconstructed states at each quadrature node (cells..., L, Q, d)."""
-        return np.einsum("...kd,kq->...qd", self.coeffs, self.basis.phi)
+        return self.basis.reconstruct(self.coeffs)
 
     def copy(self) -> "MomentField":
         return MomentField(self.grid, self.basis, self.coeffs.copy())
@@ -181,12 +185,6 @@ def hll_flux(u_left, u_right, gas: GasModel, axis: int = 0) -> np.ndarray:
     if not (is_admissible(ul, gas) and is_admissible(ur, gas)):
         raise InadmissibleStateError("inadmissible state passed to hll_flux")
     return _hll_unchecked(ul, ur, gas, axis)
-
-
-def _sound_speed_unchecked(u, gas: GasModel) -> np.ndarray:
-    rho, m, en = u[..., 0], u[..., 1:-1], u[..., -1]
-    p = (gas.gamma - 1.0) * (en - 0.5 * np.sum(m * m, axis=-1) / rho)
-    return np.sqrt(gas.gamma * p / rho)
 
 
 def _hll_unchecked(ul, ur, gas: GasModel, axis: int) -> np.ndarray:
@@ -328,29 +326,36 @@ def moment_flux_divergence(
 
     ``node_states`` has shape (cells..., L, Q, d); the result matches the
     moment-coefficient layout (cells..., L, K+1, d). Forward Euler then reads
-    ``coeffs -= dt * divergence``.
+    ``coeffs -= dt * divergence``. Every axis sees the same ``node_states``.
     """
-    if flux == "lax-friedrichs":
-        lambdas = global_wave_speeds(node_states, grid, gas)
-    elif flux != "hll":
-        raise ValueError(f"unknown numerical flux: {flux!r}")
+    lambdas = global_wave_speeds(node_states, grid, gas) if flux == "lax-friedrichs" else None
     div = None
     for axis in range(grid.ndim):
-        ext = extend_node_states(node_states, grid, axis)
-        left = _take_range(ext, axis, 0, ext.shape[axis] - 1)
-        right = _take_range(ext, axis, 1, ext.shape[axis])
-        if flux == "hll":
-            interface = _hll_unchecked(left, right, gas, axis)
-        else:
-            interface = _lf_unchecked(left, right, gas, axis, lambdas[axis])
-        diff = _take_range(interface, axis, 1, interface.shape[axis]) - _take_range(
-            interface, axis, 0, interface.shape[axis] - 1
-        )
-        contrib = np.einsum(
-            "...qd,kq,q->...kd", diff, basis.phi, basis.rule.weights
-        ) / grid.deltas[axis]
+        diff = _flux_difference(node_states, grid, gas, axis, flux, lambdas)
+        contrib = basis.project(diff) / grid.deltas[axis]
         div = contrib if div is None else div + contrib
     return div
+
+
+def _flux_difference(
+    states: np.ndarray, grid: StructuredGrid, gas: GasModel, axis: int, flux: str, lambdas
+) -> np.ndarray:
+    """F(i+1/2) - F(i-1/2) per cell along one axis, pointwise in the trailing axes.
+
+    ``lambdas`` holds the global wave speed per axis that the
+    Lax-Friedrichs flux needs; HLL ignores it.
+    """
+    ext = extend_node_states(states, grid, axis)
+    left = _take_range(ext, axis, 0, ext.shape[axis] - 1)
+    right = _take_range(ext, axis, 1, ext.shape[axis])
+    if flux == "hll":
+        interface = _hll_unchecked(left, right, gas, axis)
+    elif flux == "lax-friedrichs":
+        interface = _lf_unchecked(left, right, gas, axis, lambdas[axis])
+    else:
+        raise ValueError(f"unknown numerical flux: {flux!r}")
+    n = interface.shape[axis]
+    return _take_range(interface, axis, 1, n) - _take_range(interface, axis, 0, n - 1)
 
 
 def _take_range(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
@@ -366,40 +371,63 @@ def deterministic_solve(
     t_end: float,
     cfl: float = 0.9,
     flux: str = "hll",
-    n_steps: int | None = None,
 ) -> np.ndarray:
     """Plain first-order FV solve on state arrays (cells..., d).
 
-    Used by the stochastic-collocation reference; ``n_steps`` overrides the
-    end time for fixed-step studies.
+    Used by the stochastic-collocation reference. In 2D the update is
+    dimensionally split: the y sweep acts on the state the x sweep produced,
+    with the step size and Lax-Friedrichs speeds taken before the x sweep.
+    The moment solvers instead sum both axes' flux differences on one state,
+    so the 2D collocation reference is a different scheme from theirs.
     """
     u = np.asarray(states, dtype=float).copy()
-    t = 0.0
-    step = 0
-    while (t < t_end) if n_steps is None else (step < n_steps):
-        speeds = [
-            float(np.max(_wave_speed_unchecked(u, gas, ax))) for ax in range(grid.ndim)
-        ]
-        if not is_admissible(u, gas):
-            raise InadmissibleStateError(f"inadmissible state at step {step}")
-        dt = cfl / sum(s / h for s, h in zip(speeds, grid.deltas))
-        if n_steps is None:
-            dt = min(dt, t_end - t)
+
+    def step(stats: RunStats, dt_max: float) -> float:
+        nonlocal u
+        dt = min(cfl_time_step(u, grid, gas, cfl), dt_max)
+        lambdas = global_wave_speeds(u, grid, gas) if flux == "lax-friedrichs" else None
         for axis in range(grid.ndim):
-            ext = extend_node_states(u, grid, axis)
-            left = _take_range(ext, axis, 0, ext.shape[axis] - 1)
-            right = _take_range(ext, axis, 1, ext.shape[axis])
-            if flux == "hll":
-                interface = _hll_unchecked(left, right, gas, axis)
-            else:
-                interface = _lf_unchecked(left, right, gas, axis, speeds[axis])
-            diff = _take_range(interface, axis, 1, interface.shape[axis]) - _take_range(
-                interface, axis, 0, interface.shape[axis] - 1
-            )
+            diff = _flux_difference(u, grid, gas, axis, flux, lambdas)
             u = u - (dt / grid.deltas[axis]) * diff
-        t += dt
-        step += 1
+        return dt
+
+    integrate(step, t_end)
     return u
+
+
+def integrate(step, t_end: float, max_steps: int | None = None) -> RunStats:
+    """The time loop: march from t = 0 to ``t_end``, or for ``max_steps`` steps.
+
+    ``step(stats, dt_max)`` advances its caller's state by one step of at
+    most ``dt_max`` (so the last step lands on ``t_end``) and returns the
+    step size; it may add phase times and Newton counts to ``stats``. The
+    loop owns the time, the step count and the wall time, and a solver
+    error raised inside a step gains a ``step N:`` prefix.
+    """
+    if t_end < 0.0:
+        raise ValueError(f"end time must be >= 0, got {t_end}")
+    stats = RunStats()
+    t = 0.0
+    start = time.perf_counter()
+    while t < t_end and (max_steps is None or stats.steps < max_steps):
+        try:
+            t += step(stats, t_end - t)
+        except SolverError as exc:
+            exc.args = (f"step {stats.steps}: {exc}",)
+            raise
+        stats.steps += 1
+    stats.wall_s = time.perf_counter() - start
+    return stats
+
+
+@contextmanager
+def _timed(stats: RunStats, phase: str):
+    """Add the wall time of a ``with`` block to the ``phase`` field of ``stats``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        setattr(stats, phase, getattr(stats, phase) + time.perf_counter() - start)
 
 
 @dataclass
@@ -428,23 +456,7 @@ class RunStats:
 
 @dataclass
 class RunResult:
-    """Final moment field plus run diagnostics and optional snapshots."""
+    """Final moment field plus run diagnostics."""
 
     field: MomentField
     stats: RunStats
-    snapshots: list | None = None  # (time, MomentField) pairs when requested
-
-
-class _Timer:
-    """Accumulates one phase's wall time via ``with timer:`` blocks."""
-
-    def __init__(self):
-        self.total = 0.0
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.total += time.perf_counter() - self._t0
-        return False

@@ -23,6 +23,7 @@ import numpy as np
 from .basis import GpcBasis
 from .euler import (
     GasModel,
+    SolverError,
     _dual_eval,
     _dual_to_state_unchecked,
     admissible_mask,
@@ -34,8 +35,9 @@ from .fv import (
     MomentField,
     RunResult,
     RunStats,
-    _Timer,
+    _timed,
     cfl_time_step,
+    integrate,
     moment_flux_divergence,
 )
 
@@ -54,7 +56,7 @@ __all__ = [
 _CHUNK = 2048
 
 
-class DualSolveError(RuntimeError):
+class DualSolveError(SolverError, RuntimeError):
     """Newton solve for the dual variables failed."""
 
 
@@ -90,24 +92,15 @@ def dual_residual(
     duals: np.ndarray, moments: np.ndarray, basis: GpcBasis, gas: GasModel
 ) -> np.ndarray:
     """Moment mismatch u_k - <map(Lambda) phi_k f> for one (cell, element)."""
-    duals = np.asarray(duals, dtype=float)
-    lam_nodes = np.einsum("kd,kq->qd", duals, basis.phi)
-    if not np.all(dual_range_mask(lam_nodes, gas)):
-        raise DualSolveError("entropic variable leaves the dual range at a quadrature node")
-    u = _dual_to_state_unchecked(lam_nodes, gas)
-    proj = np.einsum("qd,kq,q->kd", u, basis.phi, basis.rule.weights)
-    return np.asarray(moments, dtype=float) - proj
+    u = dual_node_states(duals, basis, gas)
+    return np.asarray(moments, dtype=float) - basis.project(u)
 
 
 def dual_hessian(duals: np.ndarray, basis: GpcBasis, gas: GasModel) -> np.ndarray:
     """Newton matrix <grad_Lambda u phi_k phi_j f>, flattened to 2D; SPD."""
-    duals = np.asarray(duals, dtype=float)
-    lam_nodes = np.einsum("kd,kq->qd", duals, basis.phi)
-    if not np.all(dual_range_mask(lam_nodes, gas)):
-        raise DualSolveError("entropic variable leaves the dual range at a quadrature node")
-    u = _dual_to_state_unchecked(lam_nodes, gas)
+    u = dual_node_states(duals, basis, gas)
     jac = np.linalg.inv(entropy_hessian(u, gas))
-    n = basis.n_coeffs * duals.shape[-1]
+    n = basis.n_coeffs * u.shape[-1]
     h = np.einsum(
         "kq,jq,q,qab->kajb", basis.phi, basis.phi, basis.rule.weights, jac
     )
@@ -129,8 +122,11 @@ def _solve_batch(
     w2 = np.einsum("kq,jq,q->kjq", phi, phi, w).reshape(k1 * k1, -1)
     iters = np.zeros(n_prob, dtype=np.int64)
 
+    def where(p):
+        return tuple(map(int, np.unravel_index(p + offset, shape)))
+
     # invalid warm starts fall back to the constant entropic ansatz of the mean
-    lam_nodes = np.einsum("pkd,kq->pqd", lam, phi)
+    lam_nodes = basis.reconstruct(lam)
     bad = ~np.all(dual_range_mask(lam_nodes, gas), axis=-1)
     if np.any(bad):
         means = moments[bad, 0, :]
@@ -138,11 +134,11 @@ def _solve_batch(
             raise DualSolveError("unrealizable moments: inadmissible cell mean")
         lam[bad] = 0.0
         lam[bad, 0, :] = entropy_gradient(means, gas)
-        lam_nodes[bad] = np.einsum("pkd,kq->pqd", lam[bad], phi)
+        lam_nodes[bad] = basis.reconstruct(lam[bad])
 
     u, sstar, jac = _dual_eval(lam_nodes, gas)
     sstar_w = sstar @ w
-    res = moments - np.einsum("pqd,kq,q->pkd", u, phi, w)
+    res = moments - basis.project(u)
     rn = np.max(np.abs(res.reshape(n_prob, -1)), axis=1)
     active = np.flatnonzero(rn > cfg.tol)
 
@@ -151,7 +147,7 @@ def _solve_batch(
         if np.any(exhausted):
             p = active[np.flatnonzero(exhausted)[0]]
             raise DualSolveError(
-                f"dual solve at (cells..., element) {np.unravel_index(p + offset, shape)} "
+                f"dual solve at (cells..., element) {where(p)} "
                 f"did not reach tol={cfg.tol:g} within {cfg.max_iter} iterations "
                 f"(residual {rn[p]:.3e})"
             )
@@ -167,8 +163,7 @@ def _solve_batch(
             broken = ~np.all(np.isfinite(delta.reshape(active.size, -1)), axis=1)
             p = active[np.flatnonzero(broken)[0]]
             raise DualSolveError(
-                f"non-finite Newton direction at (cells..., element) "
-                f"{np.unravel_index(p + offset, shape)}"
+                f"non-finite Newton direction at (cells..., element) {where(p)}"
             )
         obj0 = sstar_w[active] - np.einsum("pkd,pkd->p", la, mo)
         rn0 = rn[active]
@@ -180,7 +175,7 @@ def _solve_batch(
             if todo.size == 0:
                 break
             cand = la[todo] + step[todo, None, None] * delta[todo]
-            cand_nodes = np.einsum("pkd,kq->pqd", cand, phi)
+            cand_nodes = basis.reconstruct(cand)
             valid = np.all(dual_range_mask(cand_nodes, gas), axis=-1)
             obj = np.full(todo.size, np.inf)
             rn_c = np.full(todo.size, np.inf)
@@ -188,8 +183,7 @@ def _solve_batch(
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     u_v, sstar_v, jac_v = _dual_eval(cand_nodes[valid], gas)
                     sw_v = sstar_v @ w
-                    proj_v = np.einsum("pqd,kq,q->pkd", u_v, phi, w)
-                    res_v = mo[todo][valid] - proj_v
+                    res_v = mo[todo][valid] - basis.project(u_v)
                     obj_v = sw_v - np.einsum("pkd,pkd->p", cand[valid], mo[todo][valid])
                 rn_v = np.max(np.abs(res_v.reshape(res_v.shape[0], -1)), axis=1)
                 obj[valid] = np.where(np.isfinite(obj_v), obj_v, np.inf)
@@ -214,8 +208,7 @@ def _solve_batch(
         if not np.all(accepted):
             p = active[np.flatnonzero(~accepted)[0]]
             raise DualSolveError(
-                f"line search stalled at (cells..., element) "
-                f"{np.unravel_index(p + offset, shape)}"
+                f"line search stalled at (cells..., element) {where(p)}"
             )
         iters[active] += 1
         active = active[rn[active] > cfg.tol]
@@ -268,13 +261,12 @@ def solve_duals(
 
 def initial_duals_from_states(node_states: np.ndarray, basis: GpcBasis, gas: GasModel) -> np.ndarray:
     """Projection of the entropy gradient of initial node states onto the basis."""
-    grad = entropy_gradient(node_states, gas)
-    return np.einsum("...qd,kq,q->...kd", grad, basis.phi, basis.rule.weights)
+    return basis.project(entropy_gradient(node_states, gas))
 
 
 def dual_node_states(duals: np.ndarray, basis: GpcBasis, gas: GasModel) -> np.ndarray:
     """Admissible states mapped from the entropic expansion at the quadrature nodes."""
-    lam_nodes = np.einsum("...kd,kq->...qd", duals, basis.phi)
+    lam_nodes = basis.reconstruct(duals)
     if not np.all(dual_range_mask(lam_nodes, gas)):
         raise DualSolveError("entropic variable leaves the dual range at a quadrature node")
     return _dual_to_state_unchecked(lam_nodes, gas)
@@ -303,7 +295,6 @@ def run_ipm(
     flux: str = "hll",
     newton: NewtonConfig | None = None,
     initial_duals: np.ndarray | None = None,
-    snapshot_times=(),
     threads: int = 1,
     max_steps: int | None = None,
 ) -> RunResult:
@@ -311,54 +302,37 @@ def run_ipm(
 
     Per step: map duals to node states, advance the carried moments with the
     FV update, then re-solve the duals warm-started from the previous step.
-    ``initial_duals`` seeds the first solve (defaulting to the constant
-    entropic ansatz of each cell mean).
+    ``initial_duals`` seeds the first solve, made in step 0 (defaulting to
+    the constant entropic ansatz of each cell mean).
     """
-    if t_end < 0.0:
-        raise ValueError(f"end time must be >= 0, got {t_end}")
     if newton is None:
         newton = NewtonConfig()
     grid, basis = initial.grid, initial.basis
     mom = initial.coeffs.copy()
-    stats = RunStats()
-    timer_all, timer_flux, timer_dual = _Timer(), _Timer(), _Timer()
-    snapshots = []
-    pending = sorted(snapshot_times)
-    t = 0.0
     lam = None
-    with timer_all:
-        while t < t_end and (max_steps is None or stats.steps < max_steps):
-            if lam is None:
-                if initial_duals is None:
-                    warm = np.zeros_like(mom)
-                    warm[..., 0, :] = entropy_gradient(mom[..., 0, :], gas)
-                else:
-                    warm = initial_duals
-                with timer_dual:
-                    lam, dstats = solve_duals(mom, warm, basis, gas, newton, threads)
-                _absorb(stats, dstats)
-            nodes = dual_node_states(lam, basis, gas)
-            dt = cfl_time_step(nodes, grid, gas, cfl)
-            dt = min(dt, t_end - t)
-            with timer_flux:
-                div = moment_flux_divergence(nodes, grid, basis, gas, flux)
-                mom = mom - dt * div
-            with timer_dual:
-                lam, dstats = solve_duals(mom, lam, basis, gas, newton, threads)
-            _absorb(stats, dstats)
-            t += dt
-            stats.steps += 1
-            while pending and t >= pending[0] - 1e-14:
-                snapshots.append((t, MomentField(grid, basis, mom.copy())))
-                pending.pop(0)
-    stats.wall_s = timer_all.total
-    stats.flux_s = timer_flux.total
-    stats.dual_solve_s = timer_dual.total
-    return RunResult(
-        field=MomentField(grid, basis, mom), stats=stats, snapshots=snapshots
-    )
 
+    def solve(stats: RunStats, warm: np.ndarray) -> np.ndarray:
+        with _timed(stats, "dual_solve_s"):
+            duals, dstats = solve_duals(mom, warm, basis, gas, newton, threads)
+        stats.newton_iterations += dstats.iterations
+        stats.newton_max_residual = max(stats.newton_max_residual, dstats.max_residual)
+        return duals
 
-def _absorb(stats: RunStats, dstats: DualSolveStats):
-    stats.newton_iterations += dstats.iterations
-    stats.newton_max_residual = max(stats.newton_max_residual, dstats.max_residual)
+    def step(stats: RunStats, dt_max: float) -> float:
+        nonlocal mom, lam
+        if lam is None:
+            if initial_duals is None:
+                warm = np.zeros_like(mom)
+                warm[..., 0, :] = entropy_gradient(mom[..., 0, :], gas)
+            else:
+                warm = initial_duals
+            lam = solve(stats, warm)
+        nodes = dual_node_states(lam, basis, gas)
+        dt = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
+        with _timed(stats, "flux_s"):
+            mom = mom - dt * moment_flux_divergence(nodes, grid, basis, gas, flux)
+        lam = solve(stats, lam)
+        return dt
+
+    stats = integrate(step, t_end, max_steps)
+    return RunResult(field=MomentField(grid, basis, mom), stats=stats)

@@ -123,8 +123,5 @@ def initial_node_states(initial, grid: StructuredGrid, basis: GpcBasis) -> np.nd
 
 def project_initial_data(initial, grid: StructuredGrid, basis: GpcBasis) -> MomentField:
     """Moment coefficients of the initial data, one block per (cell, element)."""
-    states = initial_node_states(initial, grid, basis)
-    coeffs = np.einsum(
-        "...qd,kq,q->...kd", states, basis.phi, basis.rule.weights
-    )
+    coeffs = basis.project(initial_node_states(initial, grid, basis))
     return MomentField(grid=grid, basis=basis, coeffs=coeffs)

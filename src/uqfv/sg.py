@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GpcBasis
-from .euler import GasModel, InadmissibleStateError, admissible_mask
+from .euler import GasModel, InadmissibleStateError, SolverError, admissible_mask
 from .fv import (
     MomentField,
     RunResult,
     RunStats,
     StructuredGrid,
-    _Timer,
+    _timed,
     cfl_time_step,
+    integrate,
     moment_flux_divergence,
 )
 
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-class LimiterError(RuntimeError):
+class LimiterError(SolverError, RuntimeError):
     """Limiter could not produce admissible reconstructions."""
 
 
@@ -175,7 +176,7 @@ def limiter_theta(
     mean = coeffs[0]
     if not np.all(admissible_mask(mean, gas)):
         raise InadmissibleStateError("limiter requires an admissible cell mean")
-    nodes = np.einsum("kd,kq->qd", coeffs, basis.phi)
+    nodes = basis.reconstruct(coeffs)
     raw = _theta_raw(nodes[None, :, :], mean[None, :])[0]
     if raw == 0.0:
         return 0.0
@@ -203,20 +204,21 @@ def apply_limiter(
     if not np.all(admissible_mask(means, gas)):
         bad = np.argwhere(~admissible_mask(means, gas))
         raise InadmissibleStateError(
-            f"inadmissible cell mean at (cells..., element) index {tuple(bad[0])}"
+            f"inadmissible cell mean at (cells..., element) index {tuple(map(int, bad[0]))}"
         )
-    nodes = np.einsum("...kd,kq->...qd", coeffs, basis.phi)
+    nodes = basis.reconstruct(coeffs)
     raw = _theta_raw(nodes, means)
     theta = np.where(raw > 0.0, np.minimum(raw + config.epsilon, 1.0), 0.0)
     limited = coeffs.copy()
     limited[..., 1:, :] *= (1.0 - theta)[..., None, None]
     if np.any(theta > 0.0):
-        nodes = np.einsum("...kd,kq->...qd", limited, basis.phi)
+        nodes = basis.reconstruct(limited)
     ok = admissible_mask(nodes, gas)
     if not np.all(ok):
         bad = np.argwhere(~ok)
         raise LimiterError(
-            f"reconstruction still inadmissible after limiting at index {tuple(bad[0])}"
+            "reconstruction still inadmissible after limiting at index "
+            f"{tuple(map(int, bad[0]))}"
         )
     return limited, theta
 
@@ -230,12 +232,12 @@ def sg_update(
     flux: str = "hll",
 ) -> np.ndarray:
     """One forward-Euler moment update; reconstructions must be admissible."""
-    nodes = np.einsum("...kd,kq->...qd", coeffs, basis.phi)
+    nodes = basis.reconstruct(coeffs)
     ok = admissible_mask(nodes, gas)
     if not np.all(ok):
         bad = np.argwhere(~ok)[0]
         raise InadmissibleStateError(
-            f"inadmissible reconstruction at (cells..., element, node) {tuple(bad)}; "
+            f"inadmissible reconstruction at (cells..., element, node) {tuple(map(int, bad))}; "
             "apply the limiter before the update"
         )
     div = moment_flux_divergence(nodes, grid, basis, gas, flux)
@@ -250,59 +252,34 @@ def run_sg(
     flux: str = "hll",
     filter_config: FilterConfig | None = None,
     limiter_config: LimiterConfig | None = None,
-    snapshot_times=(),
     max_steps: int | None = None,
 ) -> RunResult:
     """Time loop of the filtered hyperbolicity-preserving SG scheme.
 
     Each step filters, limits, then updates; the step size obeys the CFL
-    bound and the last step is truncated to land on t_end exactly.
+    bound and the last step is truncated to land on t_end exactly. The
+    limiter checks the cell means; with it disabled, the CFL scan rejects
+    an inadmissible reconstruction.
     """
-    if t_end < 0.0:
-        raise ValueError(f"end time must be >= 0, got {t_end}")
     grid, basis = initial.grid, initial.basis
     coeffs = initial.coeffs.copy()
-    stats = RunStats()
-    timer_all, timer_flux, timer_fl = _Timer(), _Timer(), _Timer()
-    snapshots = []
-    pending = sorted(snapshot_times)
-    t = 0.0
     filtering = filter_config is not None and filter_config.kind != "none"
-    with timer_all:
-        while t < t_end and (max_steps is None or stats.steps < max_steps):
-            means = coeffs[..., 0, :]
-            if not np.all(admissible_mask(means, gas)):
-                bad = np.argwhere(~admissible_mask(means, gas))[0]
-                raise InadmissibleStateError(
-                    f"inadmissible cell mean at step {stats.steps}, index {tuple(bad)}"
-                )
-            try:
-                with timer_fl:
-                    if filtering:
-                        # the filter exponent needs a step-size estimate; take
-                        # it from a probe-limited (admissible) reconstruction
-                        probe, _ = apply_limiter(coeffs, basis, gas, limiter_config)
-                        probe_nodes = np.einsum("...kd,kq->...qd", probe, basis.phi)
-                        dt_est = min(
-                            cfl_time_step(probe_nodes, grid, gas, cfl), t_end - t
-                        )
-                        coeffs = apply_filter(coeffs, filter_config, dt_est)
-                    coeffs, _ = apply_limiter(coeffs, basis, gas, limiter_config)
-                nodes = np.einsum("...kd,kq->...qd", coeffs, basis.phi)
-                dt = min(cfl_time_step(nodes, grid, gas, cfl), t_end - t)
-            except InadmissibleStateError as exc:
-                raise InadmissibleStateError(f"step {stats.steps}: {exc}") from exc
-            with timer_flux:
-                div = moment_flux_divergence(nodes, grid, basis, gas, flux)
-                coeffs = coeffs - dt * div
-            t += dt
-            stats.steps += 1
-            while pending and t >= pending[0] - 1e-14:
-                snapshots.append((t, MomentField(grid, basis, coeffs.copy())))
-                pending.pop(0)
-    stats.wall_s = timer_all.total
-    stats.flux_s = timer_flux.total
-    stats.filter_limiter_s = timer_fl.total
-    return RunResult(
-        field=MomentField(grid, basis, coeffs), stats=stats, snapshots=snapshots
-    )
+
+    def step(stats: RunStats, dt_max: float) -> float:
+        nonlocal coeffs
+        with _timed(stats, "filter_limiter_s"):
+            if filtering:
+                # the filter exponent needs a step-size estimate; take it
+                # from a probe-limited (admissible) reconstruction
+                probe, _ = apply_limiter(coeffs, basis, gas, limiter_config)
+                dt_est = min(cfl_time_step(basis.reconstruct(probe), grid, gas, cfl), dt_max)
+                coeffs = apply_filter(coeffs, filter_config, dt_est)
+            coeffs, _ = apply_limiter(coeffs, basis, gas, limiter_config)
+        nodes = basis.reconstruct(coeffs)
+        dt = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
+        with _timed(stats, "flux_s"):
+            coeffs = coeffs - dt * moment_flux_divergence(nodes, grid, basis, gas, flux)
+        return dt
+
+    stats = integrate(step, t_end, max_steps)
+    return RunResult(field=MomentField(grid, basis, coeffs), stats=stats)

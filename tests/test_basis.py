@@ -139,13 +139,13 @@ def test_quadrature_nodes_mapped_into_element():
 
 def test_project_constant():
     basis = build_basis(build_partition(-1.0, 1.0, 2), 3)
-    coeffs = basis.project(np.full(basis.n_nodes, 7.5))
+    coeffs = basis.project(np.full((basis.n_nodes, 1), 7.5))[:, 0]
     np.testing.assert_allclose(coeffs, [7.5, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_project_basis_function_gives_unit_vector():
     basis = build_basis(build_partition(-1.0, 1.0, 3), 3)
-    coeffs = basis.project(basis.phi[1])
+    coeffs = basis.project(basis.phi[1][:, None])[:, 0]
     np.testing.assert_allclose(coeffs, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -155,21 +155,21 @@ def test_project_identity_on_single_element():
     basis = build_basis(build_partition(-1.0, 1.0, 1), 2)
     oracle = np.sum(basis.rule.weights * basis.rule.nodes * np.sqrt(3.0) * basis.rule.nodes)
     assert oracle == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-15)
-    coeffs = basis.project(basis.nodes[0])
+    coeffs = basis.project(basis.nodes[0][:, None])[:, 0]
     np.testing.assert_allclose(coeffs, [0.0, 1.0 / np.sqrt(3.0), 0.0], atol=1e-14)
 
 
 def test_project_node_count_mismatch():
     basis = build_basis(build_partition(-1.0, 1.0, 1), 2)
     with pytest.raises(ValueError):
-        basis.project(np.ones(basis.n_nodes + 1))
+        basis.project(np.ones((basis.n_nodes + 1, 1)))
 
 
 def test_reconstruct_then_project_identity():
     rng = np.random.default_rng(7)
     basis = build_basis(build_partition(-1.0, 1.0, 3), 14)
     coeffs = rng.standard_normal(15)
-    roundtrip = basis.project(basis.reconstruct(coeffs))
+    roundtrip = basis.project(basis.reconstruct(coeffs[:, None]))[:, 0]
     np.testing.assert_allclose(roundtrip, coeffs, atol=1e-12)
 
 

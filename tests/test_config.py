@@ -39,6 +39,8 @@ def test_sod_preset_table_values():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(MINIMAL_SOD + "\n[limiter]\nepsilonn = 1e-10\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(MINIMAL_SOD.replace("name = me_hsg", "name = me_hsg\nseed = 3"))
 
 
 def test_unknown_section_rejected():

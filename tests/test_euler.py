@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uqfv.euler import (
     DualRangeError,
@@ -11,6 +14,8 @@ from uqfv.euler import (
     entropy_hessian,
     dual_state_jacobian,
     is_admissible,
+    _dual_eval,
+    _dual_to_state_unchecked,
     legendre_dual,
     max_wave_speed,
     physical_flux,
@@ -213,3 +218,34 @@ def test_flux_and_wave_speed_reject_inadmissible():
         max_wave_speed(bad, GAS)
     with pytest.raises(InadmissibleStateError):
         entropy(bad, GAS)
+
+
+@st.composite
+def admissible_states(draw):
+    """Up to 16 random 1D or 2D states: rho and p in [0.1, 10], |v_i| <= 1.
+
+    The round trip through the dual loses about rho |v|^2 / p ulps in the
+    density exponent; these ranges keep that under rtol 1e-13.
+    """
+    ndim = draw(st.sampled_from((1, 2)))
+    rows = draw(st.integers(1, 16))
+    unit = draw(hnp.arrays(float, (rows, 2 + ndim), elements=st.floats(0.0, 1.0)))
+    rho = 10.0 ** (2.0 * unit[:, 0] - 1.0)
+    v = 2.0 * unit[:, 1:-1] - 1.0
+    p = 10.0 ** (2.0 * unit[:, -1] - 1.0)
+    u = np.empty_like(unit)
+    u[:, 0] = rho
+    u[:, 1:-1] = rho[:, None] * v
+    u[:, -1] = p / (GAS.gamma - 1.0) + 0.5 * rho * np.sum(v * v, axis=1)
+    return u
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(admissible_states())
+def test_one_inverse_map_for_flux_and_newton(u):
+    # the states the flux sees (_dual_to_state_unchecked) are bitwise the
+    # states the Newton residual matches (_dual_eval)
+    lam = entropy_gradient(u, GAS)
+    back = _dual_to_state_unchecked(lam, GAS)
+    np.testing.assert_array_equal(back, _dual_eval(lam, GAS)[0])
+    np.testing.assert_allclose(back, u, rtol=1e-13, atol=0.0)

@@ -327,3 +327,10 @@ def test_solve_duals_stress_random_realizable_moments():
     duals, stats = solve_duals(moments, warm, basis, GAS)
     assert stats.max_residual <= 1e-7
     assert np.all(np.isfinite(duals))
+
+
+def test_run_ipm_dual_solve_error_names_step_and_block():
+    basis = build_basis(build_partition(-1, 1, 3), 4)
+    field = project_initial_data(sod_initial, grid_1d(50, 0.0, 1.0), basis)
+    with pytest.raises(DualSolveError, match=r"^step 0: .*\(23, 0\)"):
+        run_ipm(field, GAS, 0.14, newton=NewtonConfig(max_iter=1))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from uqfv.basis import build_basis, build_partition
@@ -351,3 +354,42 @@ def test_apply_limiter_stress_random_extreme_fields():
         limited, _ = apply_limiter(coeffs, basis, GAS)
         nodes = np.einsum("...kd,kq->...qd", limited, basis.phi)
         assert np.all(admissible_mask(nodes, GAS))
+
+
+@st.composite
+def limiter_blocks(draw):
+    """Random (cells, element, K+1, 3) blocks with admissible means.
+
+    Higher moments are uniform in +-amplitude times the mean's magnitude;
+    amplitude 0 gives blocks that are admissible already.
+    """
+    basis = build_basis(
+        build_partition(-1, 1, draw(st.integers(1, 3))), draw(st.integers(0, 5))
+    )
+    shape = (draw(st.integers(1, 4)), basis.n_elements)
+    unit = st.floats(0.0, 1.0)
+    mean = draw(hnp.arrays(float, shape + (3,), elements=unit))
+    rho = 10.0 ** (2.0 * mean[..., 0] - 1.0)
+    v = 4.0 * mean[..., 1] - 2.0
+    p = 10.0 ** (2.0 * mean[..., 2] - 1.0)
+    coeffs = np.empty(shape + (basis.n_coeffs, 3))
+    coeffs[..., 0, :] = np.stack([rho, rho * v, p / 0.4 + 0.5 * rho * v * v], axis=-1)
+    higher = draw(hnp.arrays(float, coeffs[..., 1:, :].shape, elements=unit))
+    amplitude = draw(st.sampled_from((0.0, 0.01, 0.5, 3.0)))
+    coeffs[..., 1:, :] = (
+        amplitude * (2.0 * higher - 1.0) * np.abs(coeffs[..., :1, :]).max(axis=-1, keepdims=True)
+    )
+    return basis, coeffs
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(limiter_blocks())
+def test_apply_limiter_properties(block):
+    basis, coeffs = block
+    limited, theta = apply_limiter(coeffs, basis, GAS)
+    assert np.all(admissible_mask(basis.reconstruct(limited), GAS))
+    np.testing.assert_array_equal(limited[..., 0, :], coeffs[..., 0, :])
+    assert np.all((theta >= 0.0) & (theta <= 1.0))
+    admissible = np.all(admissible_mask(basis.reconstruct(coeffs), GAS), axis=-1)
+    assert np.all(theta[admissible] == 0.0)
+    np.testing.assert_array_equal(limited[admissible], coeffs[admissible])

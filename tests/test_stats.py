@@ -43,7 +43,7 @@ def test_linear_profile_mean_zero_variance_third():
     basis = build_basis(build_partition(-1, 1, 1), 2)
     grid = grid_1d(1, 0.0, 1.0)
     coeffs = np.zeros((1, 1, 3, 3))
-    coeffs[0, 0, :, 0] = basis.project(basis.nodes[0])
+    coeffs[0, 0, :, 0] = basis.project(basis.nodes[0][:, None])[:, 0]
     field = make_field(grid, basis, coeffs)
     assert expectation(field)[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert variance(field)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-14)
@@ -55,7 +55,7 @@ def test_linear_profile_variance_multi_element_consistency():
     grid = grid_1d(1, 0.0, 1.0)
     coeffs = np.zeros((1, 2, 3, 3))
     for l in range(2):
-        coeffs[0, l, :, 0] = basis.project(basis.nodes[l])
+        coeffs[0, l, :, 0] = basis.project(basis.nodes[l][:, None])[:, 0]
     field = make_field(grid, basis, coeffs)
     assert expectation(field)[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert variance(field)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-14)
