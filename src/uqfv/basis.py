@@ -171,6 +171,11 @@ class GpcBasis:
     element_weights : probability mass of each element, sums to one
     phi : (degree+1, n_nodes) basis values at the reference nodes
     nodes : (n_elements, n_nodes) quadrature nodes mapped into each element
+
+    ``reconstruct`` and ``project`` are stacked matrix products against two
+    tables built here once, the contiguous ``phi.T`` and ``phi * weights``:
+    each (K+1, d) or (Q, d) block is one BLAS product, so a block's result
+    does not depend on the batch it sits in.
     """
 
     def __init__(self, partition: ElementPartition, degree: int, rule: QuadratureRule):
@@ -182,6 +187,8 @@ class GpcBasis:
         total = partition.hi - partition.lo
         self.element_weights = partition.widths / total
         self.phi = eval_orthonormal_legendre(degree, rule.ref_nodes)
+        self._phi_t = np.ascontiguousarray(self.phi.T)
+        self._phi_w = self.phi * rule.weights
         mids = partition.midpoints
         halves = 0.5 * partition.widths
         self.nodes = mids[:, None] + halves[:, None] * rule.ref_nodes[None, :]
@@ -204,11 +211,11 @@ class GpcBasis:
         ``values`` has the solver layout (..., Q, d): node axis second to
         last, component axis last. The result is (..., K+1, d).
         """
-        return np.einsum("...qd,kq,q->...kd", values, self.phi, self.rule.weights)
+        return np.matmul(self._phi_w, values)
 
     def reconstruct(self, coeffs) -> np.ndarray:
         """Values at the quadrature nodes, (..., K+1, d) -> (..., Q, d)."""
-        return np.einsum("...kd,kq->...qd", coeffs, self.phi)
+        return np.matmul(self._phi_t, coeffs)
 
     def eval_at(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Element index and local basis table (degree+1, ...) at arbitrary points."""

@@ -71,6 +71,10 @@ def pressure(u, gas: GasModel) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any(u[..., 0] <= 0.0):
         raise InadmissibleStateError("non-positive density")
+    return _pressure_unchecked(u, gas)
+
+
+def _pressure_unchecked(u: np.ndarray, gas: GasModel) -> np.ndarray:
     return (gas.gamma - 1.0) * _internal_energy(u)
 
 
@@ -79,7 +83,7 @@ def sound_speed(u, gas: GasModel) -> np.ndarray:
     p = pressure(u, gas)
     if np.any(p <= 0.0):
         raise InadmissibleStateError("non-positive pressure")
-    return np.sqrt(gas.gamma * p / u[..., 0])
+    return _sound_speed_unchecked(u[..., 0], p, gas)
 
 
 def admissible_mask(u, gas: GasModel) -> np.ndarray:
@@ -109,15 +113,20 @@ def physical_flux(u, gas: GasModel, axis: int = 0) -> np.ndarray:
 
 
 def _flux_unchecked(u: np.ndarray, gas: GasModel, axis: int) -> np.ndarray:
+    return _flux_and_speeds(u, gas, axis)[0]
+
+
+def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int) -> tuple:
+    """Directional flux, velocity along ``axis`` and sound speed, from one pressure."""
     rho, m, en = _parts(u)
-    p = (gas.gamma - 1.0) * _internal_energy(u)
+    p = _pressure_unchecked(u, gas)
     v = m[..., axis] / rho
     f = np.empty_like(u)
     f[..., 0] = m[..., axis]
     f[..., 1:-1] = m * v[..., None]
     f[..., 1 + axis] += p
     f[..., -1] = v * (en + p)
-    return f
+    return f, v, _sound_speed_unchecked(rho, p, gas)
 
 
 def max_wave_speed(u, gas: GasModel, axis: int = 0) -> np.ndarray:
@@ -127,13 +136,14 @@ def max_wave_speed(u, gas: GasModel, axis: int = 0) -> np.ndarray:
     return _wave_speed_unchecked(u, gas, axis)
 
 
-def _sound_speed_unchecked(u: np.ndarray, gas: GasModel) -> np.ndarray:
-    p = (gas.gamma - 1.0) * _internal_energy(u)
-    return np.sqrt(gas.gamma * p / u[..., 0])
+def _sound_speed_unchecked(rho: np.ndarray, p: np.ndarray, gas: GasModel) -> np.ndarray:
+    return np.sqrt(gas.gamma * p / rho)
 
 
 def _wave_speed_unchecked(u: np.ndarray, gas: GasModel, axis: int) -> np.ndarray:
-    return np.abs(u[..., 1 + axis] / u[..., 0]) + _sound_speed_unchecked(u, gas)
+    rho = u[..., 0]
+    c = _sound_speed_unchecked(rho, _pressure_unchecked(u, gas), gas)
+    return np.abs(u[..., 1 + axis] / rho) + c
 
 
 def entropy(u, gas: GasModel) -> np.ndarray:

@@ -21,8 +21,8 @@ from .euler import (
     GasModel,
     InadmissibleStateError,
     SolverError,
+    _flux_and_speeds,
     _flux_unchecked,
-    _sound_speed_unchecked,
     _wave_speed_unchecked,
     is_admissible,
 )
@@ -188,14 +188,10 @@ def hll_flux(u_left, u_right, gas: GasModel, axis: int = 0) -> np.ndarray:
 
 
 def _hll_unchecked(ul, ur, gas: GasModel, axis: int) -> np.ndarray:
-    vl = ul[..., 1 + axis] / ul[..., 0]
-    vr = ur[..., 1 + axis] / ur[..., 0]
-    cl = _sound_speed_unchecked(ul, gas)
-    cr = _sound_speed_unchecked(ur, gas)
+    fl, vl, cl = _flux_and_speeds(ul, gas, axis)
+    fr, vr, cr = _flux_and_speeds(ur, gas, axis)
     s_l = np.minimum(vl - cl, vr - cr)
     s_r = np.maximum(vl + cl, vr + cr)
-    fl = _flux_unchecked(ul, gas, axis)
-    fr = _flux_unchecked(ur, gas, axis)
     with np.errstate(divide="ignore", invalid="ignore"):
         middle = (
             s_r[..., None] * fl

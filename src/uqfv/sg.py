@@ -177,6 +177,8 @@ def limiter_theta(
     if not np.all(admissible_mask(mean, gas)):
         raise InadmissibleStateError("limiter requires an admissible cell mean")
     nodes = basis.reconstruct(coeffs)
+    if np.all(admissible_mask(nodes, gas)):
+        return 0.0
     raw = _theta_raw(nodes[None, :, :], mean[None, :])[0]
     if raw == 0.0:
         return 0.0
@@ -194,6 +196,8 @@ def apply_limiter(
     Returns the limited coefficients and the applied damping factors. The
     zeroth moments are left untouched; afterwards the reconstruction is
     admissible at every quadrature node (verified, LimiterError otherwise).
+    Only blocks with an inadmissible node are limited and checked again;
+    every other block keeps theta 0 and its coefficients bit for bit.
     """
     if config is None:
         config = LimiterConfig()
@@ -207,18 +211,21 @@ def apply_limiter(
             f"inadmissible cell mean at (cells..., element) index {tuple(map(int, bad[0]))}"
         )
     nodes = basis.reconstruct(coeffs)
-    raw = _theta_raw(nodes, means)
-    theta = np.where(raw > 0.0, np.minimum(raw + config.epsilon, 1.0), 0.0)
+    bad = ~np.all(admissible_mask(nodes, gas), axis=-1)
+    theta = np.zeros(cells_shape)
+    if not np.any(bad):
+        return coeffs.copy(), theta
+    raw = _theta_raw(nodes[bad], means[bad])
+    theta[bad] = np.where(raw > 0.0, np.minimum(raw + config.epsilon, 1.0), 0.0)
     limited = coeffs.copy()
-    limited[..., 1:, :] *= (1.0 - theta)[..., None, None]
-    if np.any(theta > 0.0):
-        nodes = basis.reconstruct(limited)
-    ok = admissible_mask(nodes, gas)
+    limited[bad, 1:, :] *= (1.0 - theta[bad])[:, None, None]
+    ok = admissible_mask(basis.reconstruct(limited[bad]), gas)
     if not np.all(ok):
-        bad = np.argwhere(~ok)
+        block, node = np.argwhere(~ok)[0]
+        index = (*np.argwhere(bad)[block], node)
         raise LimiterError(
             "reconstruction still inadmissible after limiting at index "
-            f"{tuple(map(int, bad[0]))}"
+            f"{tuple(map(int, index))}"
         )
     return limited, theta
 
@@ -264,15 +271,24 @@ def run_sg(
     grid, basis = initial.grid, initial.basis
     coeffs = initial.coeffs.copy()
     filtering = filter_config is not None and filter_config.kind != "none"
+    # filter_gains reads dt only for a dt-scaled exponential filter
+    gains_read_dt = (
+        filtering
+        and filter_config.kind == "exponential"
+        and filter_config.dt_scaled
+        and filter_config.strength > 0.0
+    )
 
     def step(stats: RunStats, dt_max: float) -> float:
         nonlocal coeffs
         with _timed(stats, "filter_limiter_s"):
             if filtering:
-                # the filter exponent needs a step-size estimate; take it
-                # from a probe-limited (admissible) reconstruction
-                probe, _ = apply_limiter(coeffs, basis, gas, limiter_config)
-                dt_est = min(cfl_time_step(basis.reconstruct(probe), grid, gas, cfl), dt_max)
+                dt_est = 0.0
+                if gains_read_dt:
+                    # the filter exponent needs a step-size estimate; take it
+                    # from a probe-limited (admissible) reconstruction
+                    probe, _ = apply_limiter(coeffs, basis, gas, limiter_config)
+                    dt_est = min(cfl_time_step(basis.reconstruct(probe), grid, gas, cfl), dt_max)
                 coeffs = apply_filter(coeffs, filter_config, dt_est)
             coeffs, _ = apply_limiter(coeffs, basis, gas, limiter_config)
         nodes = basis.reconstruct(coeffs)

@@ -226,3 +226,23 @@ def test_gauss_rule_annihilates_nonconstant_basis_functions():
         for k in range(1, 2 * n):
             bound = 1e-15 if k <= (n - 1) // 2 else 4e-15
             assert abs(math.fsum(rule.weights * phi[k])) <= bound, (n, k)
+
+
+@pytest.mark.parametrize("degree", [4, 14])
+@pytest.mark.parametrize("d", [3, 4])
+def test_contractions_independent_of_batch(degree, d):
+    # a block's reconstruction and projection must not depend on the batch it
+    # sits in: the IPM thread-count and permutation tests rely on this
+    basis = build_basis(build_partition(-1, 1, 2), degree)
+    rng = np.random.default_rng(degree + d)
+    batches = (
+        rng.standard_normal((12, 2, basis.n_coeffs, d)),
+        rng.standard_normal((12, 2, basis.n_nodes, d)),
+    )
+    perm = rng.permutation(12)
+    for contract, x in zip((basis.reconstruct, basis.project), batches):
+        full = contract(x)
+        items = np.array([[contract(block) for block in cell] for cell in x])
+        np.testing.assert_array_equal(full, items)
+        np.testing.assert_array_equal(contract(x[perm]), full[perm])
+        np.testing.assert_array_equal(contract(x[::2]), full[::2])

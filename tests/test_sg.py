@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from uqfv.problems import project_initial_data
 from uqfv.sg import (
     FilterConfig,
     LimiterConfig,
+    LimiterError,
     apply_filter,
     apply_limiter,
     filter_gain,
@@ -393,3 +396,69 @@ def test_apply_limiter_properties(block):
     admissible = np.all(admissible_mask(basis.reconstruct(coeffs), GAS), axis=-1)
     assert np.all(theta[admissible] == 0.0)
     np.testing.assert_array_equal(limited[admissible], coeffs[admissible])
+
+
+@pytest.mark.parametrize(
+    "config, calls_per_step",
+    [
+        (FilterConfig("l2", strength=0.01), 1),
+        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=False), 1),
+        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 2),
+    ],
+)
+def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, calls_per_step):
+    # the probe limiter estimates dt for the filter exponent; only a
+    # dt-scaled exponential filter reads it
+    import uqfv.sg as sg_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply_limiter(*args, **kwargs)
+
+    monkeypatch.setattr(sg_mod, "apply_limiter", counting)
+    basis = build_basis(build_partition(-1, 1, 2), 3)
+    grid = grid_1d(20, 0.0, 1.0)
+    field = project_initial_data(sod_initial, grid, basis)
+    result = run_sg(field, GAS, t_end=0.1, filter_config=config)
+    assert result.stats.steps > 3
+    assert len(calls) == calls_per_step * result.stats.steps
+
+
+@pytest.mark.parametrize("shape, d", [((16,), 3), ((5, 4), 4)])
+def test_apply_limiter_matches_limiter_theta_per_block(shape, d):
+    # apply_limiter limits only blocks with an inadmissible node; its theta
+    # must be limiter_theta's block by block, and theta-0 blocks untouched
+    rng = np.random.default_rng(len(shape))
+    basis = build_basis(build_partition(-1, 1, 3), 4)
+    coeffs = np.zeros(shape + (3, basis.n_coeffs, d))
+    rho = rng.uniform(0.2, 2.0, shape + (3,))
+    vel = rng.uniform(-1.0, 1.0, shape + (3, d - 2))
+    p = rng.uniform(0.2, 2.0, shape + (3,))
+    coeffs[..., 0, 0] = rho
+    coeffs[..., 0, 1:-1] = rho[..., None] * vel
+    coeffs[..., 0, -1] = p / 0.4 + 0.5 * rho * np.sum(vel * vel, axis=-1)
+    coeffs[..., 1:, :] = 0.3 * rng.standard_normal(coeffs[..., 1:, :].shape)
+    limited, theta = apply_limiter(coeffs, basis, GAS)
+    assert 0 < np.count_nonzero(theta) < theta.size
+    for index in np.ndindex(theta.shape):
+        assert theta[index] == limiter_theta(coeffs[index], basis, GAS)
+    np.testing.assert_array_equal(limited[theta == 0.0], coeffs[theta == 0.0])
+
+
+def test_apply_limiter_error_names_global_index(monkeypatch):
+    # only block (5, 1) is inadmissible; with the damping factor forced to 0
+    # the re-check of the limited blocks fails, naming the node's index in
+    # the whole field, not in the subset of limited blocks
+    import uqfv.sg as sg_mod
+
+    basis = build_basis(build_partition(-1, 1, 2), 3)
+    coeffs = np.zeros((8, 2, 4, 3))
+    coeffs[..., 0, :] = SOD_L
+    coeffs[5, 1, 1, 0] = 2.0
+    bad_nodes = np.argwhere(~admissible_mask(basis.reconstruct(coeffs), GAS))
+    assert set(map(tuple, bad_nodes[:, :2])) == {(5, 1)}
+    monkeypatch.setattr(sg_mod, "_theta_raw", lambda nodes, means: np.zeros(len(nodes)))
+    with pytest.raises(LimiterError, match=re.escape(str(tuple(map(int, bad_nodes[0]))))):
+        apply_limiter(coeffs, basis, GAS)

@@ -1,0 +1,69 @@
+"""SHA-256 of ``stats.csv``, step count and Newton count for the golden configs.
+
+    python3 tools/stats_hashes.py            # every config
+    python3 tools/stats_hashes.py me_hsg ipm # a subset, by name
+
+Each config runs through ``uqfv.runner.run`` (the path ``uqfv run`` takes)
+into a temporary directory, with the ``src/`` tree of the checkout this
+script sits in. Sod runs use 400 cells up to t = 0.14; ``riemann_2d`` runs
+48 x 48 cells up to t = 0.1. One line per config: name, the hash of its
+``stats.csv``, steps, Newton iterations. Comparing two checkouts' output
+shows whether a change kept the outputs bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from uqfv.config import parse_config  # noqa: E402
+from uqfv.runner import run  # noqa: E402
+
+SOD = "[problem]\npreset = sod_1d\n[grid]\nnx = 400\n"
+RIEMANN_2D = "[problem]\npreset = riemann_2d\n[grid]\nnx = 48\nny = 48\n"
+# the criterion-8 filter of the acceptance suite
+FILTER = "[filter]\nkind = exponential\nstrength = 2.0\norder = 10\ndt_scaled = false\n"
+
+
+def _method(name: str, n_elements: int, degree: int, t_end: float = 0.14) -> str:
+    return (
+        f"[basis]\nn_elements = {n_elements}\ndegree = {degree}\n"
+        f"[method]\nname = {name}\nt_end = {t_end}\n"
+    )
+
+
+CONFIGS = {
+    "me_hsg": SOD + _method("me_hsg", 3, 4),
+    "me_fhsg": SOD + _method("me_fhsg", 3, 4) + FILTER,
+    "hsg": SOD + _method("hsg", 1, 14),
+    "me_ipm": SOD + _method("me_ipm", 3, 4),
+    "ipm": SOD + _method("ipm", 1, 14),
+    "collocation": SOD + "[method]\nname = collocation\nt_end = 0.14\n",
+    "riemann_2d_me_hsg": RIEMANN_2D + _method("me_hsg", 3, 4, t_end=0.1),
+}
+
+
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        print(f"unknown config(s) {unknown}; known: {sorted(CONFIGS)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names or CONFIGS:
+            report = run(parse_config(CONFIGS[name]), Path(tmp) / name)
+            digest = hashlib.sha256(report.output_files["stats_csv"].read_bytes()).hexdigest()
+            stats = report.stats
+            print(
+                f"{name:18s} {digest} steps={stats.steps} "
+                f"newton={stats.newton_iterations}",
+                flush=True,
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
