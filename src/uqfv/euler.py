@@ -61,9 +61,21 @@ def _parts(u: np.ndarray):
     return u[..., 0], u[..., 1:-1], u[..., -1]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i] over a short component axis, written out.
+
+    Adds left to right, the order np.sum takes on these 1-4 long axes, so the
+    bits match it; the written-out sum skips the reduction machinery.
+    """
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def _internal_energy(u: np.ndarray) -> np.ndarray:
     rho, m, en = _parts(u)
-    return en - 0.5 * np.sum(m * m, axis=-1) / rho
+    return en - 0.5 * _dot(m, m) / rho
 
 
 def pressure(u, gas: GasModel) -> np.ndarray:
@@ -88,11 +100,15 @@ def sound_speed(u, gas: GasModel) -> np.ndarray:
 
 def admissible_mask(u, gas: GasModel) -> np.ndarray:
     """Elementwise hyperbolicity-set membership: rho > 0 and p > 0."""
-    u = np.asarray(u, dtype=float)
+    return _energy_and_mask(np.asarray(u, dtype=float))[1]
+
+
+def _energy_and_mask(u: np.ndarray) -> tuple:
+    """Internal energy per state, and admissible_mask computed from it."""
     rho = u[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         e_int = _internal_energy(u)
-    return np.isfinite(rho) & (rho > 0.0) & np.isfinite(e_int) & (e_int > 0.0)
+    return e_int, np.isfinite(rho) & (rho > 0.0) & np.isfinite(e_int) & (e_int > 0.0)
 
 
 def is_admissible(u, gas: GasModel) -> bool:
@@ -133,17 +149,13 @@ def max_wave_speed(u, gas: GasModel, axis: int = 0) -> np.ndarray:
     """|v_axis| + sound speed, the spectral radius of the directional Jacobian."""
     u = np.asarray(u, dtype=float)
     _check_admissible(u, gas)
-    return _wave_speed_unchecked(u, gas, axis)
+    rho = u[..., 0]
+    c = _sound_speed_unchecked(rho, _pressure_unchecked(u, gas), gas)
+    return np.abs(u[..., 1 + axis] / rho) + c
 
 
 def _sound_speed_unchecked(rho: np.ndarray, p: np.ndarray, gas: GasModel) -> np.ndarray:
     return np.sqrt(gas.gamma * p / rho)
-
-
-def _wave_speed_unchecked(u: np.ndarray, gas: GasModel, axis: int) -> np.ndarray:
-    rho = u[..., 0]
-    c = _sound_speed_unchecked(rho, _pressure_unchecked(u, gas), gas)
-    return np.abs(u[..., 1 + axis] / rho) + c
 
 
 def entropy(u, gas: GasModel) -> np.ndarray:
@@ -165,7 +177,7 @@ def entropy_gradient(u, gas: GasModel) -> np.ndarray:
     _check_admissible(u, gas)
     rho, m, _ = _parts(u)
     e_int = _internal_energy(u)
-    q = np.sum(m * m, axis=-1)
+    q = _dot(m, m)
     grad = np.empty_like(u)
     grad[..., 0] = (
         -np.log(e_int) + gas.gamma * np.log(rho) + gas.gamma - 0.5 * q / (rho * e_int)
@@ -181,7 +193,7 @@ def entropy_hessian(u, gas: GasModel) -> np.ndarray:
     _check_admissible(u, gas)
     rho, m, _ = _parts(u)
     e = _internal_energy(u)
-    q = np.sum(m * m, axis=-1)
+    q = _dot(m, m)
     d = u.shape[-1]
     h = np.empty(u.shape + (d,))
     h[..., 0, 0] = gas.gamma / rho + 0.25 * q * q / (rho**3 * e * e)
@@ -208,7 +220,10 @@ def _dual_parts(lam: np.ndarray):
 def dual_range_mask(lam, gas: GasModel) -> np.ndarray:
     """Duals that invert to admissible states: finite with negative energy slot."""
     lam = np.asarray(lam, dtype=float)
-    return np.all(np.isfinite(lam), axis=-1) & (lam[..., -1] < 0.0)
+    ok = lam[..., -1] < 0.0
+    for i in range(lam.shape[-1]):
+        ok &= np.isfinite(lam[..., i])
+    return ok
 
 
 def entropy_gradient_inverse(lam, gas: GasModel) -> np.ndarray:
@@ -244,7 +259,7 @@ def _dual_state_parts(lam: np.ndarray, gas: GasModel):
     ile = -1.0 / l_en
     log_neg = np.log(-l_en)
     gm = l_m * ile[..., None]  # g_m = -l_m / l_E, also m / rho
-    g2 = np.sum(gm * gm, axis=-1)
+    g2 = _dot(gm, gm)
     a = 1.0 / (gas.gamma - 1.0)
     log_rho = a * (l_rho - log_neg - gas.gamma - 0.5 * l_en * g2)
     rho = np.exp(log_rho)
@@ -268,9 +283,7 @@ def _dual_eval(lam: np.ndarray, gas: GasModel):
     e_int = rho * ile
     d = lam.shape[-1]
     # s(u) = -rho ((1-gamma) log rho - log(-l_E))
-    sstar = np.sum(lam * u, axis=-1) + rho * (
-        (1.0 - gas.gamma) * log_rho - log_neg
-    )
+    sstar = _dot(lam, u) + rho * ((1.0 - gas.gamma) * log_rho - log_neg)
     ar = (1.0 / (gas.gamma - 1.0)) * rho
     h = ile + 0.5 * g2
     jac = np.empty(lam.shape + (d,))
@@ -300,4 +313,4 @@ def legendre_dual(lam, gas: GasModel) -> np.ndarray:
     """Convex conjugate of the entropy, s*(lam) = lam . u(lam) - s(u(lam))."""
     lam = np.asarray(lam, dtype=float)
     u = entropy_gradient_inverse(lam, gas)
-    return np.sum(lam * u, axis=-1) - entropy(u, gas)
+    return _dot(lam, u) - entropy(u, gas)

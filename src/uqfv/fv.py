@@ -21,9 +21,10 @@ from .euler import (
     GasModel,
     InadmissibleStateError,
     SolverError,
+    _energy_and_mask,
     _flux_and_speeds,
     _flux_unchecked,
-    _wave_speed_unchecked,
+    _sound_speed_unchecked,
     is_admissible,
 )
 
@@ -223,11 +224,14 @@ def _lf_unchecked(ul, ur, gas: GasModel, axis: int, lambda_max: float) -> np.nda
 def global_wave_speeds(node_states, grid: StructuredGrid, gas: GasModel) -> tuple:
     """Largest |v| + c per axis over every cell, element and quadrature node."""
     u = np.asarray(node_states, dtype=float)
-    if not is_admissible(u, gas):
+    e_int, ok = _energy_and_mask(u)
+    if not np.all(ok):
         raise InadmissibleStateError("inadmissible state in wave-speed scan")
+    rho = u[..., 0]
+    # the sound speed from the one energy the admissibility test used
+    c = _sound_speed_unchecked(rho, (gas.gamma - 1.0) * e_int, gas)
     return tuple(
-        float(np.max(_wave_speed_unchecked(u, gas, axis)))
-        for axis in range(grid.ndim)
+        float(np.max(np.abs(u[..., 1 + axis] / rho) + c)) for axis in range(grid.ndim)
     )
 
 

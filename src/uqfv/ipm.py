@@ -8,9 +8,9 @@ states, then re-solves the dual problems so the entropic expansion matches
 the new moments.
 
 The dual problems over all (cell, element) pairs are independent; they are
-solved as one batched Newton iteration (with per-problem backtracking line
-search), so results are bit-identical under any solve order and worker
-count.
+solved as batched Newton iterations (with per-problem backtracking line
+search) over equal chunks whose bounds depend on the problem count only, so
+results are bit-identical under any solve order and worker count.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ __all__ = [
     "run_ipm",
 ]
 
-# problems per batched-solve chunk; fixed so results do not depend on threads
+# most problems per batched-solve chunk; chunks depend on the problem count
+# only, so results do not depend on threads
 _CHUNK = 2048
 
 
@@ -112,9 +113,9 @@ def _solve_batch(
 ):
     """Newton with line search on a (P, K+1, d) batch; modifies lam in place.
 
-    Map evaluations from the line search are cached (states, conjugate
-    values, Jacobians, residuals), so each Newton iteration evaluates the
-    inverse map once per trial and never re-evaluates accepted iterates.
+    Map evaluations from the line search are cached (conjugate values,
+    Jacobians, residuals), so each Newton iteration evaluates the inverse
+    map once per trial and never re-evaluates accepted iterates.
     """
     phi, w = basis.phi, basis.rule.weights
     n_prob, k1, d = lam.shape
@@ -180,11 +181,12 @@ def _solve_batch(
             obj = np.full(todo.size, np.inf)
             rn_c = np.full(todo.size, np.inf)
             if np.any(valid):
+                mo_v = mo[todo[valid]]
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     u_v, sstar_v, jac_v = _dual_eval(cand_nodes[valid], gas)
                     sw_v = sstar_v @ w
-                    res_v = mo[todo][valid] - basis.project(u_v)
-                    obj_v = sw_v - np.einsum("pkd,pkd->p", cand[valid], mo[todo][valid])
+                    res_v = mo_v - basis.project(u_v)
+                    obj_v = sw_v - np.einsum("pkd,pkd->p", cand[valid], mo_v)
                 rn_v = np.max(np.abs(res_v.reshape(res_v.shape[0], -1)), axis=1)
                 obj[valid] = np.where(np.isfinite(obj_v), obj_v, np.inf)
                 rn_c[valid] = np.where(np.isfinite(rn_v), rn_v, np.inf)
@@ -197,8 +199,6 @@ def _solve_batch(
                 # acceptance implies validity; map it through the valid subset
                 ok_in_valid = ok[valid]
                 lam[gidx] = cand[ok]
-                lam_nodes[gidx] = cand_nodes[ok]
-                u[gidx] = u_v[ok_in_valid]
                 jac[gidx] = jac_v[ok_in_valid]
                 sstar_w[gidx] = sw_v[ok_in_valid]
                 res[gidx] = res_v[ok_in_valid]
@@ -226,9 +226,10 @@ def solve_duals(
     """Dual coefficients matching the given moments, per (cell, element).
 
     ``moments`` and ``warm_start`` share the layout (cells..., element,
-    K+1, component); every problem is solved independently. Threading splits
-    the problem axis into fixed chunks, so results do not depend on the
-    worker count.
+    K+1, component); every problem is solved independently. The P problems
+    are split into ceil(P / _CHUNK) chunks of equal size (within one); the
+    chunks depend on P only, and threads share them out, so results do not
+    depend on the worker count. An empty batch returns empty duals.
     """
     if config is None:
         config = NewtonConfig()
@@ -236,19 +237,26 @@ def solve_duals(
     shape = moments.shape[:-2]
     lam = np.array(warm_start, dtype=float).reshape((-1,) + moments.shape[-2:])
     mom = moments.reshape(lam.shape)
-    chunks = [slice(i, i + _CHUNK) for i in range(0, lam.shape[0], _CHUNK)]
+    n_prob = lam.shape[0]
+    n_chunks = -(-n_prob // _CHUNK)
+    chunks = [
+        slice(i * n_prob // n_chunks, (i + 1) * n_prob // n_chunks)
+        for i in range(n_chunks)
+    ]
+    iters = np.zeros(n_prob, dtype=np.int64)
+    res = np.zeros(n_prob)
+
+    def work(sl):
+        iters[sl], res[sl] = _solve_batch(
+            lam[sl], mom[sl], basis, gas, config, shape, sl.start
+        )
+
     if threads > 1 and len(chunks) > 1:
-        def work(sl):
-            return _solve_batch(lam[sl], mom[sl], basis, gas, config, shape, sl.start)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
+            list(pool.map(work, chunks))
     else:
-        results = [
-            _solve_batch(lam[sl], mom[sl], basis, gas, config, shape, sl.start)
-            for sl in chunks
-        ]
-    iters = np.concatenate([r[0] for r in results])
-    res = np.concatenate([r[1] for r in results])
+        for sl in chunks:
+            work(sl)
     stats = DualSolveStats(
         iterations=int(iters.sum()),
         max_residual=float(res.max(initial=0.0)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GpcBasis
-from .euler import GasModel, InadmissibleStateError, SolverError, admissible_mask
+from .euler import GasModel, InadmissibleStateError, SolverError, _dot, admissible_mask
 from .fv import (
     MomentField,
     RunResult,
@@ -147,9 +147,9 @@ def _theta_raw(node_states: np.ndarray, means: np.ndarray) -> np.ndarray:
         d_rho = rho_t - rho
         d_en = en_t - en
         d_mom = mom_t - mom
-        a = d_en * d_rho - 0.5 * np.sum(d_mom * d_mom, axis=-1)
-        b = en * d_rho + rho * d_en - np.sum(mom * d_mom, axis=-1)
-        c = en * rho - 0.5 * np.sum(mom * mom, axis=-1)
+        a = d_en * d_rho - 0.5 * _dot(d_mom, d_mom)
+        b = en * d_rho + rho * d_en - _dot(mom, d_mom)
+        c = en * rho - 0.5 * _dot(mom, mom)
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(np.maximum(disc, 0.0))
         q = -0.5 * (b + np.where(b >= 0.0, 1.0, -1.0) * sq)

@@ -144,3 +144,82 @@ def classical_hsg_run(u0_of_xi, nx, dx, t_end, gamma, degree, n_quad, cfl=0.9,
         coeffs = coeffs - (dt / dx) * np.einsum("xqd,kq,q->xkd", diff, phi, weights)
         t += dt
     return coeffs
+
+
+# Euler kernels with the component sums as np.sum reductions. The package
+# writes these sums out term by term; both add left to right, so the package
+# must match these bit for bit.
+
+
+def internal_energy_npsum(u):
+    rho, m, en = u[..., 0], u[..., 1:-1], u[..., -1]
+    return en - 0.5 * np.sum(m * m, axis=-1) / rho
+
+
+def entropy_gradient_npsum(u, gamma):
+    rho, m = u[..., 0], u[..., 1:-1]
+    e_int = internal_energy_npsum(u)
+    q = np.sum(m * m, axis=-1)
+    grad = np.empty_like(u)
+    grad[..., 0] = -np.log(e_int) + gamma * np.log(rho) + gamma - 0.5 * q / (rho * e_int)
+    grad[..., 1:-1] = m / e_int[..., None]
+    grad[..., -1] = -rho / e_int
+    return grad
+
+
+def entropy_hessian_npsum(u, gamma):
+    rho, m = u[..., 0], u[..., 1:-1]
+    e = internal_energy_npsum(u)
+    q = np.sum(m * m, axis=-1)
+    d = u.shape[-1]
+    h = np.empty(u.shape + (d,))
+    h[..., 0, 0] = gamma / rho + 0.25 * q * q / (rho**3 * e * e)
+    cross = -0.5 * q / (rho * rho * e * e)
+    h[..., 0, 1:-1] = m * cross[..., None]
+    h[..., 1:-1, 0] = h[..., 0, 1:-1]
+    h[..., 0, -1] = -1.0 / e + 0.5 * q / (rho * e * e)
+    h[..., -1, 0] = h[..., 0, -1]
+    h[..., 1:-1, 1:-1] = np.eye(d - 2) / e[..., None, None] + (
+        m[..., :, None] * m[..., None, :] / (rho * e * e)[..., None, None]
+    )
+    h[..., 1:-1, -1] = -m / (e * e)[..., None]
+    h[..., -1, 1:-1] = h[..., 1:-1, -1]
+    h[..., -1, -1] = rho / (e * e)
+    return h
+
+
+def dual_range_mask_npsum(lam):
+    return np.all(np.isfinite(lam), axis=-1) & (lam[..., -1] < 0.0)
+
+
+def dual_eval_npsum(lam, gamma):
+    """(u, s*, du/dlam) of the closed-form entropy-gradient inverse."""
+    l_rho, l_m, l_en = lam[..., 0], lam[..., 1:-1], lam[..., -1]
+    ile = -1.0 / l_en
+    log_neg = np.log(-l_en)
+    gm = l_m * ile[..., None]
+    g2 = np.sum(gm * gm, axis=-1)
+    log_rho = (1.0 / (gamma - 1.0)) * (l_rho - log_neg - gamma - 0.5 * l_en * g2)
+    rho = np.exp(log_rho)
+    u = np.empty_like(lam)
+    u[..., 0] = rho
+    u[..., 1:-1] = rho[..., None] * gm
+    u[..., -1] = rho * ile + 0.5 * rho * g2
+    e_int = rho * ile
+    d = lam.shape[-1]
+    sstar = np.sum(lam * u, axis=-1) + rho * ((1.0 - gamma) * log_rho - log_neg)
+    ar = (1.0 / (gamma - 1.0)) * rho
+    h = ile + 0.5 * g2
+    jac = np.empty(lam.shape + (d,))
+    jac[..., 0, 0] = ar
+    jac[..., 0, 1:-1] = ar[..., None] * gm
+    jac[..., 1:-1, 0] = jac[..., 0, 1:-1]
+    jac[..., 0, -1] = ar * h
+    jac[..., -1, 0] = jac[..., 0, -1]
+    jac[..., 1:-1, 1:-1] = ar[..., None, None] * (
+        gm[..., :, None] * gm[..., None, :]
+    ) + e_int[..., None, None] * np.eye(d - 2)
+    jac[..., 1:-1, -1] = (ar * h + e_int)[..., None] * gm
+    jac[..., -1, 1:-1] = jac[..., 1:-1, -1]
+    jac[..., -1, -1] = ar * h * h + e_int * (ile + g2)
+    return u, sstar, jac

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from uqfv.euler import (
     DualRangeError,
     GasModel,
     InadmissibleStateError,
+    _internal_energy,
+    dual_range_mask,
     entropy,
     entropy_gradient,
     entropy_gradient_inverse,
@@ -221,13 +224,15 @@ def test_flux_and_wave_speed_reject_inadmissible():
 
 
 @st.composite
-def admissible_states(draw):
+def admissible_states(draw, ndim=None):
     """Up to 16 random 1D or 2D states: rho and p in [0.1, 10], |v_i| <= 1.
 
     The round trip through the dual loses about rho |v|^2 / p ulps in the
-    density exponent; these ranges keep that under rtol 1e-13.
+    density exponent; these ranges keep that under rtol 1e-13. ``ndim``
+    fixes the dimension; by default it is drawn too.
     """
-    ndim = draw(st.sampled_from((1, 2)))
+    if ndim is None:
+        ndim = draw(st.sampled_from((1, 2)))
     rows = draw(st.integers(1, 16))
     unit = draw(hnp.arrays(float, (rows, 2 + ndim), elements=st.floats(0.0, 1.0)))
     rho = 10.0 ** (2.0 * unit[:, 0] - 1.0)
@@ -249,3 +254,36 @@ def test_one_inverse_map_for_flux_and_newton(u):
     back = _dual_to_state_unchecked(lam, GAS)
     np.testing.assert_array_equal(back, _dual_eval(lam, GAS)[0])
     np.testing.assert_allclose(back, u, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_component_sums_match_npsum_oracles(ndim, data):
+    # the written-out sums over the component axis give np.sum's bits
+    u = data.draw(admissible_states(ndim))
+    np.testing.assert_array_equal(_internal_energy(u), oracles.internal_energy_npsum(u))
+    lam = entropy_gradient(u, GAS)
+    np.testing.assert_array_equal(lam, oracles.entropy_gradient_npsum(u, GAS.gamma))
+    np.testing.assert_array_equal(
+        entropy_hessian(u, GAS), oracles.entropy_hessian_npsum(u, GAS.gamma)
+    )
+    for ours, ref in zip(_dual_eval(lam, GAS), oracles.dual_eval_npsum(lam, GAS.gamma)):
+        np.testing.assert_array_equal(ours, ref)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_dual_range_mask_matches_npsum_oracle(d, data):
+    # every slot, the energy slot included, rejects NaN and +-inf
+    rows = data.draw(st.integers(2, 12))
+    lam = data.draw(hnp.arrays(float, (rows, d), elements=st.floats(-10.0, 10.0)))
+    np.testing.assert_array_equal(dual_range_mask(lam, GAS), oracles.dual_range_mask_npsum(lam))
+    for slot in range(d):
+        for bad in (np.nan, np.inf, -np.inf):
+            planted = lam.copy()
+            planted[::2, slot] = bad
+            mask = dual_range_mask(planted, GAS)
+            np.testing.assert_array_equal(mask, oracles.dual_range_mask_npsum(planted))
+            assert not np.any(mask[::2])

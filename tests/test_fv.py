@@ -10,6 +10,7 @@ from uqfv.fv import (
     deterministic_solve,
     extend_moments,
     extend_node_states,
+    global_wave_speeds,
     grid_1d,
     grid_2d,
     hll_flux,
@@ -119,6 +120,31 @@ def test_cfl_time_step_sod_initial():
     states[1000:, 0, 0] = SOD_R
     dt = cfl_time_step(states, grid, GAS, 0.9)
     assert dt == pytest.approx(0.9 * (1.0 / 2000) / np.sqrt(1.4), rel=1e-12)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_global_wave_speeds_match_max_wave_speed(ndim):
+    # bit for bit, on many small fields so that round-off in any state shows
+    rng = np.random.default_rng(5)
+    grid = grid_1d(2, 0.0, 1.0) if ndim == 1 else grid_2d(2, 1)
+    for _ in range(50):
+        u = random_admissible(rng, 4, ndim).reshape(2, 1, 2, 2 + ndim)
+        speeds = global_wave_speeds(u, grid, GAS)
+        assert speeds == tuple(
+            float(np.max(max_wave_speed(u, GAS, axis))) for axis in range(ndim)
+        )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[-0.5, 0.0, 2.5], [0.0, 0.0, 2.5], [1.0, 2.0, 1.0], [1.0, 0.0, 0.0], [np.nan, 0.0, 2.5],
+     [1.0, np.nan, 2.5], [1.0, 0.0, np.nan], [1.0, 0.0, np.inf], [1.0, 0.0, -np.inf]],
+)
+def test_global_wave_speeds_rejects_inadmissible(bad):
+    states = np.tile(SOD_L, (6, 1))
+    states[3] = bad
+    with pytest.raises(InadmissibleStateError, match=r"^inadmissible state in wave-speed scan$"):
+        global_wave_speeds(states, grid_1d(6, 0.0, 1.0), GAS)
 
 
 def test_cfl_rejects_bad_number():

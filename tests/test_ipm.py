@@ -154,6 +154,8 @@ def test_solve_duals_decoupling_permutation_invariant():
 
 
 def test_solve_duals_thread_count_invariant(monkeypatch):
+    # 32 problems in equal chunks; duals and per-problem stats are the same
+    # for any chunk size and thread count
     import uqfv.ipm as ipm_mod
 
     basis = build_basis(build_partition(-1, 1, 2), 3)
@@ -162,10 +164,39 @@ def test_solve_duals_thread_count_invariant(monkeypatch):
     warm = initial_duals_from_states(
         initial_node_states(sod_initial, grid, basis), basis, GAS
     )
-    monkeypatch.setattr(ipm_mod, "_CHUNK", 8)  # force several chunks
-    one, _ = solve_duals(field.coeffs, warm, basis, GAS, threads=1)
-    four, _ = solve_duals(field.coeffs, warm, basis, GAS, threads=4)
-    np.testing.assert_array_equal(one, four)
+    batches = []
+    solve_batch = ipm_mod._solve_batch
+
+    def recording(lam, *args):
+        batches.append((args[-1], lam.shape[0]))  # (offset, size)
+        return solve_batch(lam, *args)
+
+    monkeypatch.setattr(ipm_mod, "_solve_batch", recording)
+    monkeypatch.setattr(ipm_mod, "_CHUNK", 32)
+    ref, ref_stats = solve_duals(field.coeffs, warm, basis, GAS)
+    assert batches == [(0, 32)]
+    monkeypatch.setattr(ipm_mod, "_CHUNK", 10)
+    for threads in (1, 2, 4):
+        batches.clear()
+        duals, stats = solve_duals(field.coeffs, warm, basis, GAS, threads=threads)
+        assert sorted(batches) == [(0, 8), (8, 8), (16, 8), (24, 8)]
+        np.testing.assert_array_equal(duals, ref)
+        np.testing.assert_array_equal(
+            stats.per_problem_iterations, ref_stats.per_problem_iterations
+        )
+        np.testing.assert_array_equal(
+            stats.per_problem_residuals, ref_stats.per_problem_residuals
+        )
+
+
+def test_solve_duals_empty_batch():
+    basis = build_basis(build_partition(-1, 1, 3), 2)
+    moments = np.zeros((0, 3, 3, 3))
+    duals, stats = solve_duals(moments, moments, basis, GAS, threads=2)
+    assert duals.shape == moments.shape
+    assert (stats.iterations, stats.max_residual, stats.max_iterations_single) == (0, 0.0, 0)
+    assert stats.per_problem_iterations.shape == (0, 3)
+    assert stats.per_problem_residuals.shape == (0, 3)
 
 
 def test_solve_duals_unrealizable_mean_raises():
