@@ -49,7 +49,12 @@ def main(argv=None) -> int:
 
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
+        raw = os.environ.get(THREADS_ENV, "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            print(f"error: {THREADS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
+            return 2
     if threads < 1:
         print(f"error: thread count must be >= 1, got {threads}", file=sys.stderr)
         return 2

@@ -291,6 +291,8 @@ def _parse_grid(s: _Section, problem: ProblemSpec) -> GridSpec:
     bc = s.get("bc", "transmissive")
     if bc not in ("transmissive", "periodic", "dirichlet"):
         raise ConfigError(f"[grid] unknown bc {bc!r}")
+    if bc == "dirichlet" and problem.preset == "custom_1d":
+        raise ConfigError("[grid] dirichlet boundaries are not defined for custom_1d")
     two_d = problem.preset == "riemann_2d"
     ny = s.get("ny")
     if two_d:

@@ -19,7 +19,6 @@ __all__ = [
     "InadmissibleStateError",
     "DualRangeError",
     "pressure",
-    "sound_speed",
     "physical_flux",
     "max_wave_speed",
     "is_admissible",
@@ -28,8 +27,6 @@ __all__ = [
     "entropy_gradient",
     "entropy_hessian",
     "entropy_gradient_inverse",
-    "dual_state_jacobian",
-    "legendre_dual",
 ]
 
 
@@ -90,14 +87,6 @@ def _pressure_unchecked(u: np.ndarray, gas: GasModel) -> np.ndarray:
     return (gas.gamma - 1.0) * _internal_energy(u)
 
 
-def sound_speed(u, gas: GasModel) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    p = pressure(u, gas)
-    if np.any(p <= 0.0):
-        raise InadmissibleStateError("non-positive pressure")
-    return _sound_speed_unchecked(u[..., 0], p, gas)
-
-
 def admissible_mask(u, gas: GasModel) -> np.ndarray:
     """Elementwise hyperbolicity-set membership: rho > 0 and p > 0."""
     return _energy_and_mask(np.asarray(u, dtype=float))[1]
@@ -125,10 +114,6 @@ def physical_flux(u, gas: GasModel, axis: int = 0) -> np.ndarray:
     """Directional Euler flux: (rho v, v m + p e_axis, v (E + p))."""
     u = np.asarray(u, dtype=float)
     _check_admissible(u, gas)
-    return _flux_unchecked(u, gas, axis)
-
-
-def _flux_unchecked(u: np.ndarray, gas: GasModel, axis: int) -> np.ndarray:
     return _flux_and_speeds(u, gas, axis)[0]
 
 
@@ -299,18 +284,3 @@ def _dual_eval(lam: np.ndarray, gas: GasModel):
     jac[..., -1, 1:-1] = jac[..., 1:-1, -1]
     jac[..., -1, -1] = ar * h * h + e_int * (ile + g2)
     return u, sstar, jac
-
-
-def dual_state_jacobian(lam, gas: GasModel) -> np.ndarray:
-    """Jacobian of the gradient inverse, (..., d, d); SPD (Hessian of the dual)."""
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(dual_range_mask(lam, gas)):
-        raise DualRangeError("dual vector outside the entropy-gradient range")
-    return _dual_eval(lam, gas)[2]
-
-
-def legendre_dual(lam, gas: GasModel) -> np.ndarray:
-    """Convex conjugate of the entropy, s*(lam) = lam . u(lam) - s(u(lam))."""
-    lam = np.asarray(lam, dtype=float)
-    u = entropy_gradient_inverse(lam, gas)
-    return _dot(lam, u) - entropy(u, gas)

@@ -3,9 +3,9 @@
 Grids are uniform rectangles in 1D/2D. Moment fields store one coefficient
 vector per (spatial cell, random element, polynomial index, conserved
 component). The flux machinery works pointwise in the random variable:
-states are reconstructed at the quadrature nodes, numerical fluxes are
-evaluated per node, and the flux differences are projected back onto the
-basis. ``integrate`` is the one time loop every solver hands its step to.
+states are reconstructed at the quadrature nodes, the HLL flux is evaluated
+per node, and the flux differences are projected back onto the basis.
+``integrate`` is the one time loop every solver hands its step to.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .euler import (
     SolverError,
     _energy_and_mask,
     _flux_and_speeds,
-    _flux_unchecked,
     _sound_speed_unchecked,
-    is_admissible,
 )
 
 __all__ = [
@@ -33,10 +31,7 @@ __all__ = [
     "grid_1d",
     "grid_2d",
     "MomentField",
-    "hll_flux",
-    "lax_friedrichs_flux",
     "cfl_time_step",
-    "extend_moments",
     "extend_node_states",
     "moment_flux_divergence",
     "deterministic_solve",
@@ -44,8 +39,6 @@ __all__ = [
     "RunStats",
     "RunResult",
 ]
-
-_BC_KINDS = ("transmissive", "periodic", "dirichlet")
 
 
 def _normalize_bc(bc):
@@ -174,21 +167,19 @@ class MomentField:
         return MomentField(self.grid, self.basis, self.coeffs.copy())
 
 
-def hll_flux(u_left, u_right, gas: GasModel, axis: int = 0) -> np.ndarray:
-    """HLL two-wave flux with Davis wave-speed bounds.
+def _check_flux(flux: str) -> None:
+    """Reject any flux name but HLL's, the one numerical flux, before a run starts."""
+    if flux != "hll":
+        raise ValueError(f"unknown numerical flux: {flux!r}")
+
+
+def _hll_unchecked(ul, ur, gas: GasModel, axis: int) -> np.ndarray:
+    """HLL two-wave flux with Davis wave-speed bounds, on admissible states.
 
     s_L = min(v_L - c_L, v_R - c_R), s_R = max(v_L + c_L, v_R + c_R);
     consistent (flux(u, u) = physical flux) and positivity preserving under
     the CFL restriction.
     """
-    ul = np.asarray(u_left, dtype=float)
-    ur = np.asarray(u_right, dtype=float)
-    if not (is_admissible(ul, gas) and is_admissible(ur, gas)):
-        raise InadmissibleStateError("inadmissible state passed to hll_flux")
-    return _hll_unchecked(ul, ur, gas, axis)
-
-
-def _hll_unchecked(ul, ur, gas: GasModel, axis: int) -> np.ndarray:
     fl, vl, cl = _flux_and_speeds(ul, gas, axis)
     fr, vr, cr = _flux_and_speeds(ur, gas, axis)
     s_l = np.minimum(vl - cl, vr - cr)
@@ -202,23 +193,6 @@ def _hll_unchecked(ul, ur, gas: GasModel, axis: int) -> np.ndarray:
     flux = np.where(s_l[..., None] >= 0.0, fl, middle)
     flux = np.where(s_r[..., None] <= 0.0, fr, flux)
     return flux
-
-
-def lax_friedrichs_flux(
-    u_left, u_right, gas: GasModel, axis: int = 0, lambda_max: float = 0.0
-) -> np.ndarray:
-    """Central flux with global dissipation: (f_L + f_R - lambda (u_R - u_L)) / 2."""
-    ul = np.asarray(u_left, dtype=float)
-    ur = np.asarray(u_right, dtype=float)
-    if not (is_admissible(ul, gas) and is_admissible(ur, gas)):
-        raise InadmissibleStateError("inadmissible state passed to lax_friedrichs_flux")
-    return _lf_unchecked(ul, ur, gas, axis, lambda_max)
-
-
-def _lf_unchecked(ul, ur, gas: GasModel, axis: int, lambda_max: float) -> np.ndarray:
-    fl = _flux_unchecked(ul, gas, axis)
-    fr = _flux_unchecked(ur, gas, axis)
-    return 0.5 * (fl + fr - lambda_max * (ur - ul))
 
 
 def global_wave_speeds(node_states, grid: StructuredGrid, gas: GasModel) -> tuple:
@@ -244,41 +218,6 @@ def cfl_time_step(node_states, grid: StructuredGrid, gas: GasModel, cfl: float) 
     if denom <= 0.0:
         raise ValueError("zero wave speed everywhere; nothing to advance")
     return cfl / denom
-
-
-def _dirichlet_moments(state: np.ndarray, basis: GpcBasis, tail_shape) -> np.ndarray:
-    ghost = np.zeros(tail_shape + (basis.n_elements, basis.n_coeffs, len(state)))
-    ghost[..., 0, :] = state
-    return ghost
-
-
-def extend_moments(field: MomentField, axis: int = 0) -> np.ndarray:
-    """Moment coefficients with one ghost layer on each side of an axis.
-
-    Transmissive copies the adjacent interior moments, periodic wraps, and
-    dirichlet inserts the projection of the prescribed state (its value in
-    the zeroth coefficient, zeros above).
-    """
-    coeffs = field.coeffs
-    grid = field.grid
-    lo_bc, hi_bc = grid.bcs[axis]
-    first = _take_cell(coeffs, axis, 0)
-    last = _take_cell(coeffs, axis, -1)
-    if lo_bc[0] == "transmissive":
-        lo = first
-    elif lo_bc[0] == "periodic":
-        lo = last
-    else:
-        lo = _dirichlet_moments(lo_bc[1], field.basis, first.shape[:-3])
-    if hi_bc[0] == "transmissive":
-        hi = last
-    elif hi_bc[0] == "periodic":
-        hi = first
-    else:
-        hi = _dirichlet_moments(hi_bc[1], field.basis, last.shape[:-3])
-    return np.concatenate(
-        [np.expand_dims(lo, axis), coeffs, np.expand_dims(hi, axis)], axis=axis
-    )
 
 
 def _take_cell(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
@@ -320,7 +259,6 @@ def moment_flux_divergence(
     grid: StructuredGrid,
     basis: GpcBasis,
     gas: GasModel,
-    flux: str = "hll",
 ) -> np.ndarray:
     """Projected flux divergence sum_axis <(F_+ - F_-) phi_k f> / dh.
 
@@ -328,32 +266,22 @@ def moment_flux_divergence(
     moment-coefficient layout (cells..., L, K+1, d). Forward Euler then reads
     ``coeffs -= dt * divergence``. Every axis sees the same ``node_states``.
     """
-    lambdas = global_wave_speeds(node_states, grid, gas) if flux == "lax-friedrichs" else None
     div = None
     for axis in range(grid.ndim):
-        diff = _flux_difference(node_states, grid, gas, axis, flux, lambdas)
+        diff = _flux_difference(node_states, grid, gas, axis)
         contrib = basis.project(diff) / grid.deltas[axis]
         div = contrib if div is None else div + contrib
     return div
 
 
 def _flux_difference(
-    states: np.ndarray, grid: StructuredGrid, gas: GasModel, axis: int, flux: str, lambdas
+    states: np.ndarray, grid: StructuredGrid, gas: GasModel, axis: int
 ) -> np.ndarray:
-    """F(i+1/2) - F(i-1/2) per cell along one axis, pointwise in the trailing axes.
-
-    ``lambdas`` holds the global wave speed per axis that the
-    Lax-Friedrichs flux needs; HLL ignores it.
-    """
+    """F(i+1/2) - F(i-1/2) per cell along one axis, pointwise in the trailing axes."""
     ext = extend_node_states(states, grid, axis)
     left = _take_range(ext, axis, 0, ext.shape[axis] - 1)
     right = _take_range(ext, axis, 1, ext.shape[axis])
-    if flux == "hll":
-        interface = _hll_unchecked(left, right, gas, axis)
-    elif flux == "lax-friedrichs":
-        interface = _lf_unchecked(left, right, gas, axis, lambdas[axis])
-    else:
-        raise ValueError(f"unknown numerical flux: {flux!r}")
+    interface = _hll_unchecked(left, right, gas, axis)
     n = interface.shape[axis]
     return _take_range(interface, axis, 1, n) - _take_range(interface, axis, 0, n - 1)
 
@@ -370,13 +298,12 @@ def deterministic_solve(
     gas: GasModel,
     t_end: float,
     cfl: float = 0.9,
-    flux: str = "hll",
 ) -> np.ndarray:
     """Plain first-order FV solve on state arrays (cells..., d).
 
     Used by the stochastic-collocation reference. In 2D the update is
     dimensionally split: the y sweep acts on the state the x sweep produced,
-    with the step size and Lax-Friedrichs speeds taken before the x sweep.
+    with the step size taken before the x sweep.
     The moment solvers instead sum both axes' flux differences on one state,
     so the 2D collocation reference is a different scheme from theirs.
     """
@@ -385,9 +312,8 @@ def deterministic_solve(
     def step(stats: RunStats, dt_max: float) -> float:
         nonlocal u
         dt = min(cfl_time_step(u, grid, gas, cfl), dt_max)
-        lambdas = global_wave_speeds(u, grid, gas) if flux == "lax-friedrichs" else None
         for axis in range(grid.ndim):
-            diff = _flux_difference(u, grid, gas, axis, flux, lambdas)
+            diff = _flux_difference(u, grid, gas, axis)
             u = u - (dt / grid.deltas[axis]) * diff
         return dt
 

@@ -29,12 +29,12 @@ from .euler import (
     admissible_mask,
     dual_range_mask,
     entropy_gradient,
-    entropy_hessian,
 )
 from .fv import (
     MomentField,
     RunResult,
     RunStats,
+    _check_flux,
     _timed,
     cfl_time_step,
     integrate,
@@ -44,11 +44,8 @@ from .fv import (
 __all__ = [
     "NewtonConfig",
     "DualSolveError",
-    "dual_residual",
-    "dual_hessian",
     "solve_duals",
     "initial_duals_from_states",
-    "ipm_update",
     "run_ipm",
 ]
 
@@ -87,25 +84,6 @@ class DualSolveStats:
     max_iterations_single: int = 0
     per_problem_iterations: np.ndarray | None = None
     per_problem_residuals: np.ndarray | None = None
-
-
-def dual_residual(
-    duals: np.ndarray, moments: np.ndarray, basis: GpcBasis, gas: GasModel
-) -> np.ndarray:
-    """Moment mismatch u_k - <map(Lambda) phi_k f> for one (cell, element)."""
-    u = dual_node_states(duals, basis, gas)
-    return np.asarray(moments, dtype=float) - basis.project(u)
-
-
-def dual_hessian(duals: np.ndarray, basis: GpcBasis, gas: GasModel) -> np.ndarray:
-    """Newton matrix <grad_Lambda u phi_k phi_j f>, flattened to 2D; SPD."""
-    u = dual_node_states(duals, basis, gas)
-    jac = np.linalg.inv(entropy_hessian(u, gas))
-    n = basis.n_coeffs * u.shape[-1]
-    h = np.einsum(
-        "kq,jq,q,qab->kajb", basis.phi, basis.phi, basis.rule.weights, jac
-    )
-    return h.reshape(n, n)
 
 
 def _solve_batch(
@@ -280,21 +258,6 @@ def dual_node_states(duals: np.ndarray, basis: GpcBasis, gas: GasModel) -> np.nd
     return _dual_to_state_unchecked(lam_nodes, gas)
 
 
-def ipm_update(
-    duals: np.ndarray,
-    moments: np.ndarray,
-    grid,
-    basis: GpcBasis,
-    gas: GasModel,
-    dt: float,
-    flux: str = "hll",
-) -> np.ndarray:
-    """Forward-Euler moment update with fluxes on dual-reconstructed states."""
-    nodes = dual_node_states(duals, basis, gas)
-    div = moment_flux_divergence(nodes, grid, basis, gas, flux)
-    return moments - dt * div
-
-
 def run_ipm(
     initial: MomentField,
     gas: GasModel,
@@ -311,8 +274,10 @@ def run_ipm(
     Per step: map duals to node states, advance the carried moments with the
     FV update, then re-solve the duals warm-started from the previous step.
     ``initial_duals`` seeds the first solve, made in step 0 (defaulting to
-    the constant entropic ansatz of each cell mean).
+    the constant entropic ansatz of each cell mean). ``flux`` accepts only
+    ``"hll"``.
     """
+    _check_flux(flux)
     if newton is None:
         newton = NewtonConfig()
     grid, basis = initial.grid, initial.basis
@@ -338,7 +303,7 @@ def run_ipm(
         nodes = dual_node_states(lam, basis, gas)
         dt = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
         with _timed(stats, "flux_s"):
-            mom = mom - dt * moment_flux_divergence(nodes, grid, basis, gas, flux)
+            mom = mom - dt * moment_flux_divergence(nodes, grid, basis, gas)
         lam = solve(stats, lam)
         return dt
 

@@ -39,8 +39,6 @@ def make_grid(grid: GridSpec, problem: ProblemSpec) -> StructuredGrid:
     two_d = problem.preset == "riemann_2d"
     left, right = _sod_states(problem, two_d)
     if grid.bc == "dirichlet":
-        if problem.preset == "custom_1d":
-            raise ValueError("dirichlet boundaries are not defined for custom_1d")
         bc_x = (("dirichlet", left), ("dirichlet", right))
     else:
         bc_x = grid.bc

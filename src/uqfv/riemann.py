@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import GasModel, InadmissibleStateError, is_admissible
-from .fv import StructuredGrid, deterministic_solve
+from .fv import StructuredGrid, _check_flux, deterministic_solve
 from .stats import FieldStatistics
 
 __all__ = [
@@ -333,7 +333,9 @@ def collocation_reference(
 
     ``initial(x..., xi)`` returns the initial states for a fixed realization.
     Node results are combined in node order regardless of the worker count.
+    ``flux`` accepts only ``"hll"``.
     """
+    _check_flux(flux)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     weights = weights / 2.0
     centers = [grid.cell_centers(axis) for axis in range(grid.ndim)]
@@ -341,7 +343,7 @@ def collocation_reference(
 
     def run(xi):
         u0 = initial(*coords, xi)
-        return deterministic_solve(u0, grid, gas, t_end, cfl, flux)
+        return deterministic_solve(u0, grid, gas, t_end, cfl)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -20,7 +20,7 @@ from .fv import (
     MomentField,
     RunResult,
     RunStats,
-    StructuredGrid,
+    _check_flux,
     _timed,
     cfl_time_step,
     integrate,
@@ -31,12 +31,9 @@ __all__ = [
     "FilterConfig",
     "LimiterConfig",
     "LimiterError",
-    "filter_gain",
     "filter_gains",
     "apply_filter",
-    "limiter_theta",
     "apply_limiter",
-    "sg_update",
     "run_sg",
 ]
 
@@ -100,13 +97,6 @@ def filter_gains(degree: int, config: FilterConfig | None, dt: float = 0.0) -> n
     return gains
 
 
-def filter_gain(k: int, degree: int, config: FilterConfig | None, dt: float = 0.0) -> float:
-    """Single-moment gain; see filter_gains."""
-    if not 0 <= k <= degree:
-        raise ValueError(f"moment index {k} outside 0..{degree}")
-    return float(filter_gains(degree, config, dt)[k])
-
-
 def apply_filter(coeffs: np.ndarray, config: FilterConfig | None, dt: float = 0.0) -> np.ndarray:
     """Scale each coefficient by its gain; identity for kind none or strength 0."""
     degree = coeffs.shape[-2] - 1
@@ -160,31 +150,6 @@ def _theta_raw(node_states: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.max(theta, axis=-1)
 
 
-def limiter_theta(
-    cell_coeffs: np.ndarray,
-    basis: GpcBasis,
-    gas: GasModel,
-    epsilon: float = 1e-10,
-) -> float:
-    """Damping factor for one (cell, element) coefficient block (K+1, d).
-
-    Returns 0 when the reconstruction is admissible at every quadrature node,
-    otherwise the smallest admissible factor plus the epsilon offset, capped
-    at 1. The cell mean must be admissible.
-    """
-    coeffs = np.asarray(cell_coeffs, dtype=float)
-    mean = coeffs[0]
-    if not np.all(admissible_mask(mean, gas)):
-        raise InadmissibleStateError("limiter requires an admissible cell mean")
-    nodes = basis.reconstruct(coeffs)
-    if np.all(admissible_mask(nodes, gas)):
-        return 0.0
-    raw = _theta_raw(nodes[None, :, :], mean[None, :])[0]
-    if raw == 0.0:
-        return 0.0
-    return float(min(raw + epsilon, 1.0))
-
-
 def apply_limiter(
     coeffs: np.ndarray,
     basis: GpcBasis,
@@ -230,27 +195,6 @@ def apply_limiter(
     return limited, theta
 
 
-def sg_update(
-    coeffs: np.ndarray,
-    grid: StructuredGrid,
-    basis: GpcBasis,
-    gas: GasModel,
-    dt: float,
-    flux: str = "hll",
-) -> np.ndarray:
-    """One forward-Euler moment update; reconstructions must be admissible."""
-    nodes = basis.reconstruct(coeffs)
-    ok = admissible_mask(nodes, gas)
-    if not np.all(ok):
-        bad = np.argwhere(~ok)[0]
-        raise InadmissibleStateError(
-            f"inadmissible reconstruction at (cells..., element, node) {tuple(map(int, bad))}; "
-            "apply the limiter before the update"
-        )
-    div = moment_flux_divergence(nodes, grid, basis, gas, flux)
-    return coeffs - dt * div
-
-
 def run_sg(
     initial: MomentField,
     gas: GasModel,
@@ -266,8 +210,9 @@ def run_sg(
     Each step filters, limits, then updates; the step size obeys the CFL
     bound and the last step is truncated to land on t_end exactly. The
     limiter checks the cell means; with it disabled, the CFL scan rejects
-    an inadmissible reconstruction.
+    an inadmissible reconstruction. ``flux`` accepts only ``"hll"``.
     """
+    _check_flux(flux)
     grid, basis = initial.grid, initial.basis
     coeffs = initial.coeffs.copy()
     filtering = filter_config is not None and filter_config.kind != "none"
@@ -294,7 +239,7 @@ def run_sg(
         nodes = basis.reconstruct(coeffs)
         dt = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
         with _timed(stats, "flux_s"):
-            coeffs = coeffs - dt * moment_flux_divergence(nodes, grid, basis, gas, flux)
+            coeffs = coeffs - dt * moment_flux_divergence(nodes, grid, basis, gas)
         return dt
 
     stats = integrate(step, t_end, max_steps)

@@ -4,10 +4,16 @@ Everything here is written independently of the package internals: Legendre
 polynomials come from numpy.polynomial, limiter factors from companion-matrix
 root finding, and the finite-volume stepping is spelled out directly. These
 oracles define expected values; they deliberately avoid reusing the code
-paths they check.
+paths they check. The dual helpers at the end (``dual_residual``,
+``dual_hessian``, ``legendre_dual``) build on the package's public maps (the
+entropy, its Hessian, the gradient inverse) but take another route than the
+solvers do.
 """
 
 import numpy as np
+
+from uqfv.euler import entropy, entropy_gradient_inverse, entropy_hessian
+from uqfv.ipm import dual_node_states
 
 
 def primitives(u, gamma):
@@ -223,3 +229,56 @@ def dual_eval_npsum(lam, gamma):
     jac[..., -1, 1:-1] = jac[..., 1:-1, -1]
     jac[..., -1, -1] = ar * h * h + e_int * (ile + g2)
     return u, sstar, jac
+
+
+def extend_moments(field, axis=0):
+    """Moment coefficients with one ghost layer on each side of an axis.
+
+    Transmissive copies the adjacent interior moments, periodic wraps, and
+    dirichlet inserts the projection of the prescribed state (its value in
+    the zeroth coefficient, zeros above).
+    """
+    coeffs = field.coeffs
+    first = np.take(coeffs, [0], axis=axis)
+    last = np.take(coeffs, [-1], axis=axis)
+
+    def ghost(bc, inner, wrapped):
+        kind, state = bc
+        if kind == "transmissive":
+            return inner
+        if kind == "periodic":
+            return wrapped
+        out = np.zeros_like(inner)
+        out[..., 0, :] = state
+        return out
+
+    lo_bc, hi_bc = field.grid.bcs[axis]
+    return np.concatenate(
+        [ghost(lo_bc, first, last), coeffs, ghost(hi_bc, last, first)], axis=axis
+    )
+
+
+def dual_residual(duals, moments, basis, gas):
+    """Moment mismatch u_k - <map(Lambda) phi_k f> for one (cell, element)."""
+    u = dual_node_states(duals, basis, gas)
+    return np.asarray(moments, dtype=float) - basis.project(u)
+
+
+def dual_hessian(duals, basis, gas):
+    """Newton matrix <grad_Lambda u phi_k phi_j f>, flattened to 2D; SPD.
+
+    The map's Jacobian is the inverse of the entropy Hessian at the mapped
+    states, not the closed form the solver uses.
+    """
+    u = dual_node_states(duals, basis, gas)
+    jac = np.linalg.inv(entropy_hessian(u, gas))
+    n = basis.n_coeffs * u.shape[-1]
+    h = np.einsum("kq,jq,q,qab->kajb", basis.phi, basis.phi, basis.rule.weights, jac)
+    return h.reshape(n, n)
+
+
+def legendre_dual(lam, gas):
+    """Convex conjugate of the entropy, s*(lam) = lam . u(lam) - s(u(lam))."""
+    lam = np.asarray(lam, dtype=float)
+    u = entropy_gradient_inverse(lam, gas)
+    return np.sum(lam * u, axis=-1) - entropy(u, gas)

@@ -112,6 +112,24 @@ reference = exact_sod
         parse_config(text)
 
 
+def test_dirichlet_rejected_for_custom():
+    # custom_1d defines no boundary states; the parser rejects it before a run
+    text = """
+[problem]
+preset = custom_1d
+[grid]
+nx = 20
+bc = dirichlet
+[basis]
+degree = 2
+[method]
+name = me_hsg
+t_end = 0.1
+"""
+    with pytest.raises(ConfigError, match="dirichlet boundaries are not defined for custom_1d"):
+        parse_config(text)
+
+
 def test_quadrature_key_mismatch():
     text = MINIMAL_SOD.replace("degree = 4", "degree = 4\ncc_level = 3")
     with pytest.raises(ConfigError, match="cc_level"):

@@ -1,22 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
+from uqfv import ipm, riemann, sg
 from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError, max_wave_speed, physical_flux
 from uqfv.fv import (
     MomentField,
+    _hll_unchecked,
     cfl_time_step,
     deterministic_solve,
-    extend_moments,
     extend_node_states,
     global_wave_speeds,
     grid_1d,
     grid_2d,
-    hll_flux,
-    lax_friedrichs_flux,
     moment_flux_divergence,
 )
+from uqfv.problems import project_initial_data
 
 GAS = GasModel(1.4)
 SOD_L = np.array([1.0, 0.0, 2.5])
@@ -37,7 +39,7 @@ def random_admissible(rng, n, ndim=1):
 def test_hll_consistency_random_states():
     rng = np.random.default_rng(2)
     u = random_admissible(rng, 100)
-    np.testing.assert_allclose(hll_flux(u, u, GAS), physical_flux(u, GAS), atol=1e-13)
+    np.testing.assert_allclose(_hll_unchecked(u, u, GAS, 0), physical_flux(u, GAS), atol=1e-13)
 
 
 def test_hll_mirror_symmetry():
@@ -45,8 +47,8 @@ def test_hll_mirror_symmetry():
     ul = random_admissible(rng, 50)
     ur = random_admissible(rng, 50)
     mirror = np.array([1.0, -1.0, 1.0])
-    f = hll_flux(ul, ur, GAS)
-    f_mirror = hll_flux(ur * mirror, ul * mirror, GAS)
+    f = _hll_unchecked(ul, ur, GAS, 0)
+    f_mirror = _hll_unchecked(ur * mirror, ul * mirror, GAS, 0)
     np.testing.assert_allclose(f, -(f_mirror * mirror), atol=1e-12)
 
 
@@ -57,7 +59,7 @@ def test_hll_sod_interface_selects_middle_state():
     c_r = max_wave_speed(SOD_R, GAS)
     s_l, s_r = min(-c_l, -c_r), max(c_l, c_r)
     assert s_l < 0.0 < s_r
-    flux = hll_flux(SOD_L, SOD_R, GAS)
+    flux = _hll_unchecked(SOD_L, SOD_R, GAS, 0)
     f_l, f_r = physical_flux(SOD_L, GAS), physical_flux(SOD_R, GAS)
     expected = (s_r * f_l - s_l * f_r + s_l * s_r * (SOD_R - SOD_L)) / (s_r - s_l)
     np.testing.assert_allclose(flux, expected, atol=1e-13)
@@ -69,32 +71,7 @@ def test_hll_matches_independent_oracle():
     ul = random_admissible(rng, 200)
     ur = random_admissible(rng, 200)
     np.testing.assert_allclose(
-        hll_flux(ul, ur, GAS), oracles.hll_1d(ul, ur, GAS.gamma), atol=1e-13
-    )
-
-
-def test_hll_rejects_inadmissible():
-    with pytest.raises(InadmissibleStateError):
-        hll_flux(np.array([-1.0, 0.0, 1.0]), SOD_R, GAS)
-
-
-def test_lax_friedrichs_consistency():
-    u = np.array([1.0, 0.0, 2.5])
-    np.testing.assert_allclose(
-        lax_friedrichs_flux(u, u, GAS, lambda_max=2.0), physical_flux(u, GAS), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        lax_friedrichs_flux(u, u, GAS, lambda_max=0.0), physical_flux(u, GAS), atol=1e-15
-    )
-
-
-def test_lax_friedrichs_hand_value():
-    lam = 1.5
-    expected = 0.5 * (
-        physical_flux(SOD_L, GAS) + physical_flux(SOD_R, GAS) - lam * (SOD_R - SOD_L)
-    )
-    np.testing.assert_allclose(
-        lax_friedrichs_flux(SOD_L, SOD_R, GAS, lambda_max=lam), expected, atol=1e-14
+        _hll_unchecked(ul, ur, GAS, 0), oracles.hll_1d(ul, ur, GAS.gamma), atol=1e-13
     )
 
 
@@ -167,7 +144,7 @@ def test_extend_moments_transmissive():
     field = _constant_field(grid, basis, SOD_L)
     field.coeffs[0, :, 1, 0] = 0.5  # make edge cells distinctive
     field.coeffs[3, :, 1, 0] = -0.5
-    ext = extend_moments(field, axis=0)
+    ext = oracles.extend_moments(field, axis=0)
     np.testing.assert_array_equal(ext[0], field.coeffs[0])
     np.testing.assert_array_equal(ext[-1], field.coeffs[3])
 
@@ -177,7 +154,7 @@ def test_extend_moments_periodic():
     grid = grid_1d(4, 0.0, 1.0, bc="periodic")
     field = _constant_field(grid, basis, SOD_L)
     field.coeffs[:, 0, 0, 0] = [1.0, 2.0, 3.0, 4.0]
-    ext = extend_moments(field, axis=0)
+    ext = oracles.extend_moments(field, axis=0)
     assert ext[0, 0, 0, 0] == 4.0
     assert ext[-1, 0, 0, 0] == 1.0
 
@@ -186,7 +163,7 @@ def test_extend_moments_dirichlet_projects_constant():
     basis = build_basis(build_partition(-1, 1, 2), 3)
     grid = grid_1d(4, 0.0, 1.0, bc=("dirichlet", SOD_R))
     field = _constant_field(grid, basis, SOD_L)
-    ext = extend_moments(field, axis=0)
+    ext = oracles.extend_moments(field, axis=0)
     np.testing.assert_array_equal(ext[0, :, 0, :], np.tile(SOD_R, (2, 1)))
     np.testing.assert_array_equal(ext[0, :, 1:, :], 0.0)
 
@@ -199,7 +176,7 @@ def test_extend_node_states_matches_moment_extension():
     coeffs[..., 0, :] = SOD_L
     coeffs += 0.01 * rng.standard_normal(coeffs.shape)
     field = MomentField(grid, basis, coeffs)
-    via_moments = np.einsum("...kd,kq->...qd", extend_moments(field, 0), basis.phi)
+    via_moments = np.einsum("...kd,kq->...qd", oracles.extend_moments(field, 0), basis.phi)
     via_states = extend_node_states(field.node_states(), grid, 0)
     np.testing.assert_allclose(via_moments, via_states, atol=1e-14)
 
@@ -213,7 +190,7 @@ def test_moment_divergence_vanishes_for_constant_field():
     basis = build_basis(build_partition(-1, 1, 3), 4)
     grid = grid_1d(6, 0.0, 1.0, bc="periodic")
     field = _constant_field(grid, basis, SOD_L)
-    div = moment_flux_divergence(field.node_states(), grid, basis, GAS, "hll")
+    div = moment_flux_divergence(field.node_states(), grid, basis, GAS)
     np.testing.assert_allclose(div, 0.0, atol=1e-13)
 
 
@@ -227,7 +204,7 @@ def test_moment_divergence_conserves_mass_periodic():
     coeffs[..., 0, 2] = 2.5
     coeffs[..., 1, 0] = 0.01 * rng.standard_normal((32, 2))
     field = MomentField(grid, basis, coeffs)
-    div = moment_flux_divergence(field.node_states(), grid, basis, GAS, "hll")
+    div = moment_flux_divergence(field.node_states(), grid, basis, GAS)
     # total change of the element-weighted means telescopes to zero
     total = np.einsum("xld,l->d", div[:, :, 0, :], basis.element_weights)
     np.testing.assert_allclose(total, 0.0, atol=1e-12)
@@ -255,14 +232,14 @@ def test_moment_divergence_2d_x_riemann_matches_1d():
     c1[..., 0, :] = np.where(x[:, None] < 0.5, SOD_L, SOD_R)[:, None, :]
     c1[..., 1, 0] = 0.02 * np.sin(3.0 * x)[:, None]
     div1 = moment_flux_divergence(
-        MomentField(grid1, basis, c1).node_states(), grid1, basis, GAS, "hll"
+        MomentField(grid1, basis, c1).node_states(), grid1, basis, GAS
     )
     c2 = np.zeros((nx, ny, 2, 3, 4))
     c2[..., 0] = c1[:, None, :, :, 0]
     c2[..., 1] = c1[:, None, :, :, 1]
     c2[..., 3] = c1[:, None, :, :, 2]
     div2 = moment_flux_divergence(
-        MomentField(grid2, basis, c2).node_states(), grid2, basis, GAS, "hll"
+        MomentField(grid2, basis, c2).node_states(), grid2, basis, GAS
     )
     for j in range(ny):
         np.testing.assert_allclose(div2[:, j, ..., 0], div1[..., 0], atol=1e-13)
@@ -285,42 +262,32 @@ def test_deterministic_solve_2d_keeps_y_symmetry():
     assert not np.allclose(out[..., 0], u2[..., 0])
 
 
-def test_lax_friedrichs_consistency_random_states():
-    rng = np.random.default_rng(21)
-    u = random_admissible(rng, 100)
-    lam = float(np.max(max_wave_speed(u, GAS)))
-    np.testing.assert_allclose(
-        lax_friedrichs_flux(u, u, GAS, lambda_max=lam), physical_flux(u, GAS), atol=1e-13
-    )
+@pytest.mark.parametrize("flux", ["lax-friedrichs", "roe"])
+@pytest.mark.parametrize("entry", ["run_sg", "run_ipm", "collocation_reference"])
+def test_entry_points_accept_only_hll(monkeypatch, entry, flux):
+    # HLL is the one numerical flux; any other name fails before a step runs
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
 
+    monkeypatch.setattr(sg, "integrate", no_step)
+    monkeypatch.setattr(ipm, "integrate", no_step)
+    monkeypatch.setattr(riemann, "deterministic_solve", no_step)
 
-def test_moment_divergence_lax_friedrichs_constant_field():
-    basis = build_basis(build_partition(-1, 1, 2), 3)
-    grid = grid_1d(6, 0.0, 1.0, bc="periodic")
-    field = _constant_field(grid, basis, SOD_L)
-    div = moment_flux_divergence(field.node_states(), grid, basis, GAS, "lax-friedrichs")
-    np.testing.assert_allclose(div, 0.0, atol=1e-13)
+    def initial(x, xi):
+        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+        return np.where((x < 0.5 + 0.05 * xi)[..., None], SOD_L, SOD_R)
 
-
-def test_moment_divergence_unknown_flux():
-    basis = build_basis(build_partition(-1, 1, 1), 1)
-    grid = grid_1d(4, 0.0, 1.0)
-    field = _constant_field(grid, basis, SOD_L)
-    with pytest.raises(ValueError):
-        moment_flux_divergence(field.node_states(), grid, basis, GAS, "roe")
-
-
-def test_deterministic_solve_lax_friedrichs_close_to_hll():
-    nx = 100
-    grid = grid_1d(nx, 0.0, 1.0)
-    x = grid.cell_centers(0)
-    u0 = np.where(x[:, None] < 0.5, SOD_L, SOD_R)
-    hll = deterministic_solve(u0, grid, GAS, 0.1, flux="hll")
-    lf = deterministic_solve(u0, grid, GAS, 0.1, flux="lax-friedrichs")
-    # same waves, more smearing: small L1 gap, admissible everywhere
-    assert np.abs(lf - hll).mean() < 0.02
-    from uqfv.euler import admissible_mask
-    assert np.all(admissible_mask(lf, GAS))
+    grid = grid_1d(8, 0.0, 1.0)
+    field = project_initial_data(initial, grid, build_basis(build_partition(-1, 1, 2), 2))
+    calls = {
+        "run_sg": lambda: sg.run_sg(field, GAS, 0.1, flux=flux),
+        "run_ipm": lambda: ipm.run_ipm(field, GAS, 0.1, flux=flux),
+        "collocation_reference": lambda: riemann.collocation_reference(
+            initial, grid, GAS, 0.1, n_nodes=4, flux=flux
+        ),
+    }
+    with pytest.raises(ValueError, match=re.escape(f"unknown numerical flux: {flux!r}")):
+        calls[entry]()
 
 
 def test_moment_field_validates_shape_and_finiteness():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from uqfv.cli import main
 from uqfv.config import parse_config
@@ -162,6 +163,17 @@ def test_cli_threads_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("UQFV_THREADS", "2")
     code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", ""], ids=["letters", "empty"])
+def test_cli_threads_env_not_an_integer(tmp_path, monkeypatch, capsys, value):
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(CUSTOM_PERIODIC)
+    monkeypatch.setenv("UQFV_THREADS", value)
+    code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: UQFV_THREADS must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_batch_combined_errors(tmp_path, capsys):

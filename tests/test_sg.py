@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError, admissible_mask
-from uqfv.fv import deterministic_solve, grid_1d
+from uqfv.fv import MomentField, deterministic_solve, grid_1d, moment_flux_divergence
 from uqfv.problems import project_initial_data
 from uqfv.sg import (
     FilterConfig,
@@ -17,11 +17,8 @@ from uqfv.sg import (
     LimiterError,
     apply_filter,
     apply_limiter,
-    filter_gain,
     filter_gains,
-    limiter_theta,
     run_sg,
-    sg_update,
 )
 
 GAS = GasModel(1.4)
@@ -40,10 +37,15 @@ def coeffs_for_nodes(node_lo, node_hi):
     return np.stack([c0, c1])
 
 
+def block_theta(coeffs, basis):
+    """apply_limiter's damping factor for one (K+1, d) coefficient block."""
+    return apply_limiter(coeffs[None], basis, GAS)[1][0]
+
+
 def test_limiter_zero_for_admissible_nodes():
     basis = degree_one_basis()
     coeffs = coeffs_for_nodes([0.9, 0.0, 2.4], [1.1, 0.0, 2.6])
-    assert limiter_theta(coeffs, basis, GAS) == 0.0
+    assert block_theta(coeffs, basis) == 0.0
 
 
 def test_limiter_density_violation_hand_value():
@@ -53,7 +55,7 @@ def test_limiter_density_violation_hand_value():
     node_hi = np.array([2.1, 0.0, 3.0])
     coeffs = coeffs_for_nodes(node_lo, node_hi)
     np.testing.assert_allclose(coeffs[0], [1.0, 0.0, 2.5], atol=1e-15)
-    theta = limiter_theta(coeffs, basis, GAS)
+    theta = block_theta(coeffs, basis)
     assert theta == pytest.approx(0.1 / 1.1 + 1e-10, abs=1e-12)
 
 
@@ -61,7 +63,7 @@ def test_limiter_requires_admissible_mean():
     basis = degree_one_basis()
     coeffs = coeffs_for_nodes([-1.0, 0.0, 2.0], [-3.0, 0.0, 3.0])
     with pytest.raises(InadmissibleStateError):
-        limiter_theta(coeffs, basis, GAS)
+        block_theta(coeffs, basis)
 
 
 def test_limiter_matches_bisection_oracle():
@@ -83,7 +85,7 @@ def test_limiter_matches_bisection_oracle():
         oracle_lo = oracles.limiter_theta_bisection(node, mean, GAS.gamma)
         oracle_hi = oracles.limiter_theta_bisection(other, mean, GAS.gamma)
         oracle = max(oracle_lo, oracle_hi)
-        theta = limiter_theta(coeffs, basis, GAS)
+        theta = block_theta(coeffs, basis)
         assert theta == pytest.approx(oracle, abs=1e-8)
         checked += 1
 
@@ -149,21 +151,21 @@ def test_filter_gain_k0_is_one_for_all_kinds():
         FilterConfig("l2", strength=3.0),
         FilterConfig("exponential", strength=2.0, order=10),
     ):
-        assert filter_gain(0, 4, cfg, dt=0.1) == 1.0
+        assert filter_gains(4, cfg, dt=0.1)[0] == 1.0
 
 
 def test_filter_gain_l2_hand_value():
     cfg = FilterConfig("l2", strength=1.0)
-    assert filter_gain(1, 4, cfg) == pytest.approx(0.2, abs=1e-15)
+    assert filter_gains(4, cfg)[1] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_filter_gain_exponential_reaches_machine_eps():
     # net exponent one at k=K gives exp(log eps) = machine epsilon
     cfg = FilterConfig("exponential", strength=2.0, order=4, dt_scaled=True)
-    gain = filter_gain(4, 4, cfg, dt=0.5)
+    gain = filter_gains(4, cfg, dt=0.5)[4]
     assert gain == pytest.approx(np.finfo(float).eps, rel=1e-12)
     raw = FilterConfig("exponential", strength=1.0, order=4, dt_scaled=False)
-    assert filter_gain(4, 4, raw) == pytest.approx(np.finfo(float).eps, rel=1e-12)
+    assert filter_gains(4, raw)[4] == pytest.approx(np.finfo(float).eps, rel=1e-12)
 
 
 def test_filter_gains_monotone_nonincreasing():
@@ -206,7 +208,7 @@ def test_sg_update_constant_field_unchanged():
     grid = grid_1d(6, 0.0, 1.0, bc="periodic")
     coeffs = np.zeros((6, 3, 5, 3))
     coeffs[..., 0, :] = SOD_L
-    out = sg_update(coeffs, grid, basis, GAS, dt=1e-3)
+    out = coeffs - 1e-3 * moment_flux_divergence(basis.reconstruct(coeffs), grid, basis, GAS)
     np.testing.assert_allclose(out, coeffs, atol=1e-16)
 
 
@@ -298,17 +300,6 @@ def test_run_sg_mass_conservation_periodic():
     assert drift < 1e-11
 
 
-def test_run_sg_lax_friedrichs_flux():
-    basis = build_basis(build_partition(-1, 1, 2), 3)
-    grid = grid_1d(60, 0.0, 1.0)
-    field = project_initial_data(sod_initial, grid, basis)
-    lf = run_sg(field, GAS, t_end=0.05, flux="lax-friedrichs")
-    hll = run_sg(field, GAS, t_end=0.05, flux="hll")
-    assert lf.stats.steps > 0
-    means_gap = np.abs(lf.field.coeffs[..., 0, :] - hll.field.coeffs[..., 0, :]).mean()
-    assert 0.0 < means_gap < 0.02
-
-
 def test_run_sg_clenshaw_curtis_quadrature():
     # nested-rule basis: level 4 gives 17 points, plenty for degree 4
     basis = build_basis(build_partition(-1, 1, 2), 4, "clenshaw-curtis", 4)
@@ -323,11 +314,14 @@ def test_run_sg_clenshaw_curtis_quadrature():
 
 
 def test_sg_update_rejects_inadmissible_reconstruction():
+    # with the limiter off, the CFL scan of the first step is the guard
     basis = degree_one_basis()
     grid = grid_1d(1, 0.0, 1.0)
     coeffs = coeffs_for_nodes([-0.1, 0.0, 2.0], [2.1, 0.0, 3.0])[None, None]
-    with pytest.raises(InadmissibleStateError):
-        sg_update(coeffs, grid, basis, GAS, dt=1e-3)
+    field = MomentField(grid, basis, coeffs)
+    off = LimiterConfig(enabled=False)
+    with pytest.raises(InadmissibleStateError, match="^step 0: inadmissible state"):
+        run_sg(field, GAS, t_end=1.0, limiter_config=off, max_steps=1)
 
 
 def test_filter_config_validation():
@@ -427,9 +421,10 @@ def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, calls_per_
 
 
 @pytest.mark.parametrize("shape, d", [((16,), 3), ((5, 4), 4)])
-def test_apply_limiter_matches_limiter_theta_per_block(shape, d):
-    # apply_limiter limits only blocks with an inadmissible node; its theta
-    # must be limiter_theta's block by block, and theta-0 blocks untouched
+def test_apply_limiter_batch_invariant(shape, d):
+    # apply_limiter limits only blocks with an inadmissible node; each block
+    # limited alone must match the whole-field call bit for bit, and theta-0
+    # blocks stay untouched
     rng = np.random.default_rng(len(shape))
     basis = build_basis(build_partition(-1, 1, 3), 4)
     coeffs = np.zeros(shape + (3, basis.n_coeffs, d))
@@ -443,7 +438,9 @@ def test_apply_limiter_matches_limiter_theta_per_block(shape, d):
     limited, theta = apply_limiter(coeffs, basis, GAS)
     assert 0 < np.count_nonzero(theta) < theta.size
     for index in np.ndindex(theta.shape):
-        assert theta[index] == limiter_theta(coeffs[index], basis, GAS)
+        alone, theta_alone = apply_limiter(coeffs[index][None], basis, GAS)
+        assert theta_alone[0] == theta[index]
+        np.testing.assert_array_equal(alone[0], limited[index])
     np.testing.assert_array_equal(limited[theta == 0.0], coeffs[theta == 0.0])
 
 
