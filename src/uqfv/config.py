@@ -1,15 +1,16 @@
 """Run configuration: flat INI-style files with strict validation.
 
 Sections: [problem], [grid], [basis], [method], [filter], [limiter],
-[newton], [output]. Unknown sections or keys are errors, as are
-method/section mismatches (a filter section is required for the filtered
+[newton], [output]. Each section builds one class, whose fields are the
+section's keys, types and defaults. Unknown sections or keys are errors, as
+are method/section mismatches (a filter section is required for the filtered
 methods and rejected otherwise).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .ipm import NewtonConfig
@@ -32,14 +33,8 @@ _FILTERED = ("fhsg", "me_fhsg")
 _IPM_METHODS = ("ipm", "me_ipm")
 PRESETS = ("sod_1d", "custom_1d", "riemann_2d")
 
-# Sod shock tube parameters: domain [0,1], T=0.14, interface x0 + sigma*xi,
-# end states (rho, rho v, rho e)
-SOD_GAMMA = 1.4
-SOD_X0 = 0.5
-SOD_SIGMA = 0.05
+# end time of the sod_1d preset; the other problems require t_end
 SOD_T_END = 0.14
-SOD_LEFT = (1.0, 0.0, 2.5)
-SOD_RIGHT = (0.125, 0.0, 0.25)
 
 
 class ConfigError(ValueError):
@@ -48,14 +43,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """Defaults are the Sod shock tube: interface x0 + sigma*xi, gas at rest
+    with (rho, rho e) = (rho_l, e_l) on the left and (rho_r, e_r) on the right.
+    rho0 to pressure describe the custom_1d density bump."""
+
     preset: str
-    gamma: float
-    x0: float
-    sigma: float
-    rho_l: float
-    e_l: float
-    rho_r: float
-    e_r: float
+    gamma: float = 1.4
+    x0: float = 0.5
+    sigma: float = 0.05
+    rho_l: float = 1.0
+    e_l: float = 2.5
+    rho_r: float = 0.125
+    e_r: float = 0.25
     rho0: float = 1.0
     amplitude: float = 0.1
     xi_coupling: float = 0.5
@@ -66,9 +65,9 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class GridSpec:
     nx: int
-    x_min: float
-    x_max: float
-    bc: str
+    x_min: float = 0.0
+    x_max: float = 1.0
+    bc: str = "transmissive"
     ny: int | None = None
     y_min: float | None = None
     y_max: float | None = None
@@ -77,8 +76,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    n_elements: int
     degree: int
+    n_elements: int = 1
     quadrature: str = "gauss-legendre"
     quad_points: int | None = None
     cc_level: int | None = None
@@ -115,89 +114,57 @@ class RunConfig:
     output: OutputSpec
 
 
-class _Section:
-    """Typed view of one config section with unknown-key detection."""
+def _annotation(field) -> str:
+    """A field's annotation (a string here) without its optional marker."""
+    return field.type.removesuffix(" | None")
 
-    def __init__(self, name: str, raw: dict, known: dict):
+
+_TYPES = {"str": str, "float": float, "int": int, "bool": bool}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+# each RunConfig field names a section and the class that section builds
+_SECTION_CLASSES = {f.name: globals()[_annotation(f)] for f in fields(RunConfig)}
+
+
+class _Section:
+    """One config section, typed by the fields of its class; unknown keys are errors."""
+
+    def __init__(self, name: str, raw: dict):
         self.name = name
-        unknown = set(raw) - set(known)
+        self.cls = _SECTION_CLASSES[name]
+        self.kinds = {f.name: _TYPES[_annotation(f)] for f in fields(self.cls)}
+        unknown = set(raw) - set(self.kinds)
         if unknown:
             raise ConfigError(
                 f"[{name}] has unknown key(s): {', '.join(sorted(unknown))}"
             )
         self.raw = raw
-        self.known = known
 
-    def get(self, key, default=None):
-        kind = self.known[key]
+    def require(self, key):
+        """The typed value of a key the section must have."""
         if key not in self.raw:
-            return default
+            raise ConfigError(f"[{self.name}] missing required key {key!r}")
         text = self.raw[key]
         try:
-            if kind is bool:
-                low = text.strip().lower()
-                if low in ("true", "yes", "1", "on"):
-                    return True
-                if low in ("false", "no", "0", "off"):
-                    return False
-                raise ValueError(f"not a boolean: {text!r}")
-            return kind(text)
+            if self.kinds[key] is bool:
+                word = text.strip().lower()
+                if word not in _BOOLEANS:
+                    raise ValueError(f"not a boolean: {text!r}")
+                return _BOOLEANS[word]
+            return self.kinds[key](text)
         except ValueError as exc:
             raise ConfigError(f"[{self.name}] {key}: {exc}") from exc
 
-    def require(self, key):
-        if key not in self.raw:
-            raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        return self.get(key)
-
-
-_SECTION_KEYS = {
-    "problem": {
-        "preset": str,
-        "gamma": float,
-        "x0": float,
-        "sigma": float,
-        "rho_l": float,
-        "e_l": float,
-        "rho_r": float,
-        "e_r": float,
-        "rho0": float,
-        "amplitude": float,
-        "xi_coupling": float,
-        "velocity": float,
-        "pressure": float,
-    },
-    "grid": {
-        "nx": int,
-        "x_min": float,
-        "x_max": float,
-        "bc": str,
-        "ny": int,
-        "y_min": float,
-        "y_max": float,
-        "bc_y": str,
-    },
-    "basis": {
-        "n_elements": int,
-        "degree": int,
-        "quadrature": str,
-        "quad_points": int,
-        "cc_level": int,
-    },
-    "method": {"name": str, "t_end": float, "cfl": float, "nodes": int},
-    "filter": {"kind": str, "strength": float, "order": int, "dt_scaled": bool},
-    "limiter": {"enabled": bool, "epsilon": float},
-    "newton": {"tol": float, "max_iter": int, "max_halvings": int},
-    "output": {
-        "directory": str,
-        "stats_csv": str,
-        "report": str,
-        "errors_csv": str,
-        "reference": str,
-        "reference_nodes": int,
-        "reference_subcells": int,
-    },
-}
+    def build(self, **context_defaults):
+        """The section's class. A key not given takes its context default if
+        one is passed, else the class default; a key with neither is required."""
+        values = dict(context_defaults)
+        for f in fields(self.cls):
+            if f.name in self.raw or (f.default is MISSING and f.name not in values):
+                values[f.name] = self.require(f.name)
+        try:
+            return self.cls(**values)
+        except ValueError as exc:
+            raise ConfigError(f"[{self.name}] {exc}") from exc
 
 
 def parse_config(source) -> RunConfig:
@@ -218,12 +185,12 @@ def parse_config(source) -> RunConfig:
 
     sections = {}
     for name in parser.sections():
-        if name not in _SECTION_KEYS:
+        if name not in _SECTION_CLASSES:
             raise ConfigError(f"unknown section [{name}]")
-        sections[name] = _Section(name, dict(parser.items(name)), _SECTION_KEYS[name])
+        sections[name] = _Section(name, dict(parser.items(name)))
 
     def sect(name):
-        return sections.get(name) or _Section(name, {}, _SECTION_KEYS[name])
+        return sections.get(name) or _Section(name, {})
 
     problem = _parse_problem(sect("problem"))
     grid = _parse_grid(sect("grid"), problem)
@@ -234,17 +201,17 @@ def parse_config(source) -> RunConfig:
     if method.name in _FILTERED:
         if "filter" not in sections:
             raise ConfigError(f"method {method.name} requires a [filter] section")
-        filt = _parse_filter(sections["filter"])
+        filt = sections["filter"].build(kind="exponential")
     else:
         if "filter" in sections:
             raise ConfigError(f"[filter] is only valid for methods {_FILTERED}")
         filt = None
     if "limiter" in sections and method.name not in _SG_METHODS:
         raise ConfigError("[limiter] is only valid for the stochastic Galerkin methods")
-    limiter = _parse_limiter(sect("limiter"))
+    limiter = sect("limiter").build()
     if "newton" in sections and method.name not in _IPM_METHODS:
         raise ConfigError("[newton] is only valid for the entropy-closure methods")
-    newton = _parse_newton(sect("newton"))
+    newton = sect("newton").build()
 
     return RunConfig(
         problem=problem,
@@ -259,24 +226,9 @@ def parse_config(source) -> RunConfig:
 
 
 def _parse_problem(s: _Section) -> ProblemSpec:
-    preset = s.require("preset")
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown problem preset {preset!r}; options: {PRESETS}")
-    spec = ProblemSpec(
-        preset=preset,
-        gamma=s.get("gamma", SOD_GAMMA),
-        x0=s.get("x0", SOD_X0),
-        sigma=s.get("sigma", SOD_SIGMA),
-        rho_l=s.get("rho_l", SOD_LEFT[0]),
-        e_l=s.get("e_l", SOD_LEFT[2]),
-        rho_r=s.get("rho_r", SOD_RIGHT[0]),
-        e_r=s.get("e_r", SOD_RIGHT[2]),
-        rho0=s.get("rho0", 1.0),
-        amplitude=s.get("amplitude", 0.1),
-        xi_coupling=s.get("xi_coupling", 0.5),
-        velocity=s.get("velocity", 0.0),
-        pressure=s.get("pressure", 1.0),
-    )
+    spec = s.build()
+    if spec.preset not in PRESETS:
+        raise ConfigError(f"unknown problem preset {spec.preset!r}; options: {PRESETS}")
     if not spec.gamma > 1.0:
         raise ConfigError(f"[problem] gamma must exceed 1, got {spec.gamma}")
     if spec.sigma < 0.0:
@@ -285,139 +237,78 @@ def _parse_problem(s: _Section) -> ProblemSpec:
 
 
 def _parse_grid(s: _Section, problem: ProblemSpec) -> GridSpec:
-    nx = s.require("nx")
-    if nx < 1:
-        raise ConfigError(f"[grid] nx must be positive, got {nx}")
-    bc = s.get("bc", "transmissive")
-    if bc not in ("transmissive", "periodic", "dirichlet"):
-        raise ConfigError(f"[grid] unknown bc {bc!r}")
-    if bc == "dirichlet" and problem.preset == "custom_1d":
-        raise ConfigError("[grid] dirichlet boundaries are not defined for custom_1d")
     two_d = problem.preset == "riemann_2d"
-    ny = s.get("ny")
+    grid = s.build(y_min=0.0, y_max=1.0) if two_d else s.build()
+    if grid.nx < 1:
+        raise ConfigError(f"[grid] nx must be positive, got {grid.nx}")
+    if grid.bc not in ("transmissive", "periodic", "dirichlet"):
+        raise ConfigError(f"[grid] unknown bc {grid.bc!r}")
+    if grid.bc == "dirichlet" and problem.preset == "custom_1d":
+        raise ConfigError("[grid] dirichlet boundaries are not defined for custom_1d")
     if two_d:
-        if ny is None or ny < 1:
+        if grid.ny is None or grid.ny < 1:
             raise ConfigError("[grid] riemann_2d requires a positive ny")
-    elif ny is not None or "y_min" in s.raw or "y_max" in s.raw:
+        if not grid.y_min < grid.y_max:
+            raise ConfigError(f"[grid] y_min must be less than y_max, got ({grid.y_min}, {grid.y_max})")
+    elif {"ny", "y_min", "y_max", "bc_y"} & set(s.raw):
         raise ConfigError("[grid] y settings are only valid for riemann_2d")
-    bc_y = s.get("bc_y", "transmissive")
-    if bc_y not in ("transmissive", "periodic"):
-        raise ConfigError(f"[grid] bc_y must be transmissive or periodic, got {bc_y!r}")
-    return GridSpec(
-        nx=nx,
-        x_min=s.get("x_min", 0.0),
-        x_max=s.get("x_max", 1.0),
-        bc=bc,
-        ny=ny,
-        y_min=s.get("y_min", 0.0 if two_d else None),
-        y_max=s.get("y_max", 1.0 if two_d else None),
-        bc_y=bc_y,
-    )
+    if grid.bc_y not in ("transmissive", "periodic"):
+        raise ConfigError(f"[grid] bc_y must be transmissive or periodic, got {grid.bc_y!r}")
+    if not grid.x_min < grid.x_max:
+        raise ConfigError(f"[grid] x_min must be less than x_max, got ({grid.x_min}, {grid.x_max})")
+    return grid
 
 
 def _parse_basis(s: _Section, method: MethodSpec) -> BasisSpec:
-    if method.name == "collocation":
-        degree = s.get("degree", 0)
-        n_elements = s.get("n_elements", 1)
-    else:
-        degree = s.require("degree")
-        n_elements = s.get("n_elements", 1)
-    if degree < 0:
-        raise ConfigError(f"[basis] degree must be >= 0, got {degree}")
-    if n_elements < 1:
-        raise ConfigError(f"[basis] n_elements must be >= 1, got {n_elements}")
-    if method.name in ("hsg", "fhsg", "ipm") and n_elements != 1:
+    spec = s.build(degree=0) if method.name == "collocation" else s.build()
+    if spec.degree < 0:
+        raise ConfigError(f"[basis] degree must be >= 0, got {spec.degree}")
+    if spec.n_elements < 1:
+        raise ConfigError(f"[basis] n_elements must be >= 1, got {spec.n_elements}")
+    if method.name in ("hsg", "fhsg", "ipm") and spec.n_elements != 1:
         raise ConfigError(
-            f"method {method.name} is single-element; use me_{method.name} for {n_elements} elements"
+            f"method {method.name} is single-element; use me_{method.name} for {spec.n_elements} elements"
         )
-    quadrature = s.get("quadrature", "gauss-legendre")
-    if quadrature in ("gauss", "gauss-legendre"):
-        quadrature = "gauss-legendre"
-        if "cc_level" in s.raw:
+    if spec.quadrature in ("gauss", "gauss-legendre"):
+        if spec.cc_level is not None:
             raise ConfigError("[basis] cc_level is only valid for clenshaw-curtis")
-        qp = s.get("quad_points")
-        if qp is not None and qp < 1:
-            raise ConfigError(f"[basis] quad_points must be >= 1, got {qp}")
-        return BasisSpec(n_elements, degree, quadrature, qp, None)
-    if quadrature in ("cc", "clenshaw-curtis"):
-        if "quad_points" in s.raw:
+        if spec.quad_points is not None and spec.quad_points < 1:
+            raise ConfigError(f"[basis] quad_points must be >= 1, got {spec.quad_points}")
+        return replace(spec, quadrature="gauss-legendre")
+    if spec.quadrature in ("cc", "clenshaw-curtis"):
+        if spec.quad_points is not None:
             raise ConfigError("[basis] quad_points is only valid for gauss-legendre")
-        level = s.get("cc_level")
-        if level is not None and level < 0:
-            raise ConfigError(f"[basis] cc_level must be >= 0, got {level}")
-        return BasisSpec(n_elements, degree, "clenshaw-curtis", None, level)
-    raise ConfigError(f"[basis] unknown quadrature {quadrature!r}")
+        if spec.cc_level is not None and spec.cc_level < 0:
+            raise ConfigError(f"[basis] cc_level must be >= 0, got {spec.cc_level}")
+        return replace(spec, quadrature="clenshaw-curtis")
+    raise ConfigError(f"[basis] unknown quadrature {spec.quadrature!r}")
 
 
 def _parse_method(s: _Section, problem: ProblemSpec) -> MethodSpec:
-    name = s.require("name")
-    if name not in METHODS:
-        raise ConfigError(f"unknown method {name!r}; options: {METHODS}")
-    default_t = SOD_T_END if problem.preset == "sod_1d" else None
-    t_end = s.get("t_end", default_t)
-    if t_end is None:
+    spec = s.build(t_end=SOD_T_END if problem.preset == "sod_1d" else None)
+    if spec.name not in METHODS:
+        raise ConfigError(f"unknown method {spec.name!r}; options: {METHODS}")
+    if spec.t_end is None:
         raise ConfigError("[method] t_end is required for this problem")
-    if t_end < 0.0:
-        raise ConfigError(f"[method] t_end must be >= 0, got {t_end}")
-    cfl = s.get("cfl", 0.9)
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError(f"[method] cfl must lie in (0, 1], got {cfl}")
-    nodes = s.get("nodes", 100)
-    if nodes < 1:
-        raise ConfigError(f"[method] nodes must be >= 1, got {nodes}")
-    return MethodSpec(name=name, t_end=t_end, cfl=cfl, nodes=nodes)
-
-
-def _parse_filter(s: _Section) -> FilterConfig:
-    try:
-        return FilterConfig(
-            kind=s.get("kind", "exponential"),
-            strength=s.get("strength", 0.0),
-            order=s.get("order", 1),
-            dt_scaled=s.get("dt_scaled", True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[filter] {exc}") from exc
-
-
-def _parse_limiter(s: _Section) -> LimiterConfig:
-    try:
-        return LimiterConfig(
-            epsilon=s.get("epsilon", 1e-10), enabled=s.get("enabled", True)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[limiter] {exc}") from exc
-
-
-def _parse_newton(s: _Section) -> NewtonConfig:
-    try:
-        return NewtonConfig(
-            tol=s.get("tol", 1e-7),
-            max_iter=s.get("max_iter", 100),
-            max_halvings=s.get("max_halvings", 50),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[newton] {exc}") from exc
+    if spec.t_end < 0.0:
+        raise ConfigError(f"[method] t_end must be >= 0, got {spec.t_end}")
+    if not 0.0 < spec.cfl <= 1.0:
+        raise ConfigError(f"[method] cfl must lie in (0, 1], got {spec.cfl}")
+    if spec.nodes < 1:
+        raise ConfigError(f"[method] nodes must be >= 1, got {spec.nodes}")
+    return spec
 
 
 def _parse_output(s: _Section, problem: ProblemSpec) -> OutputSpec:
-    reference = s.get("reference", "none")
-    if reference not in ("none", "exact_sod", "collocation"):
-        raise ConfigError(f"[output] unknown reference {reference!r}")
-    if reference == "exact_sod" and problem.preset != "sod_1d":
+    spec = s.build()
+    if spec.reference not in ("none", "exact_sod", "collocation"):
+        raise ConfigError(f"[output] unknown reference {spec.reference!r}")
+    if spec.reference == "exact_sod" and problem.preset != "sod_1d":
         raise ConfigError("[output] reference exact_sod requires the sod_1d preset")
-    nodes = s.get("reference_nodes", 100)
-    if nodes < 1:
-        raise ConfigError(f"[output] reference_nodes must be >= 1, got {nodes}")
-    subcells = s.get("reference_subcells", 5)
-    if subcells < 1:
-        raise ConfigError(f"[output] reference_subcells must be >= 1, got {subcells}")
-    return OutputSpec(
-        directory=s.get("directory", "out"),
-        stats_csv=s.get("stats_csv", "stats.csv"),
-        report=s.get("report", "report.txt"),
-        errors_csv=s.get("errors_csv", "errors.csv"),
-        reference=reference,
-        reference_nodes=nodes,
-        reference_subcells=subcells,
-    )
+    if spec.reference_nodes < 1:
+        raise ConfigError(f"[output] reference_nodes must be >= 1, got {spec.reference_nodes}")
+    if spec.reference_subcells < 1:
+        raise ConfigError(
+            f"[output] reference_subcells must be >= 1, got {spec.reference_subcells}"
+        )
+    return spec

@@ -23,9 +23,7 @@ __all__ = [
     "max_wave_speed",
     "is_admissible",
     "admissible_mask",
-    "entropy",
     "entropy_gradient",
-    "entropy_hessian",
     "entropy_gradient_inverse",
 ]
 
@@ -143,19 +141,6 @@ def _sound_speed_unchecked(rho: np.ndarray, p: np.ndarray, gas: GasModel) -> np.
     return np.sqrt(gas.gamma * p / rho)
 
 
-def entropy(u, gas: GasModel) -> np.ndarray:
-    """Strictly convex entropy -rho * log(rho^-gamma * (E - |m|^2/(2 rho)))."""
-    u = np.asarray(u, dtype=float)
-    _check_admissible(u, gas)
-    return _entropy_unchecked(u, gas)
-
-
-def _entropy_unchecked(u: np.ndarray, gas: GasModel) -> np.ndarray:
-    rho = u[..., 0]
-    e_int = _internal_energy(u)
-    return -rho * (np.log(e_int) - gas.gamma * np.log(rho))
-
-
 def entropy_gradient(u, gas: GasModel) -> np.ndarray:
     """Gradient of the entropy with respect to the conserved variables."""
     u = np.asarray(u, dtype=float)
@@ -170,32 +155,6 @@ def entropy_gradient(u, gas: GasModel) -> np.ndarray:
     grad[..., 1:-1] = m / e_int[..., None]
     grad[..., -1] = -rho / e_int
     return grad
-
-
-def entropy_hessian(u, gas: GasModel) -> np.ndarray:
-    """Hessian of the entropy, shape (..., d, d); symmetric positive definite."""
-    u = np.asarray(u, dtype=float)
-    _check_admissible(u, gas)
-    rho, m, _ = _parts(u)
-    e = _internal_energy(u)
-    q = _dot(m, m)
-    d = u.shape[-1]
-    h = np.empty(u.shape + (d,))
-    h[..., 0, 0] = gas.gamma / rho + 0.25 * q * q / (rho**3 * e * e)
-    cross = -0.5 * q / (rho * rho * e * e)
-    h[..., 0, 1:-1] = m * cross[..., None]
-    h[..., 1:-1, 0] = h[..., 0, 1:-1]
-    h[..., 0, -1] = -1.0 / e + 0.5 * q / (rho * e * e)
-    h[..., -1, 0] = h[..., 0, -1]
-    nm = d - 2
-    eye = np.eye(nm)
-    h[..., 1:-1, 1:-1] = eye / e[..., None, None] + (
-        m[..., :, None] * m[..., None, :] / (rho * e * e)[..., None, None]
-    )
-    h[..., 1:-1, -1] = -m / (e * e)[..., None]
-    h[..., -1, 1:-1] = h[..., 1:-1, -1]
-    h[..., -1, -1] = rho / (e * e)
-    return h
 
 
 def _dual_parts(lam: np.ndarray):

@@ -368,17 +368,6 @@ class RunStats:
     newton_iterations: int = 0
     newton_max_residual: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "wall_s": self.wall_s,
-            "flux_s": self.flux_s,
-            "filter_limiter_s": self.filter_limiter_s,
-            "dual_solve_s": self.dual_solve_s,
-            "newton_iterations": self.newton_iterations,
-            "newton_max_residual": self.newton_max_residual,
-        }
-
 
 @dataclass
 class RunResult:

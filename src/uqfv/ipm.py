@@ -73,6 +73,10 @@ class NewtonConfig:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"newton tolerance must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"newton max_iter must be >= 1, got {self.max_iter}")
+        if self.max_halvings < 0:
+            raise ValueError(f"newton max_halvings must be >= 0, got {self.max_halvings}")
 
 
 @dataclass

@@ -69,22 +69,12 @@ def make_initial(problem: ProblemSpec):
     initial(x, y, xi) -> (..., 4).
     """
     gamma = problem.gamma
-    if problem.preset == "sod_1d":
-        left, right = _sod_states(problem, two_d=False)
+    if problem.preset in ("sod_1d", "riemann_2d"):
+        left, right = _sod_states(problem, two_d=problem.preset == "riemann_2d")
 
-        def initial(x, xi):
-            x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-            mask = (x < problem.x0 + problem.sigma * xi)[..., None]
-            return np.where(mask, left, right)
-
-        return initial
-    if problem.preset == "riemann_2d":
-        left, right = _sod_states(problem, two_d=True)
-
-        def initial(x, y, xi):
-            x, y, xi = np.broadcast_arrays(
-                np.asarray(x, float), np.asarray(y, float), np.asarray(xi, float)
-            )
+        def initial(*coords):
+            # the interface x0 + sigma*xi splits the first coordinate
+            x, *_, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in coords))
             mask = (x < problem.x0 + problem.sigma * xi)[..., None]
             return np.where(mask, left, right)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +190,7 @@ def _write_report(
         "degree": config.basis.degree,
         "t_end": config.method.t_end,
         "cfl": config.method.cfl,
-        **stats.as_dict(),
+        **asdict(stats),
         "clamped_negative_variances": clamped,
     }
     if errors:

@@ -5,14 +5,14 @@ polynomials come from numpy.polynomial, limiter factors from companion-matrix
 root finding, and the finite-volume stepping is spelled out directly. These
 oracles define expected values; they deliberately avoid reusing the code
 paths they check. The dual helpers at the end (``dual_residual``,
-``dual_hessian``, ``legendre_dual``) build on the package's public maps (the
-entropy, its Hessian, the gradient inverse) but take another route than the
-solvers do.
+``dual_hessian``, ``legendre_dual``) build on the entropy and its Hessian,
+defined here, and on the package's gradient inverse, but take another route
+than the solvers do.
 """
 
 import numpy as np
 
-from uqfv.euler import entropy, entropy_gradient_inverse, entropy_hessian
+from uqfv.euler import InadmissibleStateError, entropy_gradient_inverse, is_admissible
 from uqfv.ipm import dual_node_states
 
 
@@ -173,27 +173,6 @@ def entropy_gradient_npsum(u, gamma):
     return grad
 
 
-def entropy_hessian_npsum(u, gamma):
-    rho, m = u[..., 0], u[..., 1:-1]
-    e = internal_energy_npsum(u)
-    q = np.sum(m * m, axis=-1)
-    d = u.shape[-1]
-    h = np.empty(u.shape + (d,))
-    h[..., 0, 0] = gamma / rho + 0.25 * q * q / (rho**3 * e * e)
-    cross = -0.5 * q / (rho * rho * e * e)
-    h[..., 0, 1:-1] = m * cross[..., None]
-    h[..., 1:-1, 0] = h[..., 0, 1:-1]
-    h[..., 0, -1] = -1.0 / e + 0.5 * q / (rho * e * e)
-    h[..., -1, 0] = h[..., 0, -1]
-    h[..., 1:-1, 1:-1] = np.eye(d - 2) / e[..., None, None] + (
-        m[..., :, None] * m[..., None, :] / (rho * e * e)[..., None, None]
-    )
-    h[..., 1:-1, -1] = -m / (e * e)[..., None]
-    h[..., -1, 1:-1] = h[..., 1:-1, -1]
-    h[..., -1, -1] = rho / (e * e)
-    return h
-
-
 def dual_range_mask_npsum(lam):
     return np.all(np.isfinite(lam), axis=-1) & (lam[..., -1] < 0.0)
 
@@ -256,6 +235,37 @@ def extend_moments(field, axis=0):
     return np.concatenate(
         [ghost(lo_bc, first, last), coeffs, ghost(hi_bc, last, first)], axis=axis
     )
+
+
+def entropy(u, gas):
+    """Strictly convex entropy -rho * log(rho^-gamma * (E - |m|^2/(2 rho)))."""
+    u = np.asarray(u, dtype=float)
+    if not is_admissible(u, gas):
+        raise InadmissibleStateError("inadmissible state (rho <= 0 or p <= 0)")
+    rho = u[..., 0]
+    return -rho * (np.log(internal_energy_npsum(u)) - gas.gamma * np.log(rho))
+
+
+def entropy_hessian(u, gas):
+    """Hessian of the entropy, shape (..., d, d); symmetric positive definite."""
+    rho, m = u[..., 0], u[..., 1:-1]
+    e = internal_energy_npsum(u)
+    q = np.sum(m * m, axis=-1)
+    d = u.shape[-1]
+    h = np.empty(u.shape + (d,))
+    h[..., 0, 0] = gas.gamma / rho + 0.25 * q * q / (rho**3 * e * e)
+    cross = -0.5 * q / (rho * rho * e * e)
+    h[..., 0, 1:-1] = m * cross[..., None]
+    h[..., 1:-1, 0] = h[..., 0, 1:-1]
+    h[..., 0, -1] = -1.0 / e + 0.5 * q / (rho * e * e)
+    h[..., -1, 0] = h[..., 0, -1]
+    h[..., 1:-1, 1:-1] = np.eye(d - 2) / e[..., None, None] + (
+        m[..., :, None] * m[..., None, :] / (rho * e * e)[..., None, None]
+    )
+    h[..., 1:-1, -1] = -m / (e * e)[..., None]
+    h[..., -1, 1:-1] = h[..., 1:-1, -1]
+    h[..., -1, -1] = rho / (e * e)
+    return h
 
 
 def dual_residual(duals, moments, basis, gas):

@@ -27,10 +27,11 @@ PUBLIC = {
     "run_ipm", "run_sg", "solve_duals", "sod_reference_on_grid", "write_csv",
 }
 
-# test-only duplicates and the Lax-Friedrichs flux, deleted or moved to
-# tests/oracles.py
+# test-only duplicates, test-only entropy maps and the Lax-Friedrichs flux,
+# deleted or moved to tests/oracles.py
 REMOVED = {
-    "euler": ("sound_speed", "dual_state_jacobian", "legendre_dual", "_flux_unchecked"),
+    "euler": ("sound_speed", "dual_state_jacobian", "legendre_dual", "_flux_unchecked",
+              "entropy", "_entropy_unchecked", "entropy_hessian"),
     "fv": ("hll_flux", "lax_friedrichs_flux", "_lf_unchecked", "extend_moments",
            "_dirichlet_moments"),
     "ipm": ("dual_residual", "dual_hessian", "ipm_update"),

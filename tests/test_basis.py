@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from uqfv.basis import (
+    GpcBasis,
     build_basis,
     build_partition,
     build_quadrature,
@@ -85,6 +86,31 @@ def test_orthonormality_with_minimal_gauss_rule():
     )
     gram = np.einsum("kq,jq,q->kj", basis.phi, basis.phi, basis.rule.weights)
     assert np.abs(gram - np.eye(degree + 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, sizes",
+    [("gauss-legendre", range(1, 16)), ("clenshaw-curtis", range(0, 6))],
+)
+def test_basis_requires_discrete_orthonormality(kind, sizes):
+    # a rule too small for the degree leaves Gram - I at 3e-4 or more and is
+    # refused by name; the rules the basis accepts keep it within 1e-12
+    partition = build_partition(-1.0, 1.0, 2)
+    for degree in range(0, 11):
+        for size in sizes:
+            rule = build_quadrature(kind, size)
+            phi = eval_orthonormal_legendre(degree, rule.ref_nodes)
+            gram = np.einsum("kq,jq,q->kj", phi, phi, rule.weights)
+            error = np.abs(gram - np.eye(degree + 1)).max()
+            if error <= 1e-12:
+                GpcBasis(partition, degree, rule)
+                assert kind != "gauss-legendre" or size >= degree + 1
+                continue
+            assert error >= 3e-4
+            message = f"degree {degree} basis .* {kind} rule with {len(rule)} nodes"
+            with pytest.raises(ValueError, match=message):
+                GpcBasis(partition, degree, rule)
+            assert kind != "gauss-legendre" or size <= degree
 
 
 def test_gauss_two_nodes_match_root_oracle():

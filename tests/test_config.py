@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 
 from uqfv.basis import build_basis, build_partition
-from uqfv.config import ConfigError, parse_config
+from uqfv.config import (
+    SOD_T_END,
+    BasisSpec,
+    ConfigError,
+    GridSpec,
+    MethodSpec,
+    OutputSpec,
+    ProblemSpec,
+    RunConfig,
+    parse_config,
+)
 from uqfv.fv import grid_1d
+from uqfv.ipm import NewtonConfig
 from uqfv.problems import make_initial, project_initial_data
+from uqfv.sg import LimiterConfig
 
 MINIMAL_SOD = """
 [problem]
@@ -34,6 +46,44 @@ def test_sod_preset_table_values():
     assert cfg.limiter.epsilon == 1e-10 and cfg.limiter.enabled
     assert cfg.newton.tol == 1e-7
     assert cfg.filter is None
+
+
+def test_sections_default_to_their_class_defaults():
+    # every key MINIMAL_SOD leaves out takes its class's default
+    assert parse_config(MINIMAL_SOD) == RunConfig(
+        ProblemSpec("sod_1d"),
+        GridSpec(50),
+        BasisSpec(4, n_elements=3),
+        MethodSpec("me_hsg", SOD_T_END),
+        None,
+        LimiterConfig(),
+        NewtonConfig(),
+        OutputSpec(),
+    )
+
+
+def test_value_errors_carry_one_section_prefix():
+    text = MINIMAL_SOD + "\n[limiter]\nepsilon = abc\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == "[limiter] epsilon: could not convert string to float: 'abc'"
+    text = MINIMAL_SOD + "\n[limiter]\nenabled = maybe\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == "[limiter] enabled: not a boolean: 'maybe'"
+
+
+def test_newton_limits_rejected():
+    ipm = MINIMAL_SOD.replace("me_hsg", "me_ipm")
+    for line, message in [
+        ("max_iter = 0", "[newton] newton max_iter must be >= 1, got 0"),
+        ("max_halvings = -3", "[newton] newton max_halvings must be >= 0, got -3"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            parse_config(ipm + f"\n[newton]\n{line}\n")
+        assert str(info.value) == message
+    cfg = parse_config(ipm + "\n[newton]\nmax_iter = 1\nmax_halvings = 0\n")
+    assert cfg.newton == NewtonConfig(max_iter=1, max_halvings=0)
 
 
 def test_unknown_key_rejected():
@@ -151,8 +201,31 @@ def test_clenshaw_curtis_config_accepted():
 
 
 def test_y_settings_rejected_for_1d():
-    text = MINIMAL_SOD.replace("nx = 50", "nx = 50\nny = 10")
-    with pytest.raises(ConfigError, match="riemann_2d"):
+    for line in ("ny = 10", "bc_y = periodic"):
+        text = MINIMAL_SOD.replace("nx = 50", f"nx = 50\n{line}")
+        with pytest.raises(ConfigError, match="riemann_2d"):
+            parse_config(text)
+
+
+def test_empty_extents_rejected():
+    for lo, hi in [("1", "0"), ("0.5", "0.5")]:
+        text = MINIMAL_SOD.replace("nx = 50", f"nx = 50\nx_min = {lo}\nx_max = {hi}")
+        with pytest.raises(ConfigError, match=r"x_min must be less than x_max"):
+            parse_config(text)
+    text = """
+[problem]
+preset = riemann_2d
+[grid]
+nx = 8
+ny = 8
+y_min = 2
+[basis]
+degree = 2
+[method]
+name = hsg
+t_end = 0.1
+"""
+    with pytest.raises(ConfigError, match=r"y_min must be less than y_max, got \(2.0, 1.0\)"):
         parse_config(text)
 
 

@@ -364,3 +364,11 @@ def test_run_ipm_dual_solve_error_names_step_and_block():
     field = project_initial_data(sod_initial, grid_1d(50, 0.0, 1.0), basis)
     with pytest.raises(DualSolveError, match=r"^step 0: .*\(23, 0\)"):
         run_ipm(field, GAS, 0.14, newton=NewtonConfig(max_iter=1))
+
+
+def test_newton_config_rejects_bad_limits():
+    with pytest.raises(ValueError, match="newton max_iter must be >= 1, got 0"):
+        NewtonConfig(max_iter=0)
+    with pytest.raises(ValueError, match="newton max_halvings must be >= 0, got -3"):
+        NewtonConfig(max_halvings=-3)
+    NewtonConfig(max_iter=1, max_halvings=0)

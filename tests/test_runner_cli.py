@@ -152,6 +152,43 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SOD_SMALL.replace("nx = 60", "nx = 60\nx_min = 1\nx_max = 0"),
+            "[grid] x_min must be less than x_max, got (1.0, 0.0)",
+        ),
+        (
+            SOD_SMALL.replace("me_hsg", "me_ipm") + "[newton]\nmax_halvings = -3\n",
+            "[newton] newton max_halvings must be >= 0, got -3",
+        ),
+    ],
+    ids=["empty-extent", "negative-halvings"],
+)
+def test_cli_rejects_before_running(tmp_path, capsys, text, message):
+    # the parser refuses these, so the CLI exits 2 and creates no output
+    config_path = tmp_path / "bad.ini"
+    config_path.write_text(text)
+    code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_quadrature_too_small_for_degree(tmp_path, capsys):
+    # 3 Gauss nodes cannot make a degree-4 basis orthonormal; the run stops
+    # when it builds the basis, before any statistics are written
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(SOD_SMALL.replace("degree = 3", "degree = 4\nquad_points = 3"))
+    code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: degree 4 basis is not discretely orthonormal" in err
+    assert "gauss-legendre rule with 3 nodes" in err
+    assert not (tmp_path / "out" / "stats.csv").exists()
+
+
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.ini")])
     assert code == 2

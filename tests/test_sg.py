@@ -259,7 +259,9 @@ def test_run_sg_limiter_disabled_fails_on_sod():
     basis = build_basis(build_partition(-1, 1, 1), 14)
     grid = grid_1d(64, 0.0, 1.0)
     field = project_initial_data(sod_initial, grid, basis)
-    with pytest.raises((InadmissibleStateError, Exception)):
+    with pytest.raises(
+        InadmissibleStateError, match="step 0: inadmissible state in wave-speed scan"
+    ):
         run_sg(field, GAS, t_end=0.05, limiter_config=LimiterConfig(enabled=False))
 
 
