@@ -43,12 +43,6 @@ class ElementPartition:
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.boundaries[:-1] + self.boundaries[1:])
 
-    def element_of(self, xi) -> np.ndarray:
-        """Index of the element containing each point (boundary points go right)."""
-        xi = np.asarray(xi, dtype=float)
-        idx = np.searchsorted(self.boundaries, xi, side="right") - 1
-        return np.clip(idx, 0, self.n_elements - 1)
-
 
 def build_partition(lo: float, hi: float, n_elements: int) -> ElementPartition:
     """Split (lo, hi) into n_elements equal elements."""
@@ -123,10 +117,6 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def integrate(self, values) -> np.ndarray:
-        """Integrate node samples against the local density (node axis last)."""
-        return np.asarray(values, dtype=float) @ self.weights
 
 
 def build_quadrature(kind: str, count_or_level: int, element=(-1.0, 1.0)) -> QuadratureRule:
@@ -227,15 +217,6 @@ class GpcBasis:
     def reconstruct(self, coeffs) -> np.ndarray:
         """Values at the quadrature nodes, (..., K+1, d) -> (..., Q, d)."""
         return np.matmul(self._phi_t, coeffs)
-
-    def eval_at(self, xi) -> tuple[np.ndarray, np.ndarray]:
-        """Element index and local basis table (degree+1, ...) at arbitrary points."""
-        xi = np.asarray(xi, dtype=float)
-        idx = self.partition.element_of(xi)
-        mids = self.partition.midpoints[idx]
-        halves = 0.5 * self.partition.widths[idx]
-        t = (xi - mids) / halves
-        return idx, eval_orthonormal_legendre(self.degree, t)
 
 
 def build_basis(

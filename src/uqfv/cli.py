@@ -43,7 +43,7 @@ def main(argv=None) -> int:
             "--threads",
             type=int,
             default=None,
-            help=f"worker count for dual solves and collocation (default ${THREADS_ENV} or 1)",
+            help=f"worker count for the dual-solve chunks (default ${THREADS_ENV} or 1)",
         )
     args = parser.parse_args(argv)
 

@@ -18,9 +18,6 @@ __all__ = [
     "SolverError",
     "InadmissibleStateError",
     "DualRangeError",
-    "pressure",
-    "physical_flux",
-    "max_wave_speed",
     "is_admissible",
     "admissible_mask",
     "entropy_gradient",
@@ -73,18 +70,6 @@ def _internal_energy(u: np.ndarray) -> np.ndarray:
     return en - 0.5 * _dot(m, m) / rho
 
 
-def pressure(u, gas: GasModel) -> np.ndarray:
-    """p = (gamma - 1) * (E - |m|^2 / (2 rho)); requires positive density."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u[..., 0] <= 0.0):
-        raise InadmissibleStateError("non-positive density")
-    return _pressure_unchecked(u, gas)
-
-
-def _pressure_unchecked(u: np.ndarray, gas: GasModel) -> np.ndarray:
-    return (gas.gamma - 1.0) * _internal_energy(u)
-
-
 def admissible_mask(u, gas: GasModel) -> np.ndarray:
     """Elementwise hyperbolicity-set membership: rho > 0 and p > 0."""
     return _energy_and_mask(np.asarray(u, dtype=float))[1]
@@ -108,17 +93,10 @@ def _check_admissible(u, gas: GasModel, what: str = "state"):
         raise InadmissibleStateError(f"inadmissible {what} (rho <= 0 or p <= 0)")
 
 
-def physical_flux(u, gas: GasModel, axis: int = 0) -> np.ndarray:
-    """Directional Euler flux: (rho v, v m + p e_axis, v (E + p))."""
-    u = np.asarray(u, dtype=float)
-    _check_admissible(u, gas)
-    return _flux_and_speeds(u, gas, axis)[0]
-
-
 def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int) -> tuple:
     """Directional flux, velocity along ``axis`` and sound speed, from one pressure."""
     rho, m, en = _parts(u)
-    p = _pressure_unchecked(u, gas)
+    p = (gas.gamma - 1.0) * _internal_energy(u)
     v = m[..., axis] / rho
     f = np.empty_like(u)
     f[..., 0] = m[..., axis]
@@ -126,15 +104,6 @@ def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int) -> tuple:
     f[..., 1 + axis] += p
     f[..., -1] = v * (en + p)
     return f, v, _sound_speed_unchecked(rho, p, gas)
-
-
-def max_wave_speed(u, gas: GasModel, axis: int = 0) -> np.ndarray:
-    """|v_axis| + sound speed, the spectral radius of the directional Jacobian."""
-    u = np.asarray(u, dtype=float)
-    _check_admissible(u, gas)
-    rho = u[..., 0]
-    c = _sound_speed_unchecked(rho, _pressure_unchecked(u, gas), gas)
-    return np.abs(u[..., 1 + axis] / rho) + c
 
 
 def _sound_speed_unchecked(rho: np.ndarray, p: np.ndarray, gas: GasModel) -> np.ndarray:

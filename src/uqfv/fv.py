@@ -154,11 +154,6 @@ class MomentField:
     def n_components(self) -> int:
         return self.coeffs.shape[-1]
 
-    @property
-    def cell_means(self) -> np.ndarray:
-        """Zeroth coefficients (cells..., element, component)."""
-        return self.coeffs[..., 0, :]
-
     def node_states(self) -> np.ndarray:
         """Reconstructed states at each quadrature node (cells..., L, Q, d)."""
         return self.basis.reconstruct(self.coeffs)

@@ -277,9 +277,9 @@ def run_ipm(
 
     Per step: map duals to node states, advance the carried moments with the
     FV update, then re-solve the duals warm-started from the previous step.
-    ``initial_duals`` seeds the first solve, made in step 0 (defaulting to
-    the constant entropic ansatz of each cell mean). ``flux`` accepts only
-    ``"hll"``.
+    ``initial_duals`` seeds the first solve, made in step 0. Without it the
+    solve starts from zero duals, which it replaces by the constant entropic
+    ansatz of each cell mean. ``flux`` accepts only ``"hll"``.
     """
     _check_flux(flux)
     if newton is None:
@@ -298,12 +298,7 @@ def run_ipm(
     def step(stats: RunStats, dt_max: float) -> float:
         nonlocal mom, lam
         if lam is None:
-            if initial_duals is None:
-                warm = np.zeros_like(mom)
-                warm[..., 0, :] = entropy_gradient(mom[..., 0, :], gas)
-            else:
-                warm = initial_duals
-            lam = solve(stats, warm)
+            lam = solve(stats, np.zeros_like(mom) if initial_duals is None else initial_duals)
         nodes = dual_node_states(lam, basis, gas)
         dt = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
         with _timed(stats, "flux_s"):

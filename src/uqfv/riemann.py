@@ -8,7 +8,6 @@ reference runs the deterministic FV solver at quadrature nodes instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +88,7 @@ class RiemannSolution:
 
     def sample(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        gamma = self.gas.gamma
-        rho_l, v_l, p_l = self.left
-        rho_r, v_r, p_r = self.right
-        a_l = np.sqrt(gamma * p_l / rho_l)
-        a_r = np.sqrt(gamma * p_r / rho_r)
+        g = self.gas.gamma
         rho = np.empty_like(s)
         v = np.empty_like(s)
         p = np.empty_like(s)
@@ -102,28 +97,46 @@ class RiemannSolution:
         left_star = (s >= self.left_tail) & (s <= self.v_star)
         right_star = (s > self.v_star) & (s <= self.right_tail)
         right_outer = s >= self.right_head
-        rho[left_outer], v[left_outer], p[left_outer] = rho_l, v_l, p_l
-        rho[right_outer], v[right_outer], p[right_outer] = rho_r, v_r, p_r
+        rho[left_outer], v[left_outer], p[left_outer] = self.left
+        rho[right_outer], v[right_outer], p[right_outer] = self.right
         rho[left_star] = self.rho_star_left
         v[left_star], p[left_star] = self.v_star, self.p_star
         rho[right_star] = self.rho_star_right
         v[right_star], p[right_star] = self.v_star, self.p_star
 
-        fan = (s > self.left_head) & (s < self.left_tail)
-        if np.any(fan):
-            sf = s[fan]
-            common = 2.0 / (gamma + 1.0) + (gamma - 1.0) / ((gamma + 1.0) * a_l) * (v_l - sf)
-            v[fan] = 2.0 / (gamma + 1.0) * (a_l + 0.5 * (gamma - 1.0) * v_l + sf)
-            rho[fan] = rho_l * common ** (2.0 / (gamma - 1.0))
-            p[fan] = p_l * common ** (2.0 * gamma / (gamma - 1.0))
-        fan = (s > self.right_tail) & (s < self.right_head)
-        if np.any(fan):
-            sf = s[fan]
-            common = 2.0 / (gamma + 1.0) - (gamma - 1.0) / ((gamma + 1.0) * a_r) * (v_r - sf)
-            v[fan] = 2.0 / (gamma + 1.0) * (-a_r + 0.5 * (gamma - 1.0) * v_r + sf)
-            rho[fan] = rho_r * common ** (2.0 / (gamma - 1.0))
-            p[fan] = p_r * common ** (2.0 * gamma / (gamma - 1.0))
+        # the left fan mirrors the right one: sign -1 on the left, +1 on the right
+        for sign, (rho_k, v_k, p_k), head, tail in (
+            (-1.0, self.left, self.left_head, self.left_tail),
+            (1.0, self.right, self.right_head, self.right_tail),
+        ):
+            fan = (sign * s < sign * head) & (sign * s > sign * tail)
+            if np.any(fan):
+                a = np.sqrt(g * p_k / rho_k)
+                sf = s[fan]
+                common = 2.0 / (g + 1.0) - sign * (g - 1.0) / ((g + 1.0) * a) * (v_k - sf)
+                v[fan] = 2.0 / (g + 1.0) * (-sign * a + 0.5 * (g - 1.0) * v_k + sf)
+                rho[fan] = rho_k * common ** (2.0 / (g - 1.0))
+                p[fan] = p_k * common ** (2.0 * g / (g - 1.0))
         return _conserved(rho, v, p, self.gas)
+
+
+def _star_side(p_star, v_star, rho, v, p, a, gamma, sign):
+    """Wave kind, star density, head and tail speeds of one side's wave.
+
+    ``sign`` is -1 on the left and +1 on the right, whose formulas mirror the
+    left's (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
+    3rd ed., sections 4.2-4.5).
+    """
+    if p_star > p:
+        mu = (gamma - 1.0) / (gamma + 1.0)
+        rho_star = rho * (p_star / p + mu) / (mu * p_star / p + 1.0)
+        s = v + sign * a * np.sqrt(
+            (gamma + 1.0) / (2.0 * gamma) * p_star / p + (gamma - 1.0) / (2.0 * gamma)
+        )
+        return "shock", rho_star, s, s
+    rho_star = rho * (p_star / p) ** (1.0 / gamma)
+    a_star = a * (p_star / p) ** ((gamma - 1.0) / (2.0 * gamma))
+    return "rarefaction", rho_star, v + sign * a, v_star + sign * a_star
 
 
 def solve_riemann(left, right, gas: GasModel, tol: float = 1e-12) -> RiemannSolution:
@@ -182,33 +195,12 @@ def solve_riemann(left, right, gas: GasModel, tol: float = 1e-12) -> RiemannSolu
     f_r, _ = _wave_function(p_star, rho_r, p_r, a_r, gamma)
     v_star = 0.5 * (v_l + v_r) + 0.5 * (f_r - f_l)
 
-    mu = (gamma - 1.0) / (gamma + 1.0)
-    if p_star > p_l:
-        left_wave = "shock"
-        rho_star_l = rho_l * (p_star / p_l + mu) / (mu * p_star / p_l + 1.0)
-        s = v_l - a_l * np.sqrt(
-            (gamma + 1.0) / (2.0 * gamma) * p_star / p_l + (gamma - 1.0) / (2.0 * gamma)
-        )
-        left_head = left_tail = s
-    else:
-        left_wave = "rarefaction"
-        rho_star_l = rho_l * (p_star / p_l) ** (1.0 / gamma)
-        a_star = a_l * (p_star / p_l) ** ((gamma - 1.0) / (2.0 * gamma))
-        left_head = v_l - a_l
-        left_tail = v_star - a_star
-    if p_star > p_r:
-        right_wave = "shock"
-        rho_star_r = rho_r * (p_star / p_r + mu) / (mu * p_star / p_r + 1.0)
-        s = v_r + a_r * np.sqrt(
-            (gamma + 1.0) / (2.0 * gamma) * p_star / p_r + (gamma - 1.0) / (2.0 * gamma)
-        )
-        right_head = right_tail = s
-    else:
-        right_wave = "rarefaction"
-        rho_star_r = rho_r * (p_star / p_r) ** (1.0 / gamma)
-        a_star = a_r * (p_star / p_r) ** ((gamma - 1.0) / (2.0 * gamma))
-        right_head = v_r + a_r
-        right_tail = v_star + a_star
+    left_wave, rho_star_l, left_head, left_tail = _star_side(
+        p_star, v_star, rho_l, v_l, p_l, a_l, gamma, -1.0
+    )
+    right_wave, rho_star_r, right_head, right_tail = _star_side(
+        p_star, v_star, rho_r, v_r, p_r, a_r, gamma, 1.0
+    )
     return RiemannSolution(
         gas=gas,
         left=(rho_l, v_l, p_l),
@@ -226,14 +218,14 @@ def solve_riemann(left, right, gas: GasModel, tol: float = 1e-12) -> RiemannSolu
     )
 
 
-def _uncertain_state(sol: RiemannSolution, x: float, t: float, xi: np.ndarray, x0: float, sigma: float):
-    """Exact state at position x, time t, for interface positions x0 + sigma*xi."""
+def _uncertain_state(sol: RiemannSolution, x, t: float, xi, x0: float, sigma: float):
+    """Exact states at positions x, time t, for interface positions x0 + sigma*xi."""
     offset = x - x0 - sigma * xi
     if t > 0.0:
         return sol.sample(offset / t)
     left = _conserved(*sol.left, sol.gas)
     right = _conserved(*sol.right, sol.gas)
-    return np.where(offset[:, None] < 0.0, left, right)
+    return np.where(offset[..., None] < 0.0, left, right)
 
 
 def sod_reference_statistics(
@@ -259,37 +251,30 @@ def sod_reference_statistics(
     sol = solve_riemann(left, right, gas)
     x_points = np.asarray(x_points, dtype=float)
     offsets = np.asarray([0.0] if sub_points is None else sub_points, dtype=float)
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
+    if sigma == 0.0:
+        xs = x_points[:, None] + offsets[None, :]
+        mean = _uncertain_state(sol, xs, t, 0.0, x0, sigma).mean(axis=1)
+        return mean, np.zeros_like(mean)
 
-    mean = np.empty((len(x_points), 3))
-    second = np.empty((len(x_points), 3))
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
+    mean = np.zeros((len(x_points), 3))
+    second = np.zeros((len(x_points), 3))
     speeds = sol.wave_speeds
     for i, x in enumerate(x_points):
         xs = x + offsets
-        if sigma == 0.0:
-            states = np.stack([_uncertain_state(sol, xj, t, np.zeros(1), x0, sigma)[0] for xj in xs])
-            avg = states.mean(axis=0)
-            mean[i] = avg
-            second[i] = avg**2
-            continue
         cuts = ((xs[:, None] - x0 - speeds[None, :] * t) / sigma).ravel()
         cuts = np.sort(cuts[(cuts > -1.0) & (cuts < 1.0)])
         edges = np.concatenate([[-1.0], cuts, [1.0]])
-        m1 = np.zeros(3)
-        m2 = np.zeros(3)
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b - a <= 1e-15:
-                continue
-            xi = 0.5 * (a + b) + 0.5 * (b - a) * gl_nodes
-            states = np.mean(
-                [_uncertain_state(sol, xj, t, xi, x0, sigma) for xj in xs], axis=0
-            )
-            # density of xi is 1/2; segment scaling (b-a)/2
-            w = 0.25 * (b - a) * gl_weights
-            m1 += w @ states
-            m2 += w @ states**2
-        mean[i] = m1
-        second[i] = m2
+        keep = np.diff(edges) > 1e-15
+        lo, hi = edges[:-1][keep, None], edges[1:][keep, None]
+        xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_nodes
+        # (sub-points, pieces, nodes, 3), averaged over the sub-points
+        states = _uncertain_state(sol, xs[:, None, None], t, xi, x0, sigma).mean(axis=0)
+        # density of xi is 1/2; piece scaling (hi-lo)/2
+        weights = 0.25 * (hi - lo) * gl_weights
+        for w, piece in zip(weights, states):
+            mean[i] += w @ piece
+            second[i] += w @ piece**2
     var = np.maximum(second - mean**2, 0.0)
     return mean, var
 
@@ -332,24 +317,17 @@ def collocation_reference(
     """Statistics from deterministic FV runs at Gauss nodes in the random variable.
 
     ``initial(x..., xi)`` returns the initial states for a fixed realization.
-    Node results are combined in node order regardless of the worker count.
-    ``flux`` accepts only ``"hll"``.
+    The node runs are serial and combined in node order. ``threads`` has no
+    effect, and ``flux`` accepts only ``"hll"``.
     """
     _check_flux(flux)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     weights = weights / 2.0
     centers = [grid.cell_centers(axis) for axis in range(grid.ndim)]
     coords = np.meshgrid(*centers, indexing="ij") if grid.ndim > 1 else [centers[0]]
-
-    def run(xi):
-        u0 = initial(*coords, xi)
-        return deterministic_solve(u0, grid, gas, t_end, cfl)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, nodes))
-    else:
-        results = [run(xi) for xi in nodes]
+    results = [
+        deterministic_solve(initial(*coords, xi), grid, gas, t_end, cfl) for xi in nodes
+    ]
     mean = np.zeros(results[0].shape)
     second = np.zeros(results[0].shape)
     for w, u in zip(weights, results):

@@ -6,12 +6,11 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig
 from .fv import RunStats
 from .ipm import initial_duals_from_states, run_ipm
 from .problems import (
+    _sod_states,
     initial_node_states,
     make_basis,
     make_gas,
@@ -37,13 +36,15 @@ class RunReport:
 
 def run(config: RunConfig, output_dir=None, threads: int = 1) -> RunReport:
     """Execute the configured experiment and write statistics and reports."""
-    out = Path(output_dir if output_dir is not None else config.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-
     gas = make_gas(config.problem)
     grid = make_grid(config.grid, config.problem)
     initial = make_initial(config.problem)
     method = config.method.name
+    if method != "collocation":
+        basis = make_basis(config)
+        field0 = project_initial_data(initial, grid, basis)
+    out = Path(output_dir if output_dir is not None else config.output.directory)
+    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     if method == "collocation":
@@ -54,12 +55,9 @@ def run(config: RunConfig, output_dir=None, threads: int = 1) -> RunReport:
             config.method.t_end,
             cfl=config.method.cfl,
             n_nodes=config.method.nodes,
-            threads=threads,
         )
         stats = RunStats(wall_s=time.perf_counter() - t0)
     else:
-        basis = make_basis(config)
-        field0 = project_initial_data(initial, grid, basis)
         if method in ("ipm", "me_ipm"):
             duals0 = initial_duals_from_states(
                 initial_node_states(initial, grid, basis), basis, gas
@@ -92,7 +90,7 @@ def run(config: RunConfig, output_dir=None, threads: int = 1) -> RunReport:
 
     errors = None
     if config.output.reference != "none":
-        reference = _reference_statistics(config, grid, gas, initial, threads)
+        reference = _reference_statistics(config, grid, gas, initial)
         err_e, err_v = relative_errors(statistics, reference)
         errors = {"errE_rho": float(err_e[0]), "errVar_rho": float(err_v[0])}
         errors_path = out / config.output.errors_csv
@@ -111,11 +109,10 @@ def run(config: RunConfig, output_dir=None, threads: int = 1) -> RunReport:
     )
 
 
-def _reference_statistics(config: RunConfig, grid, gas, initial, threads):
+def _reference_statistics(config: RunConfig, grid, gas, initial):
     if config.output.reference == "exact_sod":
         p = config.problem
-        left = np.array([p.rho_l, 0.0, p.e_l])
-        right = np.array([p.rho_r, 0.0, p.e_r])
+        left, right = _sod_states(p, two_d=False)
         return sod_reference_on_grid(
             left,
             right,
@@ -134,7 +131,6 @@ def _reference_statistics(config: RunConfig, grid, gas, initial, threads):
         config.method.t_end,
         cfl=config.method.cfl,
         n_nodes=config.output.reference_nodes,
-        threads=threads,
     )
 
 

@@ -63,45 +63,24 @@ def field_statistics(field: MomentField) -> FieldStatistics:
     return FieldStatistics(grid=field.grid, mean=mean, variance=var, clamped=negative)
 
 
-def _window_mask(grid: StructuredGrid, window) -> np.ndarray:
-    if window is None:
-        return np.ones(grid.shape, dtype=bool)
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis, bounds in enumerate(window):
-        if bounds is None:
-            continue
-        lo, hi = bounds
-        centers = grid.cell_centers(axis)
-        axis_mask = (centers >= lo) & (centers <= hi)
-        shape = [1] * grid.ndim
-        shape[axis] = -1
-        mask &= axis_mask.reshape(shape)
-    return mask
-
-
-def _weighted_l2(values: np.ndarray, grid: StructuredGrid, mask: np.ndarray) -> np.ndarray:
-    sq = values**2 * mask[..., None]
-    return np.sqrt(grid.cell_volume * np.sum(sq, axis=tuple(range(grid.ndim))))
+def _weighted_l2(values: np.ndarray, grid: StructuredGrid) -> np.ndarray:
+    return np.sqrt(grid.cell_volume * np.sum(values**2, axis=tuple(range(grid.ndim))))
 
 
 def relative_errors(
-    computed: FieldStatistics,
-    reference: FieldStatistics,
-    window=None,
+    computed: FieldStatistics, reference: FieldStatistics
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell-volume-weighted relative L2 errors of mean and variance.
 
-    Returns one value per conserved component; ``window`` restricts the norm
-    to cells whose centers lie in the given per-axis (lo, hi) boxes.
+    Returns one value per conserved component.
     """
     if computed.grid.shape != reference.grid.shape:
         raise ValueError("statistics live on different grids")
     grid = computed.grid
-    mask = _window_mask(grid, window)
-    err_e = _weighted_l2(computed.mean - reference.mean, grid, mask)
-    norm_e = _weighted_l2(reference.mean, grid, mask)
-    err_v = _weighted_l2(computed.variance - reference.variance, grid, mask)
-    norm_v = _weighted_l2(reference.variance, grid, mask)
+    err_e = _weighted_l2(computed.mean - reference.mean, grid)
+    norm_e = _weighted_l2(reference.mean, grid)
+    err_v = _weighted_l2(computed.variance - reference.variance, grid)
+    norm_v = _weighted_l2(reference.variance, grid)
     if np.any(norm_e == 0.0) or np.any(norm_v == 0.0):
         raise ValueError("reference norm vanishes; relative error undefined")
     return err_e / norm_e, err_v / norm_v

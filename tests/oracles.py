@@ -2,18 +2,66 @@
 
 Everything here is written independently of the package internals: Legendre
 polynomials come from numpy.polynomial, limiter factors from companion-matrix
-root finding, and the finite-volume stepping is spelled out directly. These
-oracles define expected values; they deliberately avoid reusing the code
-paths they check. The dual helpers at the end (``dual_residual``,
-``dual_hessian``, ``legendre_dual``) build on the entropy and its Hessian,
-defined here, and on the package's gradient inverse, but take another route
-than the solvers do.
+root finding, the Euler pressure, flux and wave speed and the element lookup
+are written out as formulas, and the finite-volume stepping is spelled out
+directly. These oracles define expected values; they deliberately avoid
+reusing the code paths they check. The dual helpers at the end
+(``dual_residual``, ``dual_hessian``, ``legendre_dual``) build on the entropy
+and its Hessian, defined here, and on the package's gradient inverse, but take
+another route than the solvers do.
 """
 
 import numpy as np
 
 from uqfv.euler import InadmissibleStateError, entropy_gradient_inverse, is_admissible
 from uqfv.ipm import dual_node_states
+
+
+def _require_admissible(u, gas):
+    if not is_admissible(u, gas):
+        raise InadmissibleStateError("inadmissible state (rho <= 0 or p <= 0)")
+
+
+def pressure(u, gas):
+    """p = (gamma - 1) * (E - |m|^2 / (2 rho)); requires positive density."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u[..., 0] <= 0.0):
+        raise InadmissibleStateError("non-positive density")
+    return (gas.gamma - 1.0) * internal_energy_npsum(u)
+
+
+def physical_flux(u, gas, axis=0):
+    """Directional Euler flux v_axis * (rho, m, E) + p * (0, e_axis, v_axis)."""
+    u = np.asarray(u, dtype=float)
+    _require_admissible(u, gas)
+    v = u[..., 1 + axis] / u[..., 0]
+    p = pressure(u, gas)
+    f = u * v[..., None]
+    f[..., 1 + axis] += p
+    f[..., -1] += v * p
+    return f
+
+
+def max_wave_speed(u, gas, axis=0):
+    """|v_axis| + sqrt(gamma p / rho), the spectral radius of the flux Jacobian."""
+    u = np.asarray(u, dtype=float)
+    _require_admissible(u, gas)
+    rho = u[..., 0]
+    return np.abs(u[..., 1 + axis] / rho) + np.sqrt(gas.gamma * pressure(u, gas) / rho)
+
+
+def element_of(partition, xi):
+    """Index of the element containing each point (boundary points go right)."""
+    idx = np.searchsorted(partition.boundaries, np.asarray(xi, dtype=float), side="right") - 1
+    return np.clip(idx, 0, partition.n_elements - 1)
+
+
+def eval_at(basis, xi):
+    """Element index and local basis table (degree+1, ...) at arbitrary points."""
+    xi = np.asarray(xi, dtype=float)
+    idx = element_of(basis.partition, xi)
+    t = (xi - basis.partition.midpoints[idx]) / (0.5 * basis.partition.widths[idx])
+    return idx, legendre_orthonormal(basis.degree, t)
 
 
 def primitives(u, gamma):
@@ -240,8 +288,7 @@ def extend_moments(field, axis=0):
 def entropy(u, gas):
     """Strictly convex entropy -rho * log(rho^-gamma * (E - |m|^2/(2 rho)))."""
     u = np.asarray(u, dtype=float)
-    if not is_admissible(u, gas):
-        raise InadmissibleStateError("inadmissible state (rho <= 0 or p <= 0)")
+    _require_admissible(u, gas)
     rho = u[..., 0]
     return -rho * (np.log(internal_energy_npsum(u)) - gas.gamma * np.log(rho))
 

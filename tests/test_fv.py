@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import max_wave_speed, physical_flux
 from uqfv import ipm, riemann, sg
 from uqfv.basis import build_basis, build_partition
-from uqfv.euler import GasModel, InadmissibleStateError, max_wave_speed, physical_flux
+from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv.fv import (
     MomentField,
     _hll_unchecked,

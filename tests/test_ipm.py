@@ -227,6 +227,17 @@ def test_run_ipm_t0_returns_projection_exactly():
     assert result.stats.steps == 0
 
 
+def test_run_ipm_inadmissible_mean_fails_in_step_0():
+    # without initial duals the first solve starts from zero duals and builds
+    # the entropic ansatz of each cell mean; a negative density stops it there
+    basis = build_basis(build_partition(-1, 1, 2), 3)
+    grid = grid_1d(10, 0.0, 1.0)
+    field = project_initial_data(sod_initial, grid, basis)
+    field.coeffs[3, 1, 0, 0] = -1.0
+    with pytest.raises(DualSolveError, match="^step 0: unrealizable moments"):
+        run_ipm(field, GAS, t_end=0.01)
+
+
 def test_run_ipm_degenerate_equals_deterministic():
     nx = 40
     basis = build_basis(build_partition(-1, 1, 1), 0)

@@ -178,7 +178,7 @@ def test_cli_rejects_before_running(tmp_path, capsys, text, message):
 
 def test_cli_quadrature_too_small_for_degree(tmp_path, capsys):
     # 3 Gauss nodes cannot make a degree-4 basis orthonormal; the run stops
-    # when it builds the basis, before any statistics are written
+    # when it builds the basis, before it creates the output directory
     config_path = tmp_path / "run.ini"
     config_path.write_text(SOD_SMALL.replace("degree = 3", "degree = 4\nquad_points = 3"))
     code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
@@ -186,7 +186,7 @@ def test_cli_quadrature_too_small_for_degree(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: degree 4 basis is not discretely orthonormal" in err
     assert "gauss-legendre rule with 3 nodes" in err
-    assert not (tmp_path / "out" / "stats.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):

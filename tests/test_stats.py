@@ -142,18 +142,6 @@ def test_relative_errors_scale_invariant_in_reference():
     np.testing.assert_allclose(v1, v2, rtol=1e-12)
 
 
-def test_relative_errors_window_restricts_cells():
-    rng = np.random.default_rng(4)
-    grid = grid_1d(10, 0.0, 1.0)
-    ref = _random_stats(grid, rng)
-    computed = FieldStatistics(grid, ref.mean.copy(), ref.variance.copy())
-    computed.mean[0] += 10.0  # outside the window below
-    err_full, _ = relative_errors(computed, ref)
-    err_win, _ = relative_errors(computed, ref, window=((0.3, 0.9),))
-    assert err_full[0] > 1.0
-    np.testing.assert_allclose(err_win, 0.0, atol=1e-15)
-
-
 def test_relative_errors_zero_reference_norm():
     grid = grid_1d(4, 0.0, 1.0)
     ref = FieldStatistics(grid, np.zeros((4, 3)), np.ones((4, 3)))

@@ -9,8 +9,10 @@ script sits in. Sod runs use 400 cells up to t = 0.14; ``riemann_2d`` runs
 48 x 48 cells up to t = 0.1. A config runs on one thread unless ``THREADS``
 names it: ``riemann_2d_me_ipm`` solves its 6912 dual problems in several
 chunks on two threads. One line per config: name, the hash of its
-``stats.csv``, steps, Newton iterations. Comparing two checkouts' output
-shows whether a change kept the outputs bit for bit.
+``stats.csv``, steps, Newton iterations, and for a config with a reference
+(``me_hsg_exact_sod``) the density's errE and errVar to 17 digits.
+Comparing two checkouts' output shows whether a change kept the outputs
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def _method(name: str, n_elements: int, degree: int, t_end: float = 0.14) -> str
 
 CONFIGS = {
     "me_hsg": SOD + _method("me_hsg", 3, 4),
+    "me_hsg_exact_sod": SOD + _method("me_hsg", 3, 4) + "[output]\nreference = exact_sod\n",
     "me_fhsg": SOD + _method("me_fhsg", 3, 4) + FILTER,
     "hsg": SOD + _method("hsg", 1, 14),
     "me_ipm": SOD + _method("me_ipm", 3, 4),
@@ -64,11 +67,10 @@ def main(names: list[str]) -> int:
             )
             digest = hashlib.sha256(report.output_files["stats_csv"].read_bytes()).hexdigest()
             stats = report.stats
-            print(
-                f"{name:18s} {digest} steps={stats.steps} "
-                f"newton={stats.newton_iterations}",
-                flush=True,
-            )
+            line = f"{name:18s} {digest} steps={stats.steps} newton={stats.newton_iterations}"
+            if report.errors is not None:
+                line += "".join(f" {k}={v:.17g}" for k, v in report.errors.items())
+            print(line, flush=True)
     return 0
 
 
