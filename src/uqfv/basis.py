@@ -104,7 +104,7 @@ def _clenshaw_curtis_ref(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Quadrature with the local density folded in: weights sum to one.
+    """Quadrature on [-1, 1] with the local density folded in: weights sum to one.
 
     The sum is one to round-off (within 5e-16), not bitwise. Gauss weights
     are Christoffel weights of the orthonormal basis; see ``build_quadrature``.
@@ -113,21 +113,19 @@ class QuadratureRule:
     kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    ref_nodes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-def build_quadrature(kind: str, count_or_level: int, element=(-1.0, 1.0)) -> QuadratureRule:
-    """Quadrature rule mapped affinely into an element, density-normalized.
+def build_quadrature(kind: str, count_or_level: int) -> QuadratureRule:
+    """Density-normalized quadrature rule on the reference interval [-1, 1].
 
     Parameters
     ----------
     kind : "gauss-legendre" (count_or_level = node count >= 1) or
         "clenshaw-curtis" (count_or_level = level >= 0, giving 2**level + 1
         nodes, one node at level 0).
-    element : interval the nodes are mapped into.
 
     Gauss weights come from the Christoffel function of the orthonormal
     basis, w_q = 1 / sum_{k<n} phi_k(t_q)^2, rather than from numpy's
@@ -135,19 +133,17 @@ def build_quadrature(kind: str, count_or_level: int, element=(-1.0, 1.0)) -> Qua
     (a constant projects onto phi_0 alone), however numpy computes its
     own weights.
     """
-    if kind in ("gauss-legendre", "gauss"):
+    if kind == "gauss-legendre":
         if count_or_level < 1:
             raise ValueError(f"gauss rule needs at least one node, got {count_or_level}")
-        ref, w = _gauss_legendre_ref(count_or_level)
-    elif kind in ("clenshaw-curtis", "cc"):
+        nodes, weights = _gauss_legendre_ref(count_or_level)
+    elif kind == "clenshaw-curtis":
         if count_or_level < 0:
             raise ValueError(f"clenshaw-curtis level must be >= 0, got {count_or_level}")
-        ref, w = _clenshaw_curtis_ref(count_or_level)
+        nodes, weights = _clenshaw_curtis_ref(count_or_level)
     else:
         raise ValueError(f"unknown quadrature kind: {kind!r}")
-    a, b = element
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * ref
-    return QuadratureRule(kind=kind, nodes=nodes, weights=w, ref_nodes=ref)
+    return QuadratureRule(kind=kind, nodes=nodes, weights=weights)
 
 
 class GpcBasis:
@@ -181,7 +177,7 @@ class GpcBasis:
         self.rule = rule
         total = partition.hi - partition.lo
         self.element_weights = partition.widths / total
-        self.phi = eval_orthonormal_legendre(degree, rule.ref_nodes)
+        self.phi = eval_orthonormal_legendre(degree, rule.nodes)
         self._phi_t = np.ascontiguousarray(self.phi.T)
         self._phi_w = self.phi * rule.weights
         gram_error = np.max(np.abs(self._phi_w @ self.phi.T - np.eye(self.degree + 1)))
@@ -192,7 +188,7 @@ class GpcBasis:
             )
         mids = partition.midpoints
         halves = 0.5 * partition.widths
-        self.nodes = mids[:, None] + halves[:, None] * rule.ref_nodes[None, :]
+        self.nodes = mids[:, None] + halves[:, None] * rule.nodes[None, :]
 
     @property
     def n_elements(self) -> int:
@@ -227,8 +223,8 @@ def build_basis(
 ) -> GpcBasis:
     """Basis with its quadrature; default rule is Gauss with 2*(degree+1) nodes."""
     if quad_count is None:
-        quad_count = 2 * (degree + 1) if quad_kind in ("gauss-legendre", "gauss") else 0
-        if quad_kind in ("clenshaw-curtis", "cc"):
+        quad_count = 2 * (degree + 1) if quad_kind == "gauss-legendre" else 0
+        if quad_kind == "clenshaw-curtis":
             # smallest level with at least 2*(degree+1) points
             quad_count = int(np.ceil(np.log2(max(2 * (degree + 1) - 1, 1))))
     rule = build_quadrature(quad_kind, quad_count)

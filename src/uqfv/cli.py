@@ -1,16 +1,13 @@
-"""Command-line entry point: uqfv run --config <path> [--output <dir>] [--threads <n>]."""
+"""Command-line entry point: uqfv run --config <path> [--output <dir>]."""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .config import ConfigError, parse_config
 from .runner import run, run_batch
-
-THREADS_ENV = "UQFV_THREADS"
 
 
 def _print_report(config, report):
@@ -38,34 +35,15 @@ def main(argv=None) -> int:
         "--configs", required=True, nargs="+", help="configuration paths, run in order"
     )
     batch_parser.add_argument("--output", default="out", help="batch output directory")
-    for p in (run_parser, batch_parser):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=f"worker count for the dual-solve chunks (default ${THREADS_ENV} or 1)",
-        )
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            print(f"error: {THREADS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
-            return 2
-    if threads < 1:
-        print(f"error: thread count must be >= 1, got {threads}", file=sys.stderr)
-        return 2
 
     try:
         if args.command == "run":
             config = parse_config(Path(args.config))
-            report = run(config, output_dir=args.output, threads=threads)
+            report = run(config, output_dir=args.output)
             _print_report(config, report)
         else:
-            reports = run_batch(args.configs, args.output, threads=threads)
+            reports = run_batch(args.configs, args.output)
             for report in reports:
                 _print_report(report.config, report)
                 print()

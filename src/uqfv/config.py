@@ -233,6 +233,15 @@ def _parse_problem(s: _Section) -> ProblemSpec:
         raise ConfigError(f"[problem] gamma must exceed 1, got {spec.gamma}")
     if spec.sigma < 0.0:
         raise ConfigError(f"[problem] sigma must be >= 0, got {spec.sigma}")
+    # the initial states must be admissible at every x and xi in [-1, 1]
+    if spec.preset == "custom_1d":
+        lowest = spec.rho0 - abs(spec.amplitude) * (1.0 + abs(spec.xi_coupling))
+        positive = {"rho0 - |amplitude| (1 + |xi_coupling|)": lowest, "pressure": spec.pressure}
+    else:
+        positive = {key: getattr(spec, key) for key in ("rho_l", "rho_r", "e_l", "e_r")}
+    for name, value in positive.items():
+        if not value > 0.0:
+            raise ConfigError(f"[problem] {name} must be positive, got {value}")
     return spec
 
 

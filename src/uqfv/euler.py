@@ -49,7 +49,7 @@ class GasModel:
 
 
 def _parts(u: np.ndarray):
-    """Split (..., d) state arrays into rho, momentum block, total energy."""
+    """Split (..., d) states, or their duals, into the rho, momentum and energy slots."""
     return u[..., 0], u[..., 1:-1], u[..., -1]
 
 
@@ -88,9 +88,9 @@ def is_admissible(u, gas: GasModel) -> bool:
     return bool(np.all(admissible_mask(u, gas)))
 
 
-def _check_admissible(u, gas: GasModel, what: str = "state"):
-    if not is_admissible(u, gas):
-        raise InadmissibleStateError(f"inadmissible {what} (rho <= 0 or p <= 0)")
+def _first_false(mask: np.ndarray) -> tuple:
+    """Index of the first False entry of a boolean mask, as plain ints."""
+    return tuple(map(int, np.argwhere(~mask)[0]))
 
 
 def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int) -> tuple:
@@ -113,9 +113,12 @@ def _sound_speed_unchecked(rho: np.ndarray, p: np.ndarray, gas: GasModel) -> np.
 def entropy_gradient(u, gas: GasModel) -> np.ndarray:
     """Gradient of the entropy with respect to the conserved variables."""
     u = np.asarray(u, dtype=float)
-    _check_admissible(u, gas)
+    e_int, ok = _energy_and_mask(u)
+    if not np.all(ok):
+        raise InadmissibleStateError(
+            f"inadmissible state (rho <= 0 or p <= 0) at index {_first_false(ok)}"
+        )
     rho, m, _ = _parts(u)
-    e_int = _internal_energy(u)
     q = _dot(m, m)
     grad = np.empty_like(u)
     grad[..., 0] = (
@@ -124,10 +127,6 @@ def entropy_gradient(u, gas: GasModel) -> np.ndarray:
     grad[..., 1:-1] = m / e_int[..., None]
     grad[..., -1] = -rho / e_int
     return grad
-
-
-def _dual_parts(lam: np.ndarray):
-    return lam[..., 0], lam[..., 1:-1], lam[..., -1]
 
 
 def dual_range_mask(lam, gas: GasModel) -> np.ndarray:
@@ -168,7 +167,7 @@ def _dual_state_parts(lam: np.ndarray, gas: GasModel):
     Returns (u, ile, log_neg, gm, g2, log_rho). This is the one formula for
     (rho, m, E): the states the flux sees are the states Newton matches.
     """
-    l_rho, l_m, l_en = _dual_parts(lam)
+    l_rho, l_m, l_en = _parts(lam)
     ile = -1.0 / l_en
     log_neg = np.log(-l_en)
     gm = l_m * ile[..., None]  # g_m = -l_m / l_E, also m / rho

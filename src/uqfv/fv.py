@@ -22,6 +22,7 @@ from .euler import (
     InadmissibleStateError,
     SolverError,
     _energy_and_mask,
+    _first_false,
     _flux_and_speeds,
     _sound_speed_unchecked,
 )
@@ -195,7 +196,9 @@ def global_wave_speeds(node_states, grid: StructuredGrid, gas: GasModel) -> tupl
     u = np.asarray(node_states, dtype=float)
     e_int, ok = _energy_and_mask(u)
     if not np.all(ok):
-        raise InadmissibleStateError("inadmissible state in wave-speed scan")
+        raise InadmissibleStateError(
+            f"inadmissible state in wave-speed scan at index {_first_false(ok)}"
+        )
     rho = u[..., 0]
     # the sound speed from the one energy the admissibility test used
     c = _sound_speed_unchecked(rho, (gas.gamma - 1.0) * e_int, gas)

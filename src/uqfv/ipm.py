@@ -15,6 +15,7 @@ results are bit-identical under any solve order and worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .euler import (
     SolverError,
     _dual_eval,
     _dual_to_state_unchecked,
+    _first_false,
     admissible_mask,
     dual_range_mask,
     entropy_gradient,
@@ -56,6 +58,14 @@ _CHUNK = 2048
 
 class DualSolveError(SolverError, RuntimeError):
     """Newton solve for the dual variables failed."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -113,8 +123,12 @@ def _solve_batch(
     bad = ~np.all(dual_range_mask(lam_nodes, gas), axis=-1)
     if np.any(bad):
         means = moments[bad, 0, :]
-        if not np.all(admissible_mask(means, gas)):
-            raise DualSolveError("unrealizable moments: inadmissible cell mean")
+        ok = admissible_mask(means, gas)
+        if not np.all(ok):
+            p = np.flatnonzero(bad)[_first_false(ok)[0]]
+            raise DualSolveError(
+                f"unrealizable moments: inadmissible cell mean at (cells..., element) {where(p)}"
+            )
         lam[bad] = 0.0
         lam[bad, 0, :] = entropy_gradient(means, gas)
         lam_nodes[bad] = basis.reconstruct(lam[bad])
@@ -203,15 +217,16 @@ def solve_duals(
     basis: GpcBasis,
     gas: GasModel,
     config: NewtonConfig | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> tuple[np.ndarray, DualSolveStats]:
     """Dual coefficients matching the given moments, per (cell, element).
 
     ``moments`` and ``warm_start`` share the layout (cells..., element,
     K+1, component); every problem is solved independently. The P problems
     are split into ceil(P / _CHUNK) chunks of equal size (within one); the
-    chunks depend on P only, and threads share them out, so results do not
-    depend on the worker count. An empty batch returns empty duals.
+    chunks depend on P only, and min(chunks, ``threads`` or the usable CPUs)
+    workers share them out, so results do not depend on the worker count.
+    An empty batch returns empty duals.
     """
     if config is None:
         config = NewtonConfig()
@@ -233,8 +248,9 @@ def solve_duals(
             lam[sl], mom[sl], basis, gas, config, shape, sl.start
         )
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(len(chunks), _usable_cpus() if threads is None else threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, chunks))
     else:
         for sl in chunks:
@@ -257,8 +273,12 @@ def initial_duals_from_states(node_states: np.ndarray, basis: GpcBasis, gas: Gas
 def dual_node_states(duals: np.ndarray, basis: GpcBasis, gas: GasModel) -> np.ndarray:
     """Admissible states mapped from the entropic expansion at the quadrature nodes."""
     lam_nodes = basis.reconstruct(duals)
-    if not np.all(dual_range_mask(lam_nodes, gas)):
-        raise DualSolveError("entropic variable leaves the dual range at a quadrature node")
+    ok = dual_range_mask(lam_nodes, gas)
+    if not np.all(ok):
+        raise DualSolveError(
+            "entropic variable leaves the dual range at a quadrature node, "
+            f"at (cells..., element, node) index {_first_false(ok)}"
+        )
     return _dual_to_state_unchecked(lam_nodes, gas)
 
 
@@ -270,7 +290,7 @@ def run_ipm(
     flux: str = "hll",
     newton: NewtonConfig | None = None,
     initial_duals: np.ndarray | None = None,
-    threads: int = 1,
+    threads: int | None = None,
     max_steps: int | None = None,
 ) -> RunResult:
     """Time loop of the multi-element entropy-closure moment method.
@@ -279,7 +299,8 @@ def run_ipm(
     FV update, then re-solve the duals warm-started from the previous step.
     ``initial_duals`` seeds the first solve, made in step 0. Without it the
     solve starts from zero duals, which it replaces by the constant entropic
-    ansatz of each cell mean. ``flux`` accepts only ``"hll"``.
+    ansatz of each cell mean. ``threads`` goes to ``solve_duals``, and
+    ``flux`` accepts only ``"hll"``.
     """
     _check_flux(flux)
     if newton is None:

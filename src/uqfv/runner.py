@@ -6,7 +6,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, parse_config
 from .fv import RunStats
 from .ipm import initial_duals_from_states, run_ipm
 from .problems import (
@@ -34,7 +34,7 @@ class RunReport:
     output_files: dict
 
 
-def run(config: RunConfig, output_dir=None, threads: int = 1) -> RunReport:
+def run(config: RunConfig, output_dir=None) -> RunReport:
     """Execute the configured experiment and write statistics and reports."""
     gas = make_gas(config.problem)
     grid = make_grid(config.grid, config.problem)
@@ -69,7 +69,6 @@ def run(config: RunConfig, output_dir=None, threads: int = 1) -> RunReport:
                 cfl=config.method.cfl,
                 newton=config.newton,
                 initial_duals=duals0,
-                threads=threads,
             )
         else:
             result = run_sg(
@@ -94,7 +93,7 @@ def run(config: RunConfig, output_dir=None, threads: int = 1) -> RunReport:
         err_e, err_v = relative_errors(statistics, reference)
         errors = {"errE_rho": float(err_e[0]), "errVar_rho": float(err_v[0])}
         errors_path = out / config.output.errors_csv
-        _write_errors_csv(errors_path, config, errors, stats)
+        errors_path.write_text(_ERRORS_HEADER + "\n" + _errors_row(config, errors, stats) + "\n")
         files["errors_csv"] = errors_path
 
     report_path = out / config.output.report
@@ -146,19 +145,13 @@ def _errors_row(config: RunConfig, errors: dict, stats: RunStats) -> str:
     )
 
 
-def _write_errors_csv(path, config: RunConfig, errors: dict, stats: RunStats):
-    path.write_text(_ERRORS_HEADER + "\n" + _errors_row(config, errors, stats) + "\n")
-
-
-def run_batch(config_paths, output_dir, threads: int = 1) -> list:
+def run_batch(config_paths, output_dir) -> list:
     """Run a list of configurations, each into its own subdirectory.
 
     Subdirectories are numbered by position to stay collision-free; runs
     with a configured reference contribute one row to a combined errors
     table at <output_dir>/errors.csv.
     """
-    from .config import parse_config
-
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -166,7 +159,7 @@ def run_batch(config_paths, output_dir, threads: int = 1) -> list:
     for i, path in enumerate(config_paths):
         config = parse_config(Path(path))
         sub = out / f"{i:02d}_{Path(path).stem}"
-        report = run(config, output_dir=sub, threads=threads)
+        report = run(config, output_dir=sub)
         reports.append(report)
         if report.errors is not None:
             rows.append(_errors_row(config, report.errors, report.stats))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GpcBasis
-from .euler import GasModel, InadmissibleStateError, SolverError, _dot, admissible_mask
+from .euler import GasModel, InadmissibleStateError, SolverError, _dot, _first_false, admissible_mask
 from .fv import (
     MomentField,
     RunResult,
@@ -170,10 +170,10 @@ def apply_limiter(
     if not config.enabled:
         return coeffs, np.zeros(cells_shape)
     means = coeffs[..., 0, :]
-    if not np.all(admissible_mask(means, gas)):
-        bad = np.argwhere(~admissible_mask(means, gas))
+    ok = admissible_mask(means, gas)
+    if not np.all(ok):
         raise InadmissibleStateError(
-            f"inadmissible cell mean at (cells..., element) index {tuple(map(int, bad[0]))}"
+            f"inadmissible cell mean at (cells..., element) index {_first_false(ok)}"
         )
     nodes = basis.reconstruct(coeffs)
     bad = ~np.all(admissible_mask(nodes, gas), axis=-1)

@@ -100,7 +100,7 @@ def test_basis_requires_discrete_orthonormality(kind, sizes):
     for degree in range(0, 11):
         for size in sizes:
             rule = build_quadrature(kind, size)
-            phi = eval_orthonormal_legendre(degree, rule.ref_nodes)
+            phi = eval_orthonormal_legendre(degree, rule.nodes)
             gram = np.einsum("kq,jq,q->kj", phi, phi, rule.weights)
             error = np.abs(gram - np.eye(degree + 1)).max()
             if error <= 1e-12:
@@ -118,7 +118,7 @@ def test_gauss_two_nodes_match_root_oracle():
     # roots of the degree-2 orthogonal polynomial via companion-matrix oracle
     roots = np.sort(np.roots([3.0 / 2.0, 0.0, -1.0 / 2.0]))
     rule = build_quadrature("gauss-legendre", 2)
-    np.testing.assert_allclose(np.sort(rule.ref_nodes), roots, atol=1e-14)
+    np.testing.assert_allclose(np.sort(rule.nodes), roots, atol=1e-14)
     np.testing.assert_allclose(rule.weights, [0.5, 0.5], atol=1e-15)
 
 
@@ -140,10 +140,12 @@ def test_clenshaw_curtis_weights_sum_to_one():
 
 
 def test_clenshaw_curtis_nested_exactly():
+    # nested on [-1, 1] and after the affine map into the element (0.25, 0.75)
+    def mapped(level):
+        return 0.5 + 0.25 * build_quadrature("clenshaw-curtis", level).nodes
+
     for level in range(4):
-        coarse = build_quadrature("clenshaw-curtis", level, element=(0.25, 0.75))
-        fine = build_quadrature("clenshaw-curtis", level + 1, element=(0.25, 0.75))
-        assert set(coarse.nodes.tolist()) <= set(fine.nodes.tolist())
+        assert set(mapped(level).tolist()) <= set(mapped(level + 1).tolist())
 
 
 def test_clenshaw_curtis_exactness():
@@ -155,13 +157,21 @@ def test_clenshaw_curtis_exactness():
 
 
 def test_unknown_quadrature_kind():
-    with pytest.raises(ValueError):
-        build_quadrature("simpson", 3)
+    # the INI aliases gauss and cc are normalised by the config parser only
+    for kind in ("simpson", "gauss", "cc"):
+        with pytest.raises(ValueError, match="unknown quadrature kind"):
+            build_quadrature(kind, 3)
+        with pytest.raises(ValueError, match="unknown quadrature kind"):
+            build_basis(build_partition(-1.0, 1.0, 1), 2, kind)
 
 
 def test_quadrature_nodes_mapped_into_element():
-    rule = build_quadrature("gauss-legendre", 8, element=(0.2, 0.4))
-    assert np.all(rule.nodes > 0.2) and np.all(rule.nodes < 0.4)
+    # each element carries the reference rule mapped affinely into it
+    basis = build_basis(build_partition(0.2, 0.6, 2), 3)
+    ref = basis.rule.nodes
+    np.testing.assert_allclose(basis.nodes, [0.3 + 0.1 * ref, 0.5 + 0.1 * ref], atol=1e-15)
+    for (lo, hi), nodes in zip([(0.2, 0.4), (0.4, 0.6)], basis.nodes):
+        assert np.all(nodes > lo) and np.all(nodes < hi)
 
 
 def test_project_constant():
@@ -234,7 +244,7 @@ def test_gauss_weights_match_leggauss_oracle():
     for n in range(1, 31):
         rule = build_quadrature("gauss-legendre", n)
         nodes, weights = np.polynomial.legendre.leggauss(n)
-        np.testing.assert_array_equal(rule.ref_nodes, nodes)
+        np.testing.assert_array_equal(rule.nodes, nodes)
         np.testing.assert_allclose(rule.weights, weights / 2.0, rtol=1e-12, atol=0.0)
         assert abs(rule.weights.sum() - 1.0) <= 1e-15
 
@@ -249,7 +259,7 @@ def test_gauss_rule_annihilates_nonconstant_basis_functions():
     # weights: 1.3e-14).
     for n in range(1, 31):
         rule = build_quadrature("gauss-legendre", n)
-        phi = eval_orthonormal_legendre(2 * n - 1, rule.ref_nodes)
+        phi = eval_orthonormal_legendre(2 * n - 1, rule.nodes)
         for k in range(1, 2 * n):
             bound = 1e-15 if k <= (n - 1) // 2 else 4e-15
             assert abs(math.fsum(rule.weights * phi[k])) <= bound, (n, k)

@@ -1,12 +1,17 @@
-"""The benchmark's traced run wraps uqfv names from outside; they must exist.
+"""The benchmark calls uqfv from outside; the names and call shapes it uses must hold.
 
 ``bench/layers.py`` wraps module-level names (``uqfv.sg.apply_limiter``,
-``uqfv.ipm._dual_eval``, ...) by ``getattr``; a refactor that drops or moves
-one of them breaks ``bench/run.py --trace 1`` without failing any solver test.
+``uqfv.ipm._dual_eval``, ...) by ``getattr``, and ``bench/workloads.py``
+passes keywords (``flux=``, ``threads=``) that no solver test passes; a
+refactor that drops or moves one of them breaks ``bench/run.py`` without
+failing any solver test.
 """
 
+import inspect
 import sys
 from pathlib import Path
+
+import uqfv
 
 # appended, not prepended: bench/conftest.py must not shadow tests/conftest.py
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -21,3 +26,17 @@ def test_every_traced_name_exists():
         if not hasattr(owner, attr)
     ]
     assert missing == []
+
+
+def test_bench_call_shapes_bind():
+    # the positional counts and keywords of the calls in bench/workloads.py
+    x = object()
+    calls = [
+        (uqfv.run_ipm, 3, ("cfl", "flux", "newton", "initial_duals", "threads")),
+        (uqfv.run_sg, 3, ("cfl", "flux", "filter_config")),
+        (uqfv.solve_duals, 6, ()),
+        (uqfv.sod_reference_on_grid, 9, ()),
+        (uqfv.collocation_reference, 4, ("cfl", "n_nodes", "flux", "threads")),
+    ]
+    for fn, positional, keywords in calls:
+        inspect.signature(fn).bind(*[x] * positional, **dict.fromkeys(keywords, x))

@@ -229,6 +229,39 @@ t_end = 0.1
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "preset, line, message",
+    [
+        ("sod_1d", "rho_l = -1.0", "rho_l must be positive, got -1.0"),
+        ("sod_1d", "rho_r = 0", "rho_r must be positive, got 0.0"),
+        ("sod_1d", "e_l = nan", "e_l must be positive, got nan"),
+        ("riemann_2d", "e_r = -0.25", "e_r must be positive, got -0.25"),
+        ("custom_1d", "pressure = 0", "pressure must be positive, got 0.0"),
+        # rho0 - |amplitude| (1 + |xi_coupling|) = 0.05 - 0.1 * 1.5
+        ("custom_1d", "rho0 = 0.05", r"\(1 \+ \|xi_coupling\|\) must be positive, got -0.1"),
+        ("custom_1d", "amplitude = -0.8", r"\(1 \+ \|xi_coupling\|\) must be positive, got -0.2"),
+        ("custom_1d", "xi_coupling = -9", r"\(1 \+ \|xi_coupling\|\) must be positive, got 0.0"),
+    ],
+)
+def test_inadmissible_problem_data_rejected(preset, line, message):
+    # every initial state, at every x and xi in [-1, 1], must be admissible
+    text = MINIMAL_SOD.replace("sod_1d", f"{preset}\n{line}")
+    text = text.replace("nx = 50", "nx = 50\nny = 4" if preset == "riemann_2d" else "nx = 50")
+    text += "" if preset == "sod_1d" else "t_end = 0.1\n"
+    with pytest.raises(ConfigError, match=r"^\[problem\] .*" + message):
+        parse_config(text)
+
+
+def test_custom_density_bump_just_positive_accepted():
+    # the lowest density 1 - 0.6 (1 + 0.5) = 0.1 keeps the data admissible
+    text = MINIMAL_SOD.replace("sod_1d", "custom_1d\namplitude = -0.6") + "t_end = 0.1\n"
+    problem = parse_config(text).problem
+    grid = grid_1d(50, 0.0, 1.0)
+    basis = build_basis(build_partition(-1.0, 1.0, 3), 4)
+    field = project_initial_data(make_initial(problem), grid, basis)
+    assert np.all(field.coeffs[..., 0, 0] > 0.0)
+
+
 def test_negative_t_end_rejected():
     text = MINIMAL_SOD.replace("name = me_hsg", "name = me_hsg\nt_end = -1.0")
     with pytest.raises(ConfigError, match="t_end"):

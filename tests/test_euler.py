@@ -217,6 +217,15 @@ def test_flux_and_wave_speed_reject_inadmissible():
         oracles.entropy(bad, GAS)
 
 
+def test_entropy_gradient_names_first_inadmissible_state():
+    u = np.tile(SOD_L, (2, 4, 1))
+    u[1, 2] = [1.0, 2.0, 1.0]  # negative pressure
+    u[1, 3] = [-1.0, 0.0, 2.5]
+    message = r"^inadmissible state \(rho <= 0 or p <= 0\) at index \(1, 2\)$"
+    with pytest.raises(InadmissibleStateError, match=message):
+        entropy_gradient(u, GAS)
+
+
 @st.composite
 def admissible_states(draw, ndim=None):
     """Up to 16 random 1D or 2D states: rho and p in [0.1, 10], |v_i| <= 1.

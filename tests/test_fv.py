@@ -121,7 +121,9 @@ def test_global_wave_speeds_match_max_wave_speed(ndim):
 def test_global_wave_speeds_rejects_inadmissible(bad):
     states = np.tile(SOD_L, (6, 1))
     states[3] = bad
-    with pytest.raises(InadmissibleStateError, match=r"^inadmissible state in wave-speed scan$"):
+    states[5] = bad
+    message = r"^inadmissible state in wave-speed scan at index \(3,\)$"
+    with pytest.raises(InadmissibleStateError, match=message):
         global_wave_speeds(states, grid_1d(6, 0.0, 1.0), GAS)
 
 

@@ -187,6 +187,56 @@ def test_solve_duals_thread_count_invariant(monkeypatch):
         )
 
 
+def test_solve_duals_workers_default_to_chunks_and_cpus(monkeypatch):
+    # 32 problems in 4 chunks; the pool gets min(chunks, CPUs) workers, or
+    # min(chunks, threads) when threads is given, and none for one worker
+    import uqfv.ipm as ipm_mod
+
+    basis = build_basis(build_partition(-1, 1, 2), 3)
+    grid = grid_1d(16, 0.0, 1.0)
+    field = project_initial_data(sod_initial, grid, basis)
+    warm = initial_duals_from_states(
+        initial_node_states(sod_initial, grid, basis), basis, GAS
+    )
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ipm_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ipm_mod, "_CHUNK", 10)
+    cases = [(1, None, []), (3, None, [3]), (8, None, [4]), (8, 2, [2]), (1, 8, [4])]
+    for cpus, threads, expected in cases:
+        monkeypatch.setattr(ipm_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+        pools.clear()
+        solve_duals(field.coeffs, warm, basis, GAS, threads=threads)
+        assert pools == expected, (cpus, threads)
+
+
+def test_usable_cpus_follows_affinity_else_cpu_count(monkeypatch):
+    import os
+
+    import uqfv.ipm as ipm_mod
+
+    if hasattr(os, "sched_getaffinity"):
+        assert ipm_mod._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert ipm_mod._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ipm_mod._usable_cpus() == 1
+
+
 def test_solve_duals_empty_batch():
     basis = build_basis(build_partition(-1, 1, 3), 2)
     moments = np.zeros((0, 3, 3, 3))
@@ -197,13 +247,21 @@ def test_solve_duals_empty_batch():
     assert stats.per_problem_residuals.shape == (0, 3)
 
 
-def test_solve_duals_unrealizable_mean_raises():
-    basis = build_basis(build_partition(-1, 1, 1), 1)
-    moments = np.zeros((1, 1, 2, 3))
-    moments[0, 0, 0] = [-1.0, 0.0, 2.5]
+def test_solve_duals_unrealizable_mean_raises(monkeypatch):
+    # 12 problems in chunks of 4; the bad mean of problem 7 sits in the
+    # second chunk, and its (cell, element) index counts the chunk offset
+    import uqfv.ipm as ipm_mod
+
+    monkeypatch.setattr(ipm_mod, "_CHUNK", 5)
+    basis = build_basis(build_partition(-1, 1, 3), 1)
+    moments = np.zeros((4, 3, 2, 3))
+    moments[..., 0, :] = SOD_L
+    moments[2, 1, 0] = [-1.0, 0.0, 2.5]
+    moments[3, 0, 0] = [-1.0, 0.0, 2.5]
     warm = np.full_like(moments, np.nan)
-    with pytest.raises(DualSolveError):
-        solve_duals(moments, warm, basis, GAS)
+    message = r"^unrealizable moments: inadmissible cell mean at \(cells\.\.\., element\) \(2, 1\)$"
+    with pytest.raises(DualSolveError, match=message):
+        solve_duals(moments, warm, basis, GAS, threads=1)
 
 
 def test_ipm_update_constant_field_unchanged():
@@ -288,6 +346,19 @@ def test_run_ipm_mass_conservation_periodic():
 
     drift = abs(total_mass(result.field.coeffs) - total_mass(field.coeffs))
     assert drift < 1e-11
+
+
+def test_dual_node_states_names_first_node_out_of_range():
+    # the energy dual -0.4 + 0.3 sqrt(3) t of block (1, 1) turns positive
+    # for t > 0.77, so at the last of its 4 Gauss nodes (t = 0.86) only
+    basis = build_basis(build_partition(-1, 1, 2), 1)
+    duals = np.zeros((3, 2, 2, 3))
+    duals[..., 0, :] = entropy_gradient(SOD_L, GAS)
+    duals[1, 1, 1, -1] = 0.3
+    duals[2, 0, 0, -1] = 1.0
+    message = r"dual range at a quadrature node, at \(cells\.\.\., element, node\) index \(1, 1, 3\)$"
+    with pytest.raises(DualSolveError, match=message):
+        dual_node_states(duals, basis, GAS)
 
 
 def test_dual_node_states_always_admissible():

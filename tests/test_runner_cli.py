@@ -122,15 +122,18 @@ t_end = 0.02
 
 
 def test_run_me_ipm_threads_bit_identical(tmp_path, monkeypatch):
+    # 60 dual problems in 4 chunks, solved on 1 and on 4 workers, as the
+    # count of usable CPUs decides
     import uqfv.ipm as ipm_mod
 
     monkeypatch.setattr(ipm_mod, "_CHUNK", 16)
     text = CUSTOM_PERIODIC.replace("name = me_hsg", "name = me_ipm")
     cfg = parse_config(text)
-    run(cfg, output_dir=tmp_path / "t1", threads=1)
-    run(cfg, output_dir=tmp_path / "t4", threads=4)
-    assert (tmp_path / "t1" / "stats.csv").read_bytes() == (
-        tmp_path / "t4" / "stats.csv"
+    for cpus in (1, 4):
+        monkeypatch.setattr(ipm_mod, "_usable_cpus", lambda cpus=cpus: cpus)
+        run(cfg, output_dir=tmp_path / f"cpus{cpus}")
+    assert (tmp_path / "cpus1" / "stats.csv").read_bytes() == (
+        tmp_path / "cpus4" / "stats.csv"
     ).read_bytes()
 
 
@@ -163,8 +166,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             SOD_SMALL.replace("me_hsg", "me_ipm") + "[newton]\nmax_halvings = -3\n",
             "[newton] newton max_halvings must be >= 0, got -3",
         ),
+        (
+            SOD_SMALL.replace("sod_1d", "sod_1d\nrho_l = -1.0").replace("me_hsg", "me_ipm"),
+            "[problem] rho_l must be positive, got -1.0",
+        ),
+        (
+            CUSTOM_PERIODIC.replace("custom_1d", "custom_1d\nrho0 = 0.05"),
+            "[problem] rho0 - |amplitude| (1 + |xi_coupling|) must be positive, got -0.1",
+        ),
     ],
-    ids=["empty-extent", "negative-halvings"],
+    ids=["empty-extent", "negative-halvings", "negative-density", "custom-density-dip"],
 )
 def test_cli_rejects_before_running(tmp_path, capsys, text, message):
     # the parser refuses these, so the CLI exits 2 and creates no output
@@ -194,23 +205,13 @@ def test_cli_missing_config_exit_code(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_threads_env(tmp_path, monkeypatch, capsys):
+def test_cli_has_no_threads_option(tmp_path, capsys):
     config_path = tmp_path / "run.ini"
     config_path.write_text(CUSTOM_PERIODIC)
-    monkeypatch.setenv("UQFV_THREADS", "2")
-    code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
-    assert code == 0
-
-
-@pytest.mark.parametrize("value", ["abc", ""], ids=["letters", "empty"])
-def test_cli_threads_env_not_an_integer(tmp_path, monkeypatch, capsys, value):
-    config_path = tmp_path / "run.ini"
-    config_path.write_text(CUSTOM_PERIODIC)
-    monkeypatch.setenv("UQFV_THREADS", value)
-    code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
-    assert code == 2
-    assert f"error: UQFV_THREADS must be an integer, got {value!r}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_cli_batch_combined_errors(tmp_path, capsys):

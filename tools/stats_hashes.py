@@ -6,9 +6,7 @@
 Each config runs through ``uqfv.runner.run`` (the path ``uqfv run`` takes)
 into a temporary directory, with the ``src/`` tree of the checkout this
 script sits in. Sod runs use 400 cells up to t = 0.14; ``riemann_2d`` runs
-48 x 48 cells up to t = 0.1. A config runs on one thread unless ``THREADS``
-names it: ``riemann_2d_me_ipm`` solves its 6912 dual problems in several
-chunks on two threads. One line per config: name, the hash of its
+48 x 48 cells up to t = 0.1. One line per config: name, the hash of its
 ``stats.csv``, steps, Newton iterations, and for a config with a reference
 (``me_hsg_exact_sod``) the density's errE and errVar to 17 digits.
 Comparing two checkouts' output shows whether a change kept the outputs
@@ -51,8 +49,6 @@ CONFIGS = {
     "riemann_2d_me_hsg": RIEMANN_2D + _method("me_hsg", 3, 4, t_end=0.1),
     "riemann_2d_me_ipm": RIEMANN_2D + _method("me_ipm", 3, 4, t_end=0.1),
 }
-# worker threads per config; the rest run on one
-THREADS = {"riemann_2d_me_ipm": 2}
 
 
 def main(names: list[str]) -> int:
@@ -62,9 +58,7 @@ def main(names: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or CONFIGS:
-            report = run(
-                parse_config(CONFIGS[name]), Path(tmp) / name, THREADS.get(name, 1)
-            )
+            report = run(parse_config(CONFIGS[name]), Path(tmp) / name)
             digest = hashlib.sha256(report.output_files["stats_csv"].read_bytes()).hexdigest()
             stats = report.stats
             line = f"{name:18s} {digest} steps={stats.steps} newton={stats.newton_iterations}"
