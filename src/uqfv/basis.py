@@ -223,9 +223,9 @@ def build_basis(
 ) -> GpcBasis:
     """Basis with its quadrature; default rule is Gauss with 2*(degree+1) nodes."""
     if quad_count is None:
-        quad_count = 2 * (degree + 1) if quad_kind == "gauss-legendre" else 0
+        quad_count = 2 * (degree + 1)
         if quad_kind == "clenshaw-curtis":
             # smallest level with at least 2*(degree+1) points
-            quad_count = int(np.ceil(np.log2(max(2 * (degree + 1) - 1, 1))))
+            quad_count = int(np.ceil(np.log2(max(quad_count - 1, 1))))
     rule = build_quadrature(quad_kind, quad_count)
     return GpcBasis(partition, degree, rule)

@@ -152,8 +152,11 @@ def entropy_gradient_inverse(lam, gas: GasModel) -> np.ndarray:
     dual lies outside the gradient's range (l_E >= 0 or non-finite input).
     """
     lam = np.asarray(lam, dtype=float)
-    if not np.all(dual_range_mask(lam, gas)):
-        raise DualRangeError("dual vector outside the entropy-gradient range")
+    ok = dual_range_mask(lam, gas)
+    if not np.all(ok):
+        raise DualRangeError(
+            f"dual vector outside the entropy-gradient range at index {_first_false(ok)}"
+        )
     return _dual_to_state_unchecked(lam, gas)
 
 

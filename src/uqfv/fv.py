@@ -151,16 +151,9 @@ class MomentField:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("moment field holds non-finite entries")
 
-    @property
-    def n_components(self) -> int:
-        return self.coeffs.shape[-1]
-
     def node_states(self) -> np.ndarray:
         """Reconstructed states at each quadrature node (cells..., L, Q, d)."""
         return self.basis.reconstruct(self.coeffs)
-
-    def copy(self) -> "MomentField":
-        return MomentField(self.grid, self.basis, self.coeffs.copy())
 
 
 def _check_flux(flux: str) -> None:

@@ -105,9 +105,9 @@ def _solve_batch(
 ):
     """Newton with line search on a (P, K+1, d) batch; modifies lam in place.
 
-    Map evaluations from the line search are cached (conjugate values,
-    Jacobians, residuals), so each Newton iteration evaluates the inverse
-    map once per trial and never re-evaluates accepted iterates.
+    The start and every trial go through ``evaluate``, one map evaluation
+    each; the solve keeps the Jacobian, objective and residual of each
+    problem's current iterate, so an accepted trial is never evaluated again.
     """
     phi, w = basis.phi, basis.rule.weights
     n_prob, k1, d = lam.shape
@@ -117,6 +117,17 @@ def _solve_batch(
 
     def where(p):
         return tuple(map(int, np.unravel_index(p + offset, shape)))
+
+    def evaluate(duals, duals_nodes, mom):
+        """(jac, obj, res, rn) at in-range duals: the dual objective s* . w - duals . mom,
+        the moment residual and its max-norm; a non-finite obj or rn reads inf."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            u, sstar, jac = _dual_eval(duals_nodes, gas)
+            res = mom - basis.project(u)
+            obj = sstar @ w - np.einsum("pkd,pkd->p", duals, mom)
+        rn = np.max(np.abs(res.reshape(-1, n)), axis=1)
+        obj, rn = (np.where(np.isfinite(a), a, np.inf) for a in (obj, rn))
+        return jac, obj, res, rn
 
     # invalid warm starts fall back to the constant entropic ansatz of the mean
     lam_nodes = basis.reconstruct(lam)
@@ -133,10 +144,7 @@ def _solve_batch(
         lam[bad, 0, :] = entropy_gradient(means, gas)
         lam_nodes[bad] = basis.reconstruct(lam[bad])
 
-    u, sstar, jac = _dual_eval(lam_nodes, gas)
-    sstar_w = sstar @ w
-    res = moments - basis.project(u)
-    rn = np.max(np.abs(res.reshape(n_prob, -1)), axis=1)
+    jac, obj, res, rn = evaluate(lam, lam_nodes, moments)
     active = np.flatnonzero(rn > cfg.tol)
 
     while active.size:
@@ -148,22 +156,20 @@ def _solve_batch(
                 f"did not reach tol={cfg.tol:g} within {cfg.max_iter} iterations "
                 f"(residual {rn[p]:.3e})"
             )
-        la = lam[active]
-        mo = moments[active]
-        hess = np.einsum("xq,pqab->pxab", w2, jac[active]).reshape(
-            active.size, k1, k1, d, d
-        )
+        hess = np.einsum("xq,pqab->pxab", w2, jac[active]).reshape(active.size, k1, k1, d, d)
         hess = hess.transpose(0, 1, 3, 2, 4).reshape(active.size, n, n)
-        delta = np.linalg.solve(hess, res[active].reshape(active.size, n, 1))
-        delta = delta.reshape(la.shape)
+        try:
+            delta = np.linalg.solve(hess, res[active].reshape(active.size, n, 1))
+        except np.linalg.LinAlgError:
+            # slogdet factors each matrix as solve does; sign 0 marks a singular one
+            p = active[np.flatnonzero(np.linalg.slogdet(hess)[0] == 0.0)[0]]
+            msg = f"singular Newton matrix at (cells..., element) {where(p)}"
+            raise DualSolveError(msg) from None
+        delta = delta.reshape(active.size, k1, d)
         if not np.all(np.isfinite(delta)):
             broken = ~np.all(np.isfinite(delta.reshape(active.size, -1)), axis=1)
             p = active[np.flatnonzero(broken)[0]]
-            raise DualSolveError(
-                f"non-finite Newton direction at (cells..., element) {where(p)}"
-            )
-        obj0 = sstar_w[active] - np.einsum("pkd,pkd->p", la, mo)
-        rn0 = rn[active]
+            raise DualSolveError(f"non-finite Newton direction at (cells..., element) {where(p)}")
 
         step = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
@@ -171,41 +177,26 @@ def _solve_batch(
             todo = np.flatnonzero(~accepted)
             if todo.size == 0:
                 break
-            cand = la[todo] + step[todo, None, None] * delta[todo]
+            cand = lam[active[todo]] + step[todo, None, None] * delta[todo]
             cand_nodes = basis.reconstruct(cand)
-            valid = np.all(dual_range_mask(cand_nodes, gas), axis=-1)
-            obj = np.full(todo.size, np.inf)
-            rn_c = np.full(todo.size, np.inf)
-            if np.any(valid):
-                mo_v = mo[todo[valid]]
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    u_v, sstar_v, jac_v = _dual_eval(cand_nodes[valid], gas)
-                    sw_v = sstar_v @ w
-                    res_v = mo_v - basis.project(u_v)
-                    obj_v = sw_v - np.einsum("pkd,pkd->p", cand[valid], mo_v)
-                rn_v = np.max(np.abs(res_v.reshape(res_v.shape[0], -1)), axis=1)
-                obj[valid] = np.where(np.isfinite(obj_v), obj_v, np.inf)
-                rn_c[valid] = np.where(np.isfinite(rn_v), rn_v, np.inf)
+            inside = np.all(dual_range_mask(cand_nodes, gas), axis=-1)
+            step[todo[~inside]] *= 0.5
+            todo, cand = todo[inside], cand[inside]
+            rows = active[todo]
+            t_jac, t_obj, t_res, t_rn = evaluate(cand, cand_nodes[inside], moments[rows])
             # objective decrease governs globally; near roundoff that decrease
             # is unresolvable while the residual norm still falls along the
             # SPD-Hessian Newton direction
-            ok = (obj <= obj0[todo]) | (rn_c <= rn0[todo])
-            if np.any(ok):
-                gidx = active[todo[ok]]
-                # acceptance implies validity; map it through the valid subset
-                ok_in_valid = ok[valid]
-                lam[gidx] = cand[ok]
-                jac[gidx] = jac_v[ok_in_valid]
-                sstar_w[gidx] = sw_v[ok_in_valid]
-                res[gidx] = res_v[ok_in_valid]
-                rn[gidx] = rn_v[ok_in_valid]
-                accepted[todo[ok]] = True
+            ok = (t_obj <= obj[rows]) | (t_rn <= rn[rows])
             step[todo[~ok]] *= 0.5
+            accepted[todo[ok]] = True
+            rows = rows[ok]
+            lam[rows], jac[rows], obj[rows], res[rows], rn[rows] = (
+                cand[ok], t_jac[ok], t_obj[ok], t_res[ok], t_rn[ok]
+            )
         if not np.all(accepted):
             p = active[np.flatnonzero(~accepted)[0]]
-            raise DualSolveError(
-                f"line search stalled at (cells..., element) {where(p)}"
-            )
+            raise DualSolveError(f"line search stalled at (cells..., element) {where(p)}")
         iters[active] += 1
         active = active[rn[active] > cfg.tol]
     return iters, rn
@@ -303,8 +294,6 @@ def run_ipm(
     ``flux`` accepts only ``"hll"``.
     """
     _check_flux(flux)
-    if newton is None:
-        newton = NewtonConfig()
     grid, basis = initial.grid, initial.basis
     mom = initial.coeffs.copy()
     lam = None

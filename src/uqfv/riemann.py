@@ -145,8 +145,12 @@ def solve_riemann(left, right, gas: GasModel, tol: float = 1e-12) -> RiemannSolu
     right = np.asarray(right, dtype=float)
     if left.shape != (3,) or right.shape != (3,):
         raise ValueError("solve_riemann expects 1D conserved states (rho, m, E)")
-    if not (is_admissible(left, gas) and is_admissible(right, gas)):
-        raise InadmissibleStateError("Riemann data must be admissible")
+    for side, state in (("left", left), ("right", right)):
+        if not is_admissible(state, gas):
+            raise InadmissibleStateError(
+                f"Riemann data must be admissible: {side} state {state.tolist()} "
+                "has rho <= 0 or p <= 0"
+            )
     gamma = gas.gamma
     rho_l, v_l, p_l = _primitives(left, gas)
     rho_r, v_r, p_r = _primitives(right, gas)

@@ -28,7 +28,8 @@ PUBLIC = {
 }
 
 # test-only duplicates, test-only entropy maps and Euler kernels, test-only
-# options and the Lax-Friedrichs flux, deleted or moved to tests/oracles.py;
+# options, the Lax-Friedrichs flux and uncalled methods, deleted or moved to
+# tests/oracles.py;
 # a dotted name is an attribute of a class in the module
 REMOVED = {
     "basis": ("QuadratureRule.integrate", "QuadratureRule.ref_nodes",
@@ -37,7 +38,8 @@ REMOVED = {
               "entropy", "_entropy_unchecked", "entropy_hessian", "pressure",
               "_pressure_unchecked", "physical_flux", "max_wave_speed"),
     "fv": ("hll_flux", "lax_friedrichs_flux", "_lf_unchecked", "extend_moments",
-           "_dirichlet_moments", "MomentField.cell_means"),
+           "_dirichlet_moments", "MomentField.cell_means", "MomentField.copy",
+           "MomentField.n_components"),
     "ipm": ("dual_residual", "dual_hessian", "ipm_update"),
     "sg": ("limiter_theta", "filter_gain", "sg_update"),
     "stats": ("_window_mask",),

@@ -11,6 +11,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import uqfv
 
 # appended, not prepended: bench/conftest.py must not shadow tests/conftest.py
@@ -40,3 +42,17 @@ def test_bench_call_shapes_bind():
     ]
     for fn, positional, keywords in calls:
         inspect.signature(fn).bind(*[x] * positional, **dict.fromkeys(keywords, x))
+
+
+def test_solve_duals_result_has_the_fields_bench_reads():
+    # bench/workloads.py unpacks ``lam, stats``; bench/layers.py reads these stats
+    gas = uqfv.GasModel(1.4)
+    basis = uqfv.build_basis(uqfv.build_partition(-1.0, 1.0, 2), 1)
+    moments = np.zeros((3, 2, 2, 3))
+    moments[..., 0, :] = [1.0, 0.0, 2.5]
+    lam, stats = uqfv.solve_duals(moments, np.zeros_like(moments), basis, gas)
+    assert lam.shape == moments.shape
+    assert stats.iterations >= 0
+    assert stats.max_iterations_single >= 0
+    assert stats.max_residual <= uqfv.NewtonConfig().tol
+    assert stats.per_problem_iterations.shape == (3, 2)

@@ -188,6 +188,13 @@ def test_gradient_inverse_rejects_out_of_range():
         entropy_gradient_inverse(lam, GAS)
 
 
+def test_gradient_inverse_names_first_row_out_of_range():
+    lam = np.tile(entropy_gradient(SOD_L, GAS), (3, 1))
+    lam[2, -1] = 1.0
+    with pytest.raises(DualRangeError, match=r"entropy-gradient range at index \(2,\)$"):
+        entropy_gradient_inverse(lam, GAS)
+
+
 def test_dual_jacobian_spd_and_matches_finite_differences():
     lam = entropy_gradient(SOD_L, GAS)
     jac = _dual_eval(lam, GAS)[2]

@@ -1,10 +1,17 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+import uqfv.ipm as ipm_mod
 from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, entropy_gradient
-from uqfv.fv import deterministic_solve, grid_1d, moment_flux_divergence
+from uqfv.fv import MomentField, deterministic_solve, grid_1d, moment_flux_divergence
 from uqfv.ipm import (
     DualSolveError,
     NewtonConfig,
@@ -262,6 +269,104 @@ def test_solve_duals_unrealizable_mean_raises(monkeypatch):
     message = r"^unrealizable moments: inadmissible cell mean at \(cells\.\.\., element\) \(2, 1\)$"
     with pytest.raises(DualSolveError, match=message):
         solve_duals(moments, warm, basis, GAS, threads=1)
+
+
+def sod_block_with_warm_l_rho(l_rho):
+    """Sod moments on 2 cells, 1 element, degree 2; cell 1's warm start has l_rho."""
+    basis = build_basis(build_partition(-1, 1, 1), 2)
+    moments = np.zeros((2, 1, 3, 3))
+    moments[..., 0, :] = SOD_L
+    warm = np.zeros_like(moments)
+    warm[..., 0, :] = entropy_gradient(SOD_L, GAS)
+    warm[1, 0, 0, 0] = l_rho
+    return basis, moments, warm
+
+
+def test_solve_duals_overflowing_warm_start_is_unconverged():
+    # l_rho = 1e3 lies in the dual range, but rho = exp(2500) overflows: the
+    # residual is not finite, reads inf, and the Newton step cannot be formed
+    basis, moments, warm = sod_block_with_warm_l_rho(1e3)
+    message = r"^non-finite Newton direction at \(cells\.\.\., element\) \(1, 0\)$"
+    with pytest.raises(DualSolveError, match=message):
+        solve_duals(moments, warm, basis, GAS)
+
+
+def test_solve_duals_singular_newton_matrix_is_located():
+    # l_rho = -1e4 underflows the density to 0, so cell 1's Hessian is zero
+    basis, moments, warm = sod_block_with_warm_l_rho(-1e4)
+    message = r"^singular Newton matrix at \(cells\.\.\., element\) \(1, 0\)$"
+    with pytest.raises(DualSolveError, match=message):
+        solve_duals(moments, warm, basis, GAS)
+    field = MomentField(grid_1d(2, 0.0, 1.0), basis, moments)
+    with pytest.raises(DualSolveError, match=r"^step 0: singular Newton matrix .*\(1, 0\)$"):
+        run_ipm(field, GAS, 0.01, initial_duals=warm)
+
+
+def realizable_block(unit, basis, ndim):
+    """Moments of smooth admissible node states, one profile per problem.
+
+    ``unit`` holds 7 numbers in [0, 1] per problem (cells..., element): density
+    and pressure levels, a tanh front's height, steepness and position on
+    [-1, 1], and two velocity levels.
+    """
+    u = np.moveaxis(unit, -1, 0)[..., None]
+    xi = basis.nodes
+    front = 0.9 * (2.0 * u[2] - 1.0) * np.tanh((1.0 + 19.0 * u[3]) * (xi - (2.0 * u[4] - 1.0)))
+    rho = (0.05 + 4.0 * u[0]) * (1.0 + front)
+    p = (0.05 + 4.0 * u[1]) * (1.0 - 0.5 * front)
+    v = 3.0 * (2.0 * u[5:5 + ndim] - 1.0) * (1.0 + 0.3 * np.sin(3.0 * xi))
+    states = np.stack([rho, *(rho * v), p / (GAS.gamma - 1.0) + 0.5 * rho * np.sum(v * v, 0)], -1)
+    return basis.project(states), states
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    ndim=st.sampled_from([1, 2]),
+    n_elements=st.integers(1, 3),
+    degree=st.integers(0, 4),
+    warm_from_states=st.booleans(),
+    data=st.data(),
+)
+def test_solve_duals_property_converges_or_fails_located(
+    ndim, n_elements, degree, warm_from_states, data
+):
+    # every realizable block reaches tol or raises a DualSolveError naming a
+    # (cells..., element) block inside it; duals and per-problem stats do not
+    # depend on the thread count
+    basis = build_basis(build_partition(-1, 1, n_elements), degree)
+    cells = (3,) if ndim == 1 else (2, 2)
+    unit = data.draw(
+        hnp.arrays(float, cells + (n_elements, 7), elements=st.floats(0.0, 1.0))
+    )
+    moments, states = realizable_block(unit, basis, ndim)
+    if warm_from_states:
+        warm = initial_duals_from_states(states, basis, GAS)
+    else:
+        warm = np.zeros_like(moments)
+    cfg = NewtonConfig()
+    outcomes = []
+    with mock.patch.object(ipm_mod, "_CHUNK", 2):
+        for threads in (1, 2):
+            try:
+                outcomes.append(solve_duals(moments, warm, basis, GAS, cfg, threads))
+            except DualSolveError as exc:
+                outcomes.append(str(exc))
+    one, two = outcomes
+    if isinstance(one, str):
+        assert two == one
+        where = re.search(r"\(cells\.\.\., element\) \(([\d, ]+)\)", one)
+        assert where, one
+        index = tuple(int(i) for i in where.group(1).split(","))
+        assert len(index) == len(cells) + 1
+        assert all(0 <= i < n for i, n in zip(index, cells + (n_elements,)))
+        return
+    (lam1, stats1), (lam2, stats2) = one, two
+    assert stats1.max_residual <= cfg.tol
+    assert np.all(stats1.per_problem_residuals <= cfg.tol)
+    assert np.all(np.isfinite(lam1))
+    np.testing.assert_array_equal(lam2, lam1)
+    np.testing.assert_array_equal(stats2.per_problem_iterations, stats1.per_problem_iterations)
+    np.testing.assert_array_equal(stats2.per_problem_residuals, stats1.per_problem_residuals)
 
 
 def test_ipm_update_constant_field_unchanged():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import physical_flux
-from uqfv.euler import GasModel
+from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv.fv import grid_1d
 from uqfv.riemann import (
     VacuumError,
@@ -158,6 +158,14 @@ def test_evaluator_limits():
     sol = solve_riemann(SOD_L, SOD_R, GAS)
     np.testing.assert_array_equal(sol.sample(np.array([-1e12]))[0], SOD_L)
     np.testing.assert_array_equal(sol.sample(np.array([1e12]))[0], SOD_R)
+
+
+def test_inadmissible_data_names_the_side():
+    bad = np.array([1.0, 2.0, 1.0])  # p = 0.4 * (1 - 2) < 0
+    with pytest.raises(InadmissibleStateError, match=r"right state \[1\.0, 2\.0, 1\.0\]"):
+        solve_riemann(np.array([1.0, 0.0, 2.5]), bad, GAS)
+    with pytest.raises(InadmissibleStateError, match=r"left state \[1\.0, 2\.0, 1\.0\]"):
+        solve_riemann(bad, SOD_R, GAS)
 
 
 def test_vacuum_detection():
