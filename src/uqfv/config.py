@@ -314,6 +314,12 @@ def _parse_output(s: _Section, problem: ProblemSpec) -> OutputSpec:
         raise ConfigError(f"[output] unknown reference {spec.reference!r}")
     if spec.reference == "exact_sod" and problem.preset != "sod_1d":
         raise ConfigError("[output] reference exact_sod requires the sod_1d preset")
+    # errors are relative to the reference's variance, which vanishes when one
+    # of these is 0 and the data carry no uncertainty
+    spreads = ("amplitude", "xi_coupling") if problem.preset == "custom_1d" else ("sigma",)
+    for key in spreads:
+        if spec.reference != "none" and getattr(problem, key) == 0.0:
+            raise ConfigError(f"[output] reference {spec.reference} needs uncertain data, got {key} = 0")
     if spec.reference_nodes < 1:
         raise ConfigError(f"[output] reference_nodes must be >= 1, got {spec.reference_nodes}")
     if spec.reference_subcells < 1:

@@ -10,6 +10,7 @@ per node, and the flux differences are projected back onto the basis.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -90,25 +91,18 @@ class StructuredGrid:
 
     @property
     def cell_volume(self) -> float:
-        vol = 1.0
-        for d in self.deltas:
-            vol *= d
-        return vol
+        return math.prod(self.deltas)
 
     def cell_centers(self, axis: int = 0) -> np.ndarray:
-        lo, hi = self.extents[axis]
-        n = self.shape[axis]
-        h = (hi - lo) / n
-        return lo + h * (np.arange(n) + 0.5)
+        lo = self.extents[axis][0]
+        return lo + self.deltas[axis] * (np.arange(self.shape[axis]) + 0.5)
 
 
 def _bc_pair(bc):
     """One spec for both sides, or a (low, high) pair of specs."""
-    single = isinstance(bc, str) or (isinstance(bc, tuple) and bc[0] == "dirichlet")
-    if single:
-        return (_normalize_bc(bc), _normalize_bc(bc))
-    lo, hi = bc
-    return (_normalize_bc(lo), _normalize_bc(hi))
+    if isinstance(bc, str) or bc[0] == "dirichlet":
+        bc = (bc, bc)
+    return tuple(map(_normalize_bc, bc))
 
 
 def grid_1d(nx: int, x_min: float, x_max: float, bc="transmissive") -> StructuredGrid:
@@ -184,37 +178,53 @@ def _hll_unchecked(ul, ur, gas: GasModel, axis: int) -> np.ndarray:
     return flux
 
 
-def global_wave_speeds(node_states, grid: StructuredGrid, gas: GasModel) -> tuple:
-    """Largest |v| + c per axis over every cell, element and quadrature node."""
+def _wave_speeds(node_states, grid: StructuredGrid, gas: GasModel):
+    """|v| + c at every state, one array per axis, made as the caller takes it.
+
+    An inadmissible state fails the scan; the error's ``index`` locates it.
+    """
     u = np.asarray(node_states, dtype=float)
     e_int, ok = _energy_and_mask(u)
     if not np.all(ok):
-        raise InadmissibleStateError(
-            f"inadmissible state in wave-speed scan at index {_first_false(ok)}"
-        )
+        index = _first_false(ok)
+        error = InadmissibleStateError(f"inadmissible state in wave-speed scan at index {index}")
+        error.index = index
+        raise error
     rho = u[..., 0]
     # the sound speed from the one energy the admissibility test used
     c = _sound_speed_unchecked(rho, (gas.gamma - 1.0) * e_int, gas)
-    return tuple(
-        float(np.max(np.abs(u[..., 1 + axis] / rho) + c)) for axis in range(grid.ndim)
-    )
+    return (np.abs(u[..., 1 + a] / rho) + c for a in range(grid.ndim))
+
+
+def global_wave_speeds(node_states, grid: StructuredGrid, gas: GasModel) -> tuple:
+    """Largest |v| + c per axis over every cell, element and quadrature node."""
+    return tuple(float(np.max(s)) for s in _wave_speeds(node_states, grid, gas))
 
 
 def cfl_time_step(node_states, grid: StructuredGrid, gas: GasModel, cfl: float) -> float:
     """Time step from lambda_1 dt/dx + lambda_2 dt/dy <= cfl (1D drops the y term)."""
+    return _cfl_steps(global_wave_speeds(node_states, grid, gas), grid, cfl)
+
+
+def _cfl_steps(speeds, grid: StructuredGrid, cfl: float):
+    """cfl / sum_axis(speed_axis / h_axis), elementwise in the per-axis speeds."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl number must lie in (0, 1], got {cfl}")
-    speeds = global_wave_speeds(node_states, grid, gas)
     denom = sum(s / h for s, h in zip(speeds, grid.deltas))
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise ValueError("zero wave speed everywhere; nothing to advance")
     return cfl / denom
 
 
-def _take_cell(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
-    slicer = [slice(None)] * arr.ndim
-    slicer[axis] = index
-    return arr[tuple(slicer)]
+def _ghost(bc, inside: np.ndarray, across: np.ndarray) -> np.ndarray:
+    """One side's ghost layer: its own edge layer, the far edge layer if the
+    axis is periodic, or the prescribed state at every node."""
+    kind, state = bc
+    if kind == "transmissive":
+        return inside
+    if kind == "periodic":
+        return across
+    return np.broadcast_to(state, inside.shape)
 
 
 def extend_node_states(
@@ -226,22 +236,11 @@ def extend_node_states(
     of a dirichlet side are the prescribed state at every node.
     """
     lo_bc, hi_bc = grid.bcs[axis]
-    first = _take_cell(node_states, axis, 0)
-    last = _take_cell(node_states, axis, -1)
-    if lo_bc[0] == "transmissive":
-        lo = first
-    elif lo_bc[0] == "periodic":
-        lo = last
-    else:
-        lo = np.broadcast_to(lo_bc[1], first.shape)
-    if hi_bc[0] == "transmissive":
-        hi = last
-    elif hi_bc[0] == "periodic":
-        hi = first
-    else:
-        hi = np.broadcast_to(hi_bc[1], last.shape)
+    n = node_states.shape[axis]
+    first = _take_range(node_states, axis, 0, 1)
+    last = _take_range(node_states, axis, n - 1, n)
     return np.concatenate(
-        [np.expand_dims(lo, axis), node_states, np.expand_dims(hi, axis)], axis=axis
+        [_ghost(lo_bc, first, last), node_states, _ghost(hi_bc, last, first)], axis=axis
     )
 
 
@@ -272,9 +271,7 @@ def _flux_difference(
     ext = extend_node_states(states, grid, axis)
     left = _take_range(ext, axis, 0, ext.shape[axis] - 1)
     right = _take_range(ext, axis, 1, ext.shape[axis])
-    interface = _hll_unchecked(left, right, gas, axis)
-    n = interface.shape[axis]
-    return _take_range(interface, axis, 1, n) - _take_range(interface, axis, 0, n - 1)
+    return np.diff(_hll_unchecked(left, right, gas, axis), axis=axis)
 
 
 def _take_range(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
@@ -290,22 +287,25 @@ def deterministic_solve(
     t_end: float,
     cfl: float = 0.9,
 ) -> np.ndarray:
-    """Plain first-order FV solve on state arrays (cells..., d).
+    """Plain first-order FV solve of independent realizations (cells..., rows, d).
 
-    Used by the stochastic-collocation reference. In 2D the update is
-    dimensionally split: the y sweep acts on the state the x sweep produced,
-    with the step size taken before the x sweep.
-    The moment solvers instead sum both axes' flux differences on one state,
-    so the 2D collocation reference is a different scheme from theirs.
+    Used by the stochastic-collocation reference. Each row takes its own CFL
+    step from its own cells' wave speeds and keeps its own time; a row that
+    has reached ``t_end`` takes steps of zero. As in ``moment_flux_divergence``,
+    every axis's flux difference is taken from the same state.
     """
-    u = np.asarray(states, dtype=float).copy()
+    u = np.array(states, dtype=float)
+    cells = tuple(range(grid.ndim))
 
-    def step(stats: RunStats, dt_max: float) -> float:
+    def step(stats: RunStats, dt_max) -> np.ndarray:
         nonlocal u
-        dt = min(cfl_time_step(u, grid, gas, cfl), dt_max)
-        for axis in range(grid.ndim):
-            diff = _flux_difference(u, grid, gas, axis)
-            u = u - (dt / grid.deltas[axis]) * diff
+        speeds = [np.max(s, axis=cells) for s in _wave_speeds(u, grid, gas)]
+        dt = np.clip(dt_max, 0.0, _cfl_steps(speeds, grid, cfl))
+        update = None
+        for axis, h in enumerate(grid.deltas):
+            term = (dt / h)[:, None] * _flux_difference(u, grid, gas, axis)
+            update = term if update is None else update + term
+        u = u - update
         return dt
 
     integrate(step, t_end)
@@ -318,17 +318,20 @@ def integrate(step, t_end: float, max_steps: int | None = None) -> RunStats:
     ``step(stats, dt_max)`` advances its caller's state by one step of at
     most ``dt_max`` (so the last step lands on ``t_end``) and returns the
     step size; it may add phase times and Newton counts to ``stats``. The
-    loop owns the time, the step count and the wall time, and a solver
-    error raised inside a step gains a ``step N:`` prefix.
+    time takes the shape of the step size: a float, or one entry per row
+    of a batch whose rows keep their own time. The loop runs while any row
+    is short of ``t_end`` and hands ``step`` each row's ``t_end - t``. It
+    owns the time, the step count and the wall time, and a solver error
+    raised inside a step gains a ``step N:`` prefix.
     """
     if t_end < 0.0:
         raise ValueError(f"end time must be >= 0, got {t_end}")
     stats = RunStats()
     t = 0.0
     start = time.perf_counter()
-    while t < t_end and (max_steps is None or stats.steps < max_steps):
+    while np.any(t < t_end) and (max_steps is None or stats.steps < max_steps):
         try:
-            t += step(stats, t_end - t)
+            t = t + step(stats, t_end - t)
         except SolverError as exc:
             exc.args = (f"step {stats.steps}: {exc}",)
             raise

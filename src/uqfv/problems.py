@@ -26,12 +26,9 @@ def make_gas(problem: ProblemSpec) -> GasModel:
 
 
 def _sod_states(problem: ProblemSpec, two_d: bool):
-    if two_d:
-        left = (problem.rho_l, 0.0, 0.0, problem.e_l)
-        right = (problem.rho_r, 0.0, 0.0, problem.e_r)
-    else:
-        left = (problem.rho_l, 0.0, problem.e_l)
-        right = (problem.rho_r, 0.0, problem.e_r)
+    rest = (0.0,) * (1 + two_d)  # the gas is at rest: one zero momentum per axis
+    left = (problem.rho_l, *rest, problem.e_l)
+    right = (problem.rho_r, *rest, problem.e_r)
     return np.asarray(left), np.asarray(right)
 
 
@@ -98,15 +95,8 @@ def make_initial(problem: ProblemSpec):
 
 def initial_node_states(initial, grid: StructuredGrid, basis: GpcBasis) -> np.ndarray:
     """Initial states at cell centers and quadrature nodes (cells..., L, Q, d)."""
-    xi = basis.nodes  # (L, Q)
-    if grid.ndim == 1:
-        x = grid.cell_centers(0)
-        return initial(x[:, None, None], xi[None, :, :])
-    x = grid.cell_centers(0)
-    y = grid.cell_centers(1)
-    return initial(
-        x[:, None, None, None], y[None, :, None, None], xi[None, None, :, :]
-    )
+    centers = np.meshgrid(*map(grid.cell_centers, range(grid.ndim)), indexing="ij")
+    return initial(*(c[..., None, None] for c in centers), basis.nodes)
 
 
 def project_initial_data(initial, grid: StructuredGrid, basis: GpcBasis) -> MomentField:

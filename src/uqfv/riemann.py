@@ -24,6 +24,11 @@ __all__ = [
     "collocation_reference",
 ]
 
+# Gauss nodes per deterministic_solve batch in collocation_reference. Larger
+# blocks march fewer, longer arrays, but their temporaries outgrow what the
+# allocator reuses and the peak memory grows with the block.
+_BLOCK = 5
+
 
 class VacuumError(ValueError):
     """Initial data generates vacuum; the pressure equation has no positive root."""
@@ -298,10 +303,7 @@ def sod_reference_on_grid(
     if grid.ndim != 1:
         raise ValueError("the exact shock-tube reference is one-dimensional")
     dx = grid.deltas[0]
-    if subcells > 1:
-        sub = dx * ((np.arange(subcells) + 0.5) / subcells - 0.5)
-    else:
-        sub = None
+    sub = dx * ((np.arange(subcells) + 0.5) / subcells - 0.5)
     mean, var = sod_reference_statistics(
         left, right, gas, grid.cell_centers(0), t, x0, sigma, n_nodes, sub
     )
@@ -320,22 +322,32 @@ def collocation_reference(
 ) -> FieldStatistics:
     """Statistics from deterministic FV runs at Gauss nodes in the random variable.
 
-    ``initial(x..., xi)`` returns the initial states for a fixed realization.
-    The node runs are serial and combined in node order. ``threads`` has no
+    ``initial(x..., xi)`` returns the initial states; called with cell centers
+    shaped (cells..., 1) and a block of ``_BLOCK`` nodes, it gives the batch
+    (cells..., nodes, d) of one ``deterministic_solve`` call. The blocks add
+    into the sums in node order, so the statistics do not depend on the block
+    size. A failure names its (cells..., node) index. ``threads`` has no
     effect, and ``flux`` accepts only ``"hll"``.
     """
     _check_flux(flux)
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     weights = weights / 2.0
     centers = [grid.cell_centers(axis) for axis in range(grid.ndim)]
-    coords = np.meshgrid(*centers, indexing="ij") if grid.ndim > 1 else [centers[0]]
-    results = [
-        deterministic_solve(initial(*coords, xi), grid, gas, t_end, cfl) for xi in nodes
-    ]
-    mean = np.zeros(results[0].shape)
-    second = np.zeros(results[0].shape)
-    for w, u in zip(weights, results):
-        mean += w * u
-        second += w * u**2
-    var = np.maximum(second - mean**2, 0.0)
-    return FieldStatistics(grid=grid, mean=mean, variance=var)
+    coords = [c[..., None] for c in np.meshgrid(*centers, indexing="ij")]
+    # running sums, (cells..., 1, d) with the d = ndim + 2 Euler components
+    mean = second = np.zeros(grid.shape + (1, grid.ndim + 2))
+    for start in range(0, n_nodes, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        states = initial(*coords, nodes[block])
+        try:
+            u = deterministic_solve(states, grid, gas, t_end, cfl)
+        except InadmissibleStateError as exc:
+            *cell, row = exc.index
+            exc.args = (f"{exc}, which is (cells..., node) index {(*cell, start + row)}",)
+            raise
+        w = weights[block][:, None]
+        # accumulate adds left to right, as a sum over single nodes would
+        mean = np.add.accumulate(np.concatenate([mean, w * u], -2), -2)[..., -1:, :]
+        second = np.add.accumulate(np.concatenate([second, w * u**2], -2), -2)[..., -1:, :]
+    var = np.maximum(second - mean**2, 0.0)[..., 0, :]
+    return FieldStatistics(grid=grid, mean=mean[..., 0, :], variance=var)

@@ -48,14 +48,8 @@ def run(config: RunConfig, output_dir=None) -> RunReport:
 
     t0 = time.perf_counter()
     if method == "collocation":
-        statistics = collocation_reference(
-            initial,
-            grid,
-            gas,
-            config.method.t_end,
-            cfl=config.method.cfl,
-            n_nodes=config.method.nodes,
-        )
+        nodes = config.method.nodes
+        statistics = _reference_statistics("collocation", nodes, config, grid, gas, initial)
         stats = RunStats(wall_s=time.perf_counter() - t0)
     else:
         if method in ("ipm", "me_ipm"):
@@ -89,7 +83,9 @@ def run(config: RunConfig, output_dir=None) -> RunReport:
 
     errors = None
     if config.output.reference != "none":
-        reference = _reference_statistics(config, grid, gas, initial)
+        reference = _reference_statistics(
+            config.output.reference, config.output.reference_nodes, config, grid, gas, initial
+        )
         err_e, err_v = relative_errors(statistics, reference)
         errors = {"errE_rho": float(err_e[0]), "errVar_rho": float(err_v[0])}
         errors_path = out / config.output.errors_csv
@@ -108,8 +104,9 @@ def run(config: RunConfig, output_dir=None) -> RunReport:
     )
 
 
-def _reference_statistics(config: RunConfig, grid, gas, initial):
-    if config.output.reference == "exact_sod":
+def _reference_statistics(kind: str, n_nodes: int, config: RunConfig, grid, gas, initial):
+    """Statistics of the exact Sod or the collocation reference, on ``n_nodes`` nodes."""
+    if kind == "exact_sod":
         p = config.problem
         left, right = _sod_states(p, two_d=False)
         return sod_reference_on_grid(
@@ -120,7 +117,7 @@ def _reference_statistics(config: RunConfig, grid, gas, initial):
             config.method.t_end,
             x0=p.x0,
             sigma=p.sigma,
-            n_nodes=config.output.reference_nodes,
+            n_nodes=n_nodes,
             subcells=config.output.reference_subcells,
         )
     return collocation_reference(
@@ -129,7 +126,7 @@ def _reference_statistics(config: RunConfig, grid, gas, initial):
         gas,
         config.method.t_end,
         cfl=config.method.cfl,
-        n_nodes=config.output.reference_nodes,
+        n_nodes=n_nodes,
     )
 
 

@@ -86,28 +86,19 @@ def relative_errors(
     return err_e / norm_e, err_v / norm_v
 
 
-def _column_names(ndim: int, n_components: int) -> list:
-    coords = ["x", "y"][:ndim]
-    labels = _COMPONENTS_1D if n_components == 3 else _COMPONENTS_2D
-    cols = list(coords)
-    for name in labels:
-        cols += [f"E_{name}", f"Var_{name}"]
-    return cols
-
-
 def write_csv(stats: FieldStatistics, path) -> None:
     """One row per cell (row-major cell order), 17 significant digits."""
     grid = stats.grid
-    cols = _column_names(grid.ndim, stats.n_components)
-    centers = [grid.cell_centers(axis) for axis in range(grid.ndim)]
+    centers = np.meshgrid(*map(grid.cell_centers, range(grid.ndim)), indexing="ij")
+    # the coordinates, then E and Var of each component in turn
+    pairs = np.stack([stats.mean, stats.variance], axis=-1).reshape(grid.shape + (-1,))
+    table = np.concatenate([np.stack(centers, axis=-1), pairs], axis=-1)
+    labels = _COMPONENTS_1D if stats.n_components == 3 else _COMPONENTS_2D
+    header = ",".join(["x", "y"][: grid.ndim] + [f"{s}_{n}" for n in labels for s in ("E", "Var")])
     try:
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for idx in np.ndindex(grid.shape):
-                row = [centers[axis][idx[axis]] for axis in range(grid.ndim)]
-                for comp in range(stats.n_components):
-                    row.append(stats.mean[idx + (comp,)])
-                    row.append(stats.variance[idx + (comp,)])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(
+            path, table.reshape(-1, table.shape[-1]), fmt="%.17g", delimiter=",",
+            header=header, comments="",
+        )
     except OSError as exc:
         raise OSError(f"failed writing statistics to {path}: {exc}") from exc

@@ -15,7 +15,7 @@ from conftest import record_criterion
 from oracles import physical_flux
 from uqfv.basis import build_basis, build_partition, build_quadrature
 from uqfv.euler import GasModel, admissible_mask
-from uqfv.fv import deterministic_solve, grid_1d
+from uqfv.fv import deterministic_solve, grid_1d, grid_2d
 from uqfv.ipm import NewtonConfig, initial_duals_from_states, run_ipm
 from uqfv.problems import initial_node_states, project_initial_data
 from uqfv.riemann import sod_reference_on_grid, solve_riemann
@@ -125,8 +125,8 @@ def test_criterion_2_deterministic_degeneracy():
     ).field.coeffs[:, 0, 0, :]
     x = grid.cell_centers(0)
     plain = deterministic_solve(
-        np.where(x[:, None] < 0.5, SOD_L, SOD_R), grid, GAS, T_END, cfl=0.9
-    )
+        np.where(x[:, None, None] < 0.5, SOD_L, SOD_R), grid, GAS, T_END, cfl=0.9
+    )[:, 0]
     d_sg = float(np.abs(sg - plain).max())
     d_ipm = float(np.abs(ipm - plain).max())
     d_cross = float(np.abs(sg - ipm).max())
@@ -138,6 +138,38 @@ def test_criterion_2_deterministic_degeneracy():
         f"(< 1e-12), {wall:.1f}s (< 10 s)"
     )
     assert d_sg < 1e-12 and d_ipm < 1e-12 and d_cross < 1e-12
+    assert wall < 10.0
+
+
+@pytest.mark.parametrize("bc_y", ["transmissive", "periodic"])
+def test_criterion_2_deterministic_degeneracy_2d(bc_y):
+    # a 2x2 checkerboard of the Sod states: both axes carry flux differences,
+    # which degree 0 must sum on one state as the node solve does
+    start = time.perf_counter()
+    left = np.array([1.0, 0.0, 0.0, 2.5])
+    right = np.array([0.125, 0.0, 0.0, 0.25])
+
+    def checkerboard(x, y, xi):
+        x, y, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in (x, y, xi)))
+        return np.where(((x < 0.5) ^ (y < 0.5))[..., None], left, right)
+
+    basis = build_basis(build_partition(-1.0, 1.0, 1), 0)
+    grid = grid_2d(24, 24, bc_y=bc_y)
+    field = project_initial_data(checkerboard, grid, basis)
+    sg = run_sg(field, GAS, 0.1).field.coeffs[:, :, 0, 0, :]
+    ipm = run_ipm(field, GAS, 0.1, newton=NewtonConfig(tol=1e-14)).field.coeffs[:, :, 0, 0, :]
+    x, y = np.meshgrid(grid.cell_centers(0), grid.cell_centers(1), indexing="ij")
+    x, y = x[..., None], y[..., None]
+    plain = deterministic_solve(checkerboard(x, y, [0.0]), grid, GAS, 0.1, cfl=0.9)[:, :, 0]
+    d_sg = float(np.abs(sg - plain).max())
+    d_ipm = float(np.abs(ipm - plain).max())
+    wall = time.perf_counter() - start
+    ok = max(d_sg, d_ipm) < 1e-12 and wall < 10.0
+    record_criterion(
+        f"criterion 2 (2D, {bc_y} y) {'PASS' if ok else 'FAIL'}: degenerate K=0, N=1 "
+        f"max deviations hSG|IPM = {d_sg:.1e}|{d_ipm:.1e} (< 1e-12), {wall:.1f}s (< 10 s)"
+    )
+    assert d_sg < 1e-12 and d_ipm < 1e-12
     assert wall < 10.0
 
 

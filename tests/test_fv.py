@@ -218,7 +218,7 @@ def test_deterministic_solve_matches_naive_oracle():
     grid = grid_1d(nx, 0.0, 1.0)
     x = grid.cell_centers(0)
     u0 = np.where(x[:, None] < 0.5, SOD_L, SOD_R)
-    ours = deterministic_solve(u0, grid, GAS, 0.1, cfl=0.9)
+    ours = deterministic_solve(u0[:, None], grid, GAS, 0.1, cfl=0.9)[:, 0]
     ref = oracles.naive_fv_run(u0, 1.0 / nx, 0.1, GAS.gamma, cfl=0.9)
     np.testing.assert_allclose(ours, ref, atol=1e-12)
 
@@ -258,11 +258,31 @@ def test_deterministic_solve_2d_keeps_y_symmetry():
     u2 = np.zeros((nx, ny, 4))
     u2[..., 0] = np.where(x < 0.5, SOD_L[0], SOD_R[0])[:, None]
     u2[..., 3] = np.where(x < 0.5, SOD_L[2], SOD_R[2])[:, None]
-    out = deterministic_solve(u2, grid2, GAS, 0.05)
+    out = deterministic_solve(u2[:, :, None], grid2, GAS, 0.05)[:, :, 0]
     np.testing.assert_allclose(out[..., 2], 0.0, atol=1e-13)
     for j in range(1, ny):
         np.testing.assert_allclose(out[:, j], out[:, 0], atol=1e-13)
     assert not np.allclose(out[..., 0], u2[..., 0])
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_deterministic_solve_rows_match_single_runs(ndim):
+    # alone, the rows take 5, 11 and 2 steps in 1D (3, 6 and 2 in 2D); in the
+    # batch a row that reaches t_end first waits unchanged while others march
+    grid = grid_1d(24, 0.0, 1.0) if ndim == 1 else grid_2d(10, 6, bc_y="periodic")
+    centers = np.meshgrid(*(grid.cell_centers(a) for a in range(ndim)), indexing="ij")
+    mask = centers[0] < 0.5
+    if ndim == 2:
+        mask ^= centers[1] < 0.5  # a checkerboard: both axes carry flux
+    left, right = np.zeros(2 + ndim), np.zeros(2 + ndim)
+    left[[0, -1]], right[[0, -1]] = (1.0, 2.5), (0.125, 0.25)
+    states = np.repeat(np.where(mask[..., None], left, right)[..., None, :], 3, axis=-2)
+    states[..., -1] *= np.array([1.0, 4.0, 0.25])
+    batch = deterministic_solve(states, grid, GAS, 0.1)
+    assert batch.shape == states.shape
+    for row in range(3):
+        one = deterministic_solve(states[..., row : row + 1, :], grid, GAS, 0.1)
+        assert np.array_equal(one, batch[..., row : row + 1, :])
 
 
 @pytest.mark.parametrize("flux", ["lax-friedrichs", "roe"])

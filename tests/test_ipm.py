@@ -409,7 +409,7 @@ def test_run_ipm_degenerate_equals_deterministic():
     result = run_ipm(field, GAS, t_end=0.04, newton=NewtonConfig(tol=1e-14))
     x = grid.cell_centers(0)
     u0 = np.where(x[:, None] < 0.5, SOD_L, SOD_R)
-    ref = deterministic_solve(u0, grid, GAS, 0.04, cfl=0.9)
+    ref = deterministic_solve(u0[:, None], grid, GAS, 0.04, cfl=0.9)[:, 0]
     np.testing.assert_allclose(result.field.coeffs[:, 0, 0, :], ref, atol=1e-12)
 
 

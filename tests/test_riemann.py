@@ -3,7 +3,8 @@ import pytest
 
 from oracles import physical_flux
 from uqfv.euler import GasModel, InadmissibleStateError
-from uqfv.fv import grid_1d
+from uqfv import riemann
+from uqfv.fv import deterministic_solve, grid_1d, grid_2d
 from uqfv.riemann import (
     VacuumError,
     collocation_reference,
@@ -267,6 +268,54 @@ def test_collocation_self_convergence():
     num = np.sqrt(np.sum((s20.mean[:, 0] - s40.mean[:, 0]) ** 2))
     den = np.sqrt(np.sum(s40.mean[:, 0] ** 2))
     assert num / den < 1e-3
+
+
+def uncertain_sod(x, *rest):
+    """Sod data with the interface at 0.5 + 0.05 xi, along x in 1D and 2D."""
+    x, *_, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in (x, *rest)))
+    left, right = SOD_L, SOD_R
+    if len(rest) == 2:
+        left, right = np.insert(SOD_L, 2, 0.0), np.insert(SOD_R, 2, 0.0)
+    return np.where((x < 0.5 + 0.05 * xi)[..., None], left, right)
+
+
+@pytest.mark.parametrize("grid", [grid_1d(40, 0.0, 1.0), grid_2d(6, 4)], ids=["1d", "2d"])
+def test_collocation_statistics_do_not_depend_on_the_block(monkeypatch, grid):
+    # one node per solve, summed in node order, is the statistics' definition
+    n_nodes = 7
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    axes = np.meshgrid(*map(grid.cell_centers, range(grid.ndim)), indexing="ij")
+    centers = [c[..., None] for c in axes]
+    mean = second = 0.0
+    for xi, w in zip(nodes, weights / 2.0):
+        u = deterministic_solve(uncertain_sod(*centers, [xi]), grid, GAS, 0.05)[..., 0, :]
+        mean = mean + w * u
+        second = second + w * u**2
+    for block in (1, 3, n_nodes):
+        monkeypatch.setattr(riemann, "_BLOCK", block)
+        stats = collocation_reference(uncertain_sod, grid, GAS, t_end=0.05, n_nodes=n_nodes)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.variance, np.maximum(second - mean**2, 0.0))
+
+
+def test_collocation_failure_names_the_node(monkeypatch):
+    # Gauss node 7 of 10 starts with a negative density in cell 3; with blocks
+    # of 5 it is row 2 of the second batch
+    monkeypatch.setattr(riemann, "_BLOCK", 5)
+    bad_xi = np.polynomial.legendre.leggauss(10)[0][7]
+    grid = grid_1d(8, 0.0, 1.0)
+
+    def initial(x, xi):
+        u = uncertain_sod(x, xi).copy()
+        u[3, np.asarray(xi) == bad_xi, 0] = -1.0
+        return u
+
+    message = (
+        r"^step 0: inadmissible state in wave-speed scan at index \(3, 2\), "
+        r"which is \(cells\.\.\., node\) index \(3, 7\)$"
+    )
+    with pytest.raises(InadmissibleStateError, match=message):
+        collocation_reference(initial, grid, GAS, t_end=0.05, n_nodes=10)
 
 
 def test_sod_reference_on_grid_shapes():

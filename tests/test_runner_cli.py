@@ -174,8 +174,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             CUSTOM_PERIODIC.replace("custom_1d", "custom_1d\nrho0 = 0.05"),
             "[problem] rho0 - |amplitude| (1 + |xi_coupling|) must be positive, got -0.1",
         ),
+        (
+            SOD_SMALL.replace("sod_1d", "sod_1d\nsigma = 0"),
+            "[output] reference exact_sod needs uncertain data, got sigma = 0",
+        ),
+        (
+            CUSTOM_PERIODIC.replace("custom_1d", "custom_1d\namplitude = 0.0")
+            + "[output]\nreference = collocation\n",
+            "[output] reference collocation needs uncertain data, got amplitude = 0",
+        ),
+        (
+            CUSTOM_PERIODIC.replace("custom_1d", "custom_1d\nxi_coupling = 0")
+            + "[output]\nreference = collocation\n",
+            "[output] reference collocation needs uncertain data, got xi_coupling = 0",
+        ),
     ],
-    ids=["empty-extent", "negative-halvings", "negative-density", "custom-density-dip"],
+    ids=[
+        "empty-extent", "negative-halvings", "negative-density", "custom-density-dip",
+        "certain-sod-reference", "certain-custom-amplitude", "certain-custom-coupling",
+    ],
 )
 def test_cli_rejects_before_running(tmp_path, capsys, text, message):
     # the parser refuses these, so the CLI exits 2 and creates no output
