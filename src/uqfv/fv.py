@@ -286,13 +286,15 @@ def deterministic_solve(
     gas: GasModel,
     t_end: float,
     cfl: float = 0.9,
-) -> np.ndarray:
+) -> tuple[np.ndarray, RunStats]:
     """Plain first-order FV solve of independent realizations (cells..., rows, d).
 
     Used by the stochastic-collocation reference. Each row takes its own CFL
     step from its own cells' wave speeds and keeps its own time; a row that
     has reached ``t_end`` takes steps of zero. As in ``moment_flux_divergence``,
-    every axis's flux difference is taken from the same state.
+    every axis's flux difference is taken from the same state. Returns the
+    final states and the loop's ``RunStats``, whose steps are those of the
+    row that needs the most.
     """
     u = np.array(states, dtype=float)
     cells = tuple(range(grid.ndim))
@@ -308,8 +310,8 @@ def deterministic_solve(
         u = u - update
         return dt
 
-    integrate(step, t_end)
-    return u
+    stats = integrate(step, t_end)
+    return u, stats
 
 
 def integrate(step, t_end: float, max_steps: int | None = None) -> RunStats:

@@ -91,60 +91,98 @@ class NewtonConfig:
 
 @dataclass
 class DualSolveStats:
-    """Aggregate and per-(cell, element) convergence metadata of one solve."""
+    """Aggregate and per-(cell, element) convergence metadata of one solve,
+    and the node states of its duals."""
 
     iterations: int = 0
     max_residual: float = 0.0
     max_iterations_single: int = 0
     per_problem_iterations: np.ndarray | None = None
     per_problem_residuals: np.ndarray | None = None
+    # states mapped from the returned duals, (cells..., element, Q, d)
+    node_states: np.ndarray | None = None
+
+
+def _newton_matrix(basis: GpcBasis, jac: np.ndarray, rows) -> np.ndarray:
+    """Newton matrices sum_q w_q phi_k(q) phi_j(q) jac_q[a, b] of ``rows`` of a (P, Q, d, d) batch.
+
+    One batched matmul gives (rows, a b, k j); one copy puts each matrix in
+    the (k a, j b) order of the unknowns, the (K+1, d) layout of the duals.
+    The gathered rows are a temporary, freed before that copy. A non-finite
+    Jacobian gives a non-finite matrix, which the solve reports.
+    """
+    _, q, d, _ = jac.shape
+    k1 = basis.n_coeffs
+    w2 = np.einsum("kq,jq,q->qkj", basis.phi, basis.phi, basis.rule.weights).reshape(q, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.matmul(jac[rows].reshape(-1, q, d * d).transpose(0, 2, 1), w2)
+    return prod.reshape(-1, d, d, k1, k1).transpose(0, 3, 1, 4, 2).reshape(-1, k1 * d, k1 * d)
 
 
 def _solve_batch(
-    lam, moments, basis: GpcBasis, gas: GasModel, cfg: NewtonConfig, shape, offset=0
+    lam, moments, states, basis: GpcBasis, gas: GasModel, cfg: NewtonConfig, shape, offset=0
 ):
     """Newton with line search on a (P, K+1, d) batch; modifies lam in place.
 
-    The start and every trial go through ``evaluate``, one map evaluation
-    each; the solve keeps the Jacobian, objective and residual of each
-    problem's current iterate, so an accepted trial is never evaluated again.
+    ``states`` holds the node states of lam, or is None. Given, they set the
+    starting residuals, and only the problems above tol are mapped again.
+    Without them every start is mapped, and one outside the dual range first
+    falls back to the constant entropic ansatz of its mean. Every trial goes
+    through ``evaluate``, one map evaluation each; the solve keeps the node
+    states, Jacobian, objective and residual of each problem's current
+    iterate, so an accepted trial is never evaluated again. Returns the
+    iterations, residual max-norms and node states per problem.
     """
-    phi, w = basis.phi, basis.rule.weights
+    w = basis.rule.weights
     n_prob, k1, d = lam.shape
     n = k1 * d
-    w2 = np.einsum("kq,jq,q->kjq", phi, phi, w).reshape(k1 * k1, -1)
     iters = np.zeros(n_prob, dtype=np.int64)
 
     def where(p):
         return tuple(map(int, np.unravel_index(p + offset, shape)))
 
+    def residual(u, mom):
+        """The moment residual mom - project(u) and its max-norm; a non-finite norm reads inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = mom - basis.project(u)
+        rn = np.max(np.abs(res.reshape(-1, n)), axis=1)
+        return res, np.where(np.isfinite(rn), rn, np.inf)
+
     def evaluate(duals, duals_nodes, mom):
-        """(jac, obj, res, rn) at in-range duals: the dual objective s* . w - duals . mom,
-        the moment residual and its max-norm; a non-finite obj or rn reads inf."""
+        """(u, jac, obj, res, rn) at in-range duals: the node states, the map's
+        Jacobian, the dual objective s* . w - duals . mom (inf if not finite),
+        and the residual."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             u, sstar, jac = _dual_eval(duals_nodes, gas)
-            res = mom - basis.project(u)
             obj = sstar @ w - np.einsum("pkd,pkd->p", duals, mom)
-        rn = np.max(np.abs(res.reshape(-1, n)), axis=1)
-        obj, rn = (np.where(np.isfinite(a), a, np.inf) for a in (obj, rn))
-        return jac, obj, res, rn
+        return (u, jac, np.where(np.isfinite(obj), obj, np.inf), *residual(u, mom))
 
-    # invalid warm starts fall back to the constant entropic ansatz of the mean
-    lam_nodes = basis.reconstruct(lam)
-    bad = ~np.all(dual_range_mask(lam_nodes, gas), axis=-1)
-    if np.any(bad):
-        means = moments[bad, 0, :]
-        ok = admissible_mask(means, gas)
-        if not np.all(ok):
-            p = np.flatnonzero(bad)[_first_false(ok)[0]]
-            raise DualSolveError(
-                f"unrealizable moments: inadmissible cell mean at (cells..., element) {where(p)}"
-            )
-        lam[bad] = 0.0
-        lam[bad, 0, :] = entropy_gradient(means, gas)
-        lam_nodes[bad] = basis.reconstruct(lam[bad])
-
-    jac, obj, res, rn = evaluate(lam, lam_nodes, moments)
+    if states is None:
+        lam_nodes = basis.reconstruct(lam)
+        bad = ~np.all(dual_range_mask(lam_nodes, gas), axis=-1)
+        if np.any(bad):
+            means = moments[bad, 0, :]
+            ok = admissible_mask(means, gas)
+            if not np.all(ok):
+                p = np.flatnonzero(bad)[_first_false(ok)[0]]
+                raise DualSolveError(
+                    f"unrealizable moments: inadmissible cell mean at (cells..., element) {where(p)}"
+                )
+            lam[bad] = 0.0
+            lam[bad, 0, :] = entropy_gradient(means, gas)
+            lam_nodes[bad] = basis.reconstruct(lam[bad])
+        u, jac, obj, res, rn = evaluate(lam, lam_nodes, moments)
+    else:
+        # the states of accepted duals passed dual_range_mask at every node;
+        # jac and obj are read only where Newton runs
+        u = states
+        res, rn = residual(u, moments)
+        jac = np.empty(u.shape + (d,))
+        obj = np.empty(n_prob)
+        rows = np.flatnonzero(rn > cfg.tol)
+        _, jac[rows], obj[rows], _, _ = evaluate(
+            lam[rows], basis.reconstruct(lam[rows]), moments[rows]
+        )
     active = np.flatnonzero(rn > cfg.tol)
 
     while active.size:
@@ -156,13 +194,15 @@ def _solve_batch(
                 f"did not reach tol={cfg.tol:g} within {cfg.max_iter} iterations "
                 f"(residual {rn[p]:.3e})"
             )
-        hess = np.einsum("xq,pqab->pxab", w2, jac[active]).reshape(active.size, k1, k1, d, d)
-        hess = hess.transpose(0, 1, 3, 2, 4).reshape(active.size, n, n)
+        # the matrices, an iteration's largest array, are freed before the line search
         try:
-            delta = np.linalg.solve(hess, res[active].reshape(active.size, n, 1))
+            delta = np.linalg.solve(
+                _newton_matrix(basis, jac, active), res[active].reshape(active.size, n, 1)
+            )
         except np.linalg.LinAlgError:
             # slogdet factors each matrix as solve does; sign 0 marks a singular one
-            p = active[np.flatnonzero(np.linalg.slogdet(hess)[0] == 0.0)[0]]
+            sign = np.linalg.slogdet(_newton_matrix(basis, jac, active))[0]
+            p = active[np.flatnonzero(sign == 0.0)[0]]
             msg = f"singular Newton matrix at (cells..., element) {where(p)}"
             raise DualSolveError(msg) from None
         delta = delta.reshape(active.size, k1, d)
@@ -183,7 +223,7 @@ def _solve_batch(
             step[todo[~inside]] *= 0.5
             todo, cand = todo[inside], cand[inside]
             rows = active[todo]
-            t_jac, t_obj, t_res, t_rn = evaluate(cand, cand_nodes[inside], moments[rows])
+            t_u, t_jac, t_obj, t_res, t_rn = evaluate(cand, cand_nodes[inside], moments[rows])
             # objective decrease governs globally; near roundoff that decrease
             # is unresolvable while the residual norm still falls along the
             # SPD-Hessian Newton direction
@@ -191,15 +231,15 @@ def _solve_batch(
             step[todo[~ok]] *= 0.5
             accepted[todo[ok]] = True
             rows = rows[ok]
-            lam[rows], jac[rows], obj[rows], res[rows], rn[rows] = (
-                cand[ok], t_jac[ok], t_obj[ok], t_res[ok], t_rn[ok]
+            lam[rows], u[rows], jac[rows], obj[rows], res[rows], rn[rows] = (
+                cand[ok], t_u[ok], t_jac[ok], t_obj[ok], t_res[ok], t_rn[ok]
             )
         if not np.all(accepted):
             p = active[np.flatnonzero(~accepted)[0]]
             raise DualSolveError(f"line search stalled at (cells..., element) {where(p)}")
         iters[active] += 1
         active = active[rn[active] > cfg.tol]
-    return iters, rn
+    return iters, rn, u
 
 
 def solve_duals(
@@ -209,6 +249,8 @@ def solve_duals(
     gas: GasModel,
     config: NewtonConfig | None = None,
     threads: int | None = None,
+    *,
+    warm_states: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DualSolveStats]:
     """Dual coefficients matching the given moments, per (cell, element).
 
@@ -218,14 +260,25 @@ def solve_duals(
     chunks depend on P only, and min(chunks, ``threads`` or the usable CPUs)
     workers share them out, so results do not depend on the worker count.
     An empty batch returns empty duals.
+
+    The returned stats carry ``node_states``, the states the returned duals
+    map to at the quadrature nodes, equal to ``dual_node_states`` of them.
+    Passed back as ``warm_states`` with those duals as ``warm_start``, they
+    spare the next solve mapping the duals of problems its moments still
+    match; they must be the states of ``warm_start``.
     """
     if config is None:
         config = NewtonConfig()
     moments = np.asarray(moments, dtype=float)
     shape = moments.shape[:-2]
+    d = moments.shape[-1]
     lam = np.array(warm_start, dtype=float).reshape((-1,) + moments.shape[-2:])
     mom = moments.reshape(lam.shape)
     n_prob = lam.shape[0]
+    if warm_states is None:
+        states = np.empty((n_prob, basis.n_nodes, d))
+    else:
+        states = np.array(warm_states, dtype=float).reshape(n_prob, basis.n_nodes, d)
     n_chunks = -(-n_prob // _CHUNK)
     chunks = [
         slice(i * n_prob // n_chunks, (i + 1) * n_prob // n_chunks)
@@ -235,8 +288,9 @@ def solve_duals(
     res = np.zeros(n_prob)
 
     def work(sl):
-        iters[sl], res[sl] = _solve_batch(
-            lam[sl], mom[sl], basis, gas, config, shape, sl.start
+        warm = None if warm_states is None else states[sl]
+        iters[sl], res[sl], states[sl] = _solve_batch(
+            lam[sl], mom[sl], warm, basis, gas, config, shape, sl.start
         )
 
     workers = min(len(chunks), _usable_cpus() if threads is None else threads)
@@ -252,6 +306,7 @@ def solve_duals(
         max_iterations_single=int(iters.max(initial=0)),
         per_problem_iterations=iters.reshape(shape),
         per_problem_residuals=res.reshape(shape),
+        node_states=states.reshape(shape + states.shape[1:]),
     )
     return lam.reshape(moments.shape), stats
 
@@ -286,34 +341,39 @@ def run_ipm(
 ) -> RunResult:
     """Time loop of the multi-element entropy-closure moment method.
 
-    Per step: map duals to node states, advance the carried moments with the
-    FV update, then re-solve the duals warm-started from the previous step.
-    ``initial_duals`` seeds the first solve, made in step 0. Without it the
-    solve starts from zero duals, which it replaces by the constant entropic
-    ansatz of each cell mean. ``threads`` goes to ``solve_duals``, and
-    ``flux`` accepts only ``"hll"``.
+    Per step: advance the carried moments with the FV update on the node
+    states of the current duals, then re-solve the duals warm-started from
+    the previous step. Each solve returns the node states of its duals; the
+    flux takes them as they are, and the next solve takes them with the
+    duals as its warm start. ``initial_duals`` seeds the first solve, made
+    in step 0. Without it the solve starts from zero duals, which it
+    replaces by the constant entropic ansatz of each cell mean. ``threads``
+    goes to ``solve_duals``, and ``flux`` accepts only ``"hll"``.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
     mom = initial.coeffs.copy()
-    lam = None
+    lam = nodes = None
 
-    def solve(stats: RunStats, warm: np.ndarray) -> np.ndarray:
+    def solve(stats: RunStats, warm: np.ndarray, warm_states=None) -> tuple:
         with _timed(stats, "dual_solve_s"):
-            duals, dstats = solve_duals(mom, warm, basis, gas, newton, threads)
+            duals, dstats = solve_duals(
+                mom, warm, basis, gas, newton, threads, warm_states=warm_states
+            )
         stats.newton_iterations += dstats.iterations
         stats.newton_max_residual = max(stats.newton_max_residual, dstats.max_residual)
-        return duals
+        return duals, dstats.node_states
 
     def step(stats: RunStats, dt_max: float) -> float:
-        nonlocal mom, lam
+        nonlocal mom, lam, nodes
         if lam is None:
-            lam = solve(stats, np.zeros_like(mom) if initial_duals is None else initial_duals)
-        nodes = dual_node_states(lam, basis, gas)
+            lam, nodes = solve(
+                stats, np.zeros_like(mom) if initial_duals is None else initial_duals
+            )
         dt = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
         with _timed(stats, "flux_s"):
             mom = mom - dt * moment_flux_divergence(nodes, grid, basis, gas)
-        lam = solve(stats, lam)
+        lam, nodes = solve(stats, lam, nodes)
         return dt
 
     stats = integrate(step, t_end, max_steps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import GasModel, InadmissibleStateError, is_admissible
-from .fv import StructuredGrid, _check_flux, deterministic_solve
+from .fv import RunStats, StructuredGrid, _check_flux, deterministic_solve
 from .stats import FieldStatistics
 
 __all__ = [
@@ -330,24 +330,37 @@ def collocation_reference(
     effect, and ``flux`` accepts only ``"hll"``.
     """
     _check_flux(flux)
+    return _collocation(initial, grid, gas, t_end, cfl, n_nodes)[0]
+
+
+def _collocation(initial, grid: StructuredGrid, gas: GasModel, t_end, cfl, n_nodes) -> tuple:
+    """``collocation_reference``'s statistics, and the run's ``RunStats``.
+
+    The wall time adds up the blocks' time loops. The steps are the most any
+    node's solve took, which does not depend on the block size, since a row's
+    steps do not depend on the rows beside it.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     weights = weights / 2.0
     centers = [grid.cell_centers(axis) for axis in range(grid.ndim)]
     coords = [c[..., None] for c in np.meshgrid(*centers, indexing="ij")]
     # running sums, (cells..., 1, d) with the d = ndim + 2 Euler components
     mean = second = np.zeros(grid.shape + (1, grid.ndim + 2))
+    stats = RunStats()
     for start in range(0, n_nodes, _BLOCK):
         block = slice(start, start + _BLOCK)
         states = initial(*coords, nodes[block])
         try:
-            u = deterministic_solve(states, grid, gas, t_end, cfl)
+            u, run = deterministic_solve(states, grid, gas, t_end, cfl)
         except InadmissibleStateError as exc:
             *cell, row = exc.index
             exc.args = (f"{exc}, which is (cells..., node) index {(*cell, start + row)}",)
             raise
+        stats.steps = max(stats.steps, run.steps)
+        stats.wall_s += run.wall_s
         w = weights[block][:, None]
         # accumulate adds left to right, as a sum over single nodes would
         mean = np.add.accumulate(np.concatenate([mean, w * u], -2), -2)[..., -1:, :]
         second = np.add.accumulate(np.concatenate([second, w * u**2], -2), -2)[..., -1:, :]
     var = np.maximum(second - mean**2, 0.0)[..., 0, :]
-    return FieldStatistics(grid=grid, mean=mean[..., 0, :], variance=var)
+    return FieldStatistics(grid=grid, mean=mean[..., 0, :], variance=var), stats

@@ -126,7 +126,7 @@ def test_criterion_2_deterministic_degeneracy():
     x = grid.cell_centers(0)
     plain = deterministic_solve(
         np.where(x[:, None, None] < 0.5, SOD_L, SOD_R), grid, GAS, T_END, cfl=0.9
-    )[:, 0]
+    )[0][:, 0]
     d_sg = float(np.abs(sg - plain).max())
     d_ipm = float(np.abs(ipm - plain).max())
     d_cross = float(np.abs(sg - ipm).max())
@@ -160,7 +160,7 @@ def test_criterion_2_deterministic_degeneracy_2d(bc_y):
     ipm = run_ipm(field, GAS, 0.1, newton=NewtonConfig(tol=1e-14)).field.coeffs[:, :, 0, 0, :]
     x, y = np.meshgrid(grid.cell_centers(0), grid.cell_centers(1), indexing="ij")
     x, y = x[..., None], y[..., None]
-    plain = deterministic_solve(checkerboard(x, y, [0.0]), grid, GAS, 0.1, cfl=0.9)[:, :, 0]
+    plain = deterministic_solve(checkerboard(x, y, [0.0]), grid, GAS, 0.1, cfl=0.9)[0][:, :, 0]
     d_sg = float(np.abs(sg - plain).max())
     d_ipm = float(np.abs(ipm - plain).max())
     wall = time.perf_counter() - start

@@ -218,7 +218,7 @@ def test_deterministic_solve_matches_naive_oracle():
     grid = grid_1d(nx, 0.0, 1.0)
     x = grid.cell_centers(0)
     u0 = np.where(x[:, None] < 0.5, SOD_L, SOD_R)
-    ours = deterministic_solve(u0[:, None], grid, GAS, 0.1, cfl=0.9)[:, 0]
+    ours = deterministic_solve(u0[:, None], grid, GAS, 0.1, cfl=0.9)[0][:, 0]
     ref = oracles.naive_fv_run(u0, 1.0 / nx, 0.1, GAS.gamma, cfl=0.9)
     np.testing.assert_allclose(ours, ref, atol=1e-12)
 
@@ -258,7 +258,7 @@ def test_deterministic_solve_2d_keeps_y_symmetry():
     u2 = np.zeros((nx, ny, 4))
     u2[..., 0] = np.where(x < 0.5, SOD_L[0], SOD_R[0])[:, None]
     u2[..., 3] = np.where(x < 0.5, SOD_L[2], SOD_R[2])[:, None]
-    out = deterministic_solve(u2[:, :, None], grid2, GAS, 0.05)[:, :, 0]
+    out = deterministic_solve(u2[:, :, None], grid2, GAS, 0.05)[0][:, :, 0]
     np.testing.assert_allclose(out[..., 2], 0.0, atol=1e-13)
     for j in range(1, ny):
         np.testing.assert_allclose(out[:, j], out[:, 0], atol=1e-13)
@@ -278,11 +278,15 @@ def test_deterministic_solve_rows_match_single_runs(ndim):
     left[[0, -1]], right[[0, -1]] = (1.0, 2.5), (0.125, 0.25)
     states = np.repeat(np.where(mask[..., None], left, right)[..., None, :], 3, axis=-2)
     states[..., -1] *= np.array([1.0, 4.0, 0.25])
-    batch = deterministic_solve(states, grid, GAS, 0.1)
+    batch, stats = deterministic_solve(states, grid, GAS, 0.1)
     assert batch.shape == states.shape
+    steps = []
     for row in range(3):
-        one = deterministic_solve(states[..., row : row + 1, :], grid, GAS, 0.1)
+        one, one_stats = deterministic_solve(states[..., row : row + 1, :], grid, GAS, 0.1)
         assert np.array_equal(one, batch[..., row : row + 1, :])
+        steps.append(one_stats.steps)
+    assert steps == ([5, 11, 2] if ndim == 1 else [3, 6, 2])
+    assert stats.steps == max(steps)
 
 
 @pytest.mark.parametrize("flux", ["lax-friedrichs", "roe"])

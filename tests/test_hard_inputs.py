@@ -70,8 +70,9 @@ def final_node_states(monkeypatch):
         return result
 
     def deterministic_solve(*args, **kwargs):
-        found.append(solve(*args, **kwargs))
-        return found[-1]
+        states, stats = solve(*args, **kwargs)
+        found.append(states)
+        return states, stats
 
     monkeypatch.setattr(runner, "run_sg", sg_run)
     monkeypatch.setattr(runner, "run_ipm", ipm_run)

@@ -409,7 +409,7 @@ def test_run_ipm_degenerate_equals_deterministic():
     result = run_ipm(field, GAS, t_end=0.04, newton=NewtonConfig(tol=1e-14))
     x = grid.cell_centers(0)
     u0 = np.where(x[:, None] < 0.5, SOD_L, SOD_R)
-    ref = deterministic_solve(u0[:, None], grid, GAS, 0.04, cfl=0.9)[:, 0]
+    ref = deterministic_solve(u0[:, None], grid, GAS, 0.04, cfl=0.9)[0][:, 0]
     np.testing.assert_allclose(result.field.coeffs[:, 0, 0, :], ref, atol=1e-12)
 
 
@@ -544,6 +544,70 @@ def test_solve_duals_stress_random_realizable_moments():
     duals, stats = solve_duals(moments, warm, basis, GAS)
     assert stats.max_residual <= 1e-7
     assert np.all(np.isfinite(duals))
+
+
+def sod_2d(x, y, xi):
+    x, y, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in (x, y, xi)))
+    left, right = np.array([1.0, 0.0, 0.0, 2.5]), np.array([0.125, 0.0, 0.0, 0.25])
+    return np.where((x < 0.5 + 0.05 * xi + 0.1 * y)[..., None], left, right)
+
+
+@pytest.mark.parametrize(
+    "ndim, threads", [(1, None), (2, 1), (2, 2)], ids=["sod_1d", "2d_1_thread", "2d_2_threads"]
+)
+def test_run_ipm_flux_sees_the_states_of_its_duals(monkeypatch, ndim, threads):
+    # each solve hands its node states to the flux and to the next solve;
+    # at every step they equal the states its duals map to, bit for bit, and
+    # dual_node_states finds every node of every accepted iterate in range
+    if ndim == 1:
+        initial, grid = sod_initial, grid_1d(40, 0.0, 1.0)
+        basis = build_basis(build_partition(-1, 1, 3), 4)
+    else:
+        from uqfv.fv import grid_2d
+
+        initial, grid = sod_2d, grid_2d(8, 5)
+        basis = build_basis(build_partition(-1, 1, 2), 2)
+        monkeypatch.setattr(ipm_mod, "_CHUNK", 24)  # 80 problems in 4 chunks
+    field = project_initial_data(initial, grid, basis)
+    duals0 = initial_duals_from_states(initial_node_states(initial, grid, basis), basis, GAS)
+    solve, divergence = ipm_mod.solve_duals, ipm_mod.moment_flux_divergence
+    duals, checked = [], []
+
+    def recording_solve(*args, **kwargs):
+        lam, stats = solve(*args, **kwargs)
+        duals.append(lam)
+        return lam, stats
+
+    def checking_divergence(nodes, *args):
+        assert np.array_equal(nodes, dual_node_states(duals[-1], basis, GAS))
+        checked.append(len(duals))
+        return divergence(nodes, *args)
+
+    monkeypatch.setattr(ipm_mod, "solve_duals", recording_solve)
+    monkeypatch.setattr(ipm_mod, "moment_flux_divergence", checking_divergence)
+    result = run_ipm(field, GAS, 1.0, initial_duals=duals0, threads=threads, max_steps=10)
+    assert result.stats.newton_iterations > 0
+    # step n's flux takes the states of solve n: the first solve, then the
+    # re-solve that ended step n - 1
+    assert checked == list(range(1, result.stats.steps + 1))
+
+
+@pytest.mark.parametrize("n_elements, degree", [(1, 14), (3, 4)])
+def test_newton_matrix_matches_the_oracle(n_elements, degree):
+    # the batched product in the (k a, j b) order of the unknowns, against the
+    # oracle's einsum over the inverse of the entropy Hessian
+    basis = build_basis(build_partition(-1, 1, n_elements), degree)
+    grid = grid_1d(8, 0.4, 0.6)
+    field = project_initial_data(sod_initial, grid, basis)
+    warm = initial_duals_from_states(initial_node_states(sod_initial, grid, basis), basis, GAS)
+    duals, _ = solve_duals(field.coeffs, warm, basis, GAS)
+    lam = duals.reshape(-1, basis.n_coeffs, 3)
+    jac = ipm_mod._dual_eval(basis.reconstruct(lam), GAS)[2]
+    hess = ipm_mod._newton_matrix(basis, jac, slice(None))
+    assert hess.shape == (lam.shape[0], lam[0].size, lam[0].size)
+    for p in range(lam.shape[0]):
+        ref = oracles.dual_hessian(lam[p], basis, GAS)
+        assert np.max(np.abs(hess[p] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_run_ipm_dual_solve_error_names_step_and_block():

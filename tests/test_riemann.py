@@ -287,15 +287,19 @@ def test_collocation_statistics_do_not_depend_on_the_block(monkeypatch, grid):
     axes = np.meshgrid(*map(grid.cell_centers, range(grid.ndim)), indexing="ij")
     centers = [c[..., None] for c in axes]
     mean = second = 0.0
+    steps = []
     for xi, w in zip(nodes, weights / 2.0):
-        u = deterministic_solve(uncertain_sod(*centers, [xi]), grid, GAS, 0.05)[..., 0, :]
-        mean = mean + w * u
-        second = second + w * u**2
+        u, run = deterministic_solve(uncertain_sod(*centers, [xi]), grid, GAS, 0.05)
+        mean = mean + w * u[..., 0, :]
+        second = second + w * u[..., 0, :] ** 2
+        steps.append(run.steps)
     for block in (1, 3, n_nodes):
         monkeypatch.setattr(riemann, "_BLOCK", block)
-        stats = collocation_reference(uncertain_sod, grid, GAS, t_end=0.05, n_nodes=n_nodes)
+        stats, run = riemann._collocation(uncertain_sod, grid, GAS, 0.05, 0.9, n_nodes)
         assert np.array_equal(stats.mean, mean)
         assert np.array_equal(stats.variance, np.maximum(second - mean**2, 0.0))
+        # the run reports the steps of the node that took the most
+        assert run.steps == max(steps)
 
 
 def test_collocation_failure_names_the_node(monkeypatch):

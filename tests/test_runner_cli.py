@@ -92,6 +92,9 @@ reference_nodes = 30
     assert report.errors["errE_rho"] < 0.2
     data = np.genfromtxt(tmp_path / "stats.csv", delimiter=",", skip_header=1)
     assert data.shape == (40, 7)
+    # the steps of the node solve that took the most, as the report states
+    assert report.stats.steps > 0
+    assert f"\nsteps: {report.stats.steps}\n" in (tmp_path / "report.txt").read_text()
 
 
 def test_run_riemann_2d_small(tmp_path):

@@ -230,7 +230,7 @@ def test_run_sg_degenerate_equals_deterministic():
     result = run_sg(field, GAS, t_end=0.05)
     x = grid.cell_centers(0)
     u0 = np.where(x[:, None] < 0.5, SOD_L, SOD_R)
-    ref = deterministic_solve(u0[:, None], grid, GAS, 0.05, cfl=0.9)[:, 0]
+    ref = deterministic_solve(u0[:, None], grid, GAS, 0.05, cfl=0.9)[0][:, 0]
     np.testing.assert_allclose(result.field.coeffs[:, 0, 0, :], ref, atol=1e-13)
 
 
