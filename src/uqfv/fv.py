@@ -196,14 +196,14 @@ def _wave_speeds(node_states, grid: StructuredGrid, gas: GasModel):
     return (np.abs(u[..., 1 + a] / rho) + c for a in range(grid.ndim))
 
 
-def global_wave_speeds(node_states, grid: StructuredGrid, gas: GasModel) -> tuple:
-    """Largest |v| + c per axis over every cell, element and quadrature node."""
-    return tuple(float(np.max(s)) for s in _wave_speeds(node_states, grid, gas))
-
-
 def cfl_time_step(node_states, grid: StructuredGrid, gas: GasModel, cfl: float) -> float:
-    """Time step from lambda_1 dt/dx + lambda_2 dt/dy <= cfl (1D drops the y term)."""
-    return _cfl_steps(global_wave_speeds(node_states, grid, gas), grid, cfl)
+    """Time step from lambda_1 dt/dx + lambda_2 dt/dy <= cfl (1D drops the y term).
+
+    lambda_a is the largest |v| + c along axis a over every cell, element and
+    quadrature node.
+    """
+    speeds = tuple(float(np.max(s)) for s in _wave_speeds(node_states, grid, gas))
+    return _cfl_steps(speeds, grid, cfl)
 
 
 def _cfl_steps(speeds, grid: StructuredGrid, cfl: float):

@@ -122,16 +122,14 @@ def _newton_matrix(basis: GpcBasis, jac: np.ndarray, rows) -> np.ndarray:
 def _solve_batch(
     lam, moments, states, basis: GpcBasis, gas: GasModel, cfg: NewtonConfig, shape, offset=0
 ):
-    """Newton with line search on a (P, K+1, d) batch; modifies lam in place.
+    """Newton with line search on a (P, K+1, d) batch; modifies lam and states in place.
 
-    ``states`` holds the node states of lam, or is None. Given, they set the
-    starting residuals, and only the problems above tol are mapped again.
-    Without them every start is mapped, and one outside the dual range first
-    falls back to the constant entropic ansatz of its mean. Every trial goes
-    through ``evaluate``, one map evaluation each; the solve keeps the node
-    states, Jacobian, objective and residual of each problem's current
-    iterate, so an accepted trial is never evaluated again. Returns the
-    iterations, residual max-norms and node states per problem.
+    ``states`` holds the node states of lam, which is in the dual range at
+    every node. They set the starting residuals; only the problems above tol
+    are evaluated, and every trial goes through ``evaluate``, one map
+    evaluation each. The solve keeps the node states, Jacobian, objective and
+    residual of each problem's current iterate, so an accepted trial is never
+    evaluated again. Returns the iterations and residual max-norms per problem.
     """
     w = basis.rule.weights
     n_prob, k1, d = lam.shape
@@ -157,33 +155,15 @@ def _solve_batch(
             obj = sstar @ w - np.einsum("pkd,pkd->p", duals, mom)
         return (u, jac, np.where(np.isfinite(obj), obj, np.inf), *residual(u, mom))
 
-    if states is None:
-        lam_nodes = basis.reconstruct(lam)
-        bad = ~np.all(dual_range_mask(lam_nodes, gas), axis=-1)
-        if np.any(bad):
-            means = moments[bad, 0, :]
-            ok = admissible_mask(means, gas)
-            if not np.all(ok):
-                p = np.flatnonzero(bad)[_first_false(ok)[0]]
-                raise DualSolveError(
-                    f"unrealizable moments: inadmissible cell mean at (cells..., element) {where(p)}"
-                )
-            lam[bad] = 0.0
-            lam[bad, 0, :] = entropy_gradient(means, gas)
-            lam_nodes[bad] = basis.reconstruct(lam[bad])
-        u, jac, obj, res, rn = evaluate(lam, lam_nodes, moments)
-    else:
-        # the states of accepted duals passed dual_range_mask at every node;
-        # jac and obj are read only where Newton runs
-        u = states
-        res, rn = residual(u, moments)
-        jac = np.empty(u.shape + (d,))
-        obj = np.empty(n_prob)
-        rows = np.flatnonzero(rn > cfg.tol)
-        _, jac[rows], obj[rows], _, _ = evaluate(
-            lam[rows], basis.reconstruct(lam[rows]), moments[rows]
-        )
+    # jac and obj are read only where Newton runs
+    u = states
+    res, rn = residual(u, moments)
     active = np.flatnonzero(rn > cfg.tol)
+    jac = np.empty(u.shape + (d,))
+    obj = np.empty(n_prob)
+    _, jac[active], obj[active], _, _ = evaluate(
+        lam[active], basis.reconstruct(lam[active]), moments[active]
+    )
 
     while active.size:
         exhausted = iters[active] >= cfg.max_iter
@@ -239,7 +219,7 @@ def _solve_batch(
             raise DualSolveError(f"line search stalled at (cells..., element) {where(p)}")
         iters[active] += 1
         active = active[rn[active] > cfg.tol]
-    return iters, rn, u
+    return iters, rn
 
 
 def solve_duals(
@@ -261,11 +241,15 @@ def solve_duals(
     workers share them out, so results do not depend on the worker count.
     An empty batch returns empty duals.
 
-    The returned stats carry ``node_states``, the states the returned duals
-    map to at the quadrature nodes, equal to ``dual_node_states`` of them.
-    Passed back as ``warm_states`` with those duals as ``warm_start``, they
-    spare the next solve mapping the duals of problems its moments still
-    match; they must be the states of ``warm_start``.
+    Every solve starts from the node states of its start duals: from
+    ``warm_states``, which must be the states of ``warm_start``, or else from
+    ``dual_node_states`` of the start, where a start outside the dual range
+    first takes the constant entropic ansatz of its mean. Only the problems
+    the states leave above tol are evaluated and iterated. The returned stats
+    carry ``node_states``, the states of the returned duals, equal to
+    ``dual_node_states`` of them; passed back as ``warm_states`` with those
+    duals as ``warm_start``, they spare the next solve mapping the duals of
+    problems its moments still match.
     """
     if config is None:
         config = NewtonConfig()
@@ -276,9 +260,18 @@ def solve_duals(
     mom = moments.reshape(lam.shape)
     n_prob = lam.shape[0]
     if warm_states is None:
-        states = np.empty((n_prob, basis.n_nodes, d))
-    else:
-        states = np.array(warm_states, dtype=float).reshape(n_prob, basis.n_nodes, d)
+        bad = ~np.all(dual_range_mask(basis.reconstruct(lam), gas), axis=-1)
+        ok = ~bad | admissible_mask(mom[:, 0, :], gas)
+        if not np.all(ok):
+            raise DualSolveError(
+                "unrealizable moments: inadmissible cell mean at (cells..., element) "
+                f"{_first_false(ok.reshape(shape))}"
+            )
+        lam[bad] = 0.0
+        lam[bad, 0, :] = entropy_gradient(mom[bad, 0, :], gas)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            warm_states = dual_node_states(lam.reshape(moments.shape), basis, gas)
+    states = np.array(warm_states, dtype=float).reshape(n_prob, basis.n_nodes, d)
     n_chunks = -(-n_prob // _CHUNK)
     chunks = [
         slice(i * n_prob // n_chunks, (i + 1) * n_prob // n_chunks)
@@ -288,9 +281,8 @@ def solve_duals(
     res = np.zeros(n_prob)
 
     def work(sl):
-        warm = None if warm_states is None else states[sl]
-        iters[sl], res[sl], states[sl] = _solve_batch(
-            lam[sl], mom[sl], warm, basis, gas, config, shape, sl.start
+        iters[sl], res[sl] = _solve_batch(
+            lam[sl], mom[sl], states[sl], basis, gas, config, shape, sl.start
         )
 
     workers = min(len(chunks), _usable_cpus() if threads is None else threads)

@@ -80,19 +80,28 @@ class FilterConfig:
             raise ValueError(f"filter order must be an integer >= 1, got {self.order}")
 
 
+def _gains_read_dt(degree: int, config: FilterConfig | None) -> bool:
+    """Whether filter_gains(degree, config, dt) depends on dt: a dt-scaled
+    exponential filter of positive strength above degree 0."""
+    return (
+        config is not None
+        and config.kind == "exponential"
+        and config.dt_scaled
+        and config.strength > 0.0
+        and degree > 0
+    )
+
+
 def filter_gains(degree: int, config: FilterConfig | None, dt: float = 0.0) -> np.ndarray:
     """Gain per polynomial degree, shape (degree + 1,); gain of degree 0 is 1."""
     k = np.arange(degree + 1, dtype=float)
-    if config is None or config.kind == "none" or config.strength == 0.0:
+    if config is None or config.kind == "none" or config.strength == 0.0 or degree == 0:
         return np.ones(degree + 1)
     if config.kind == "l2":
         return 1.0 / (1.0 + config.strength * k**2 * (k + 1.0) ** 2)
-    if degree == 0:
-        return np.ones(1)
     c = np.log(np.finfo(float).eps)
     base = np.exp(c * (k / degree) ** config.order)
-    exponent = config.strength * dt if config.dt_scaled else config.strength
-    gains = base**exponent
+    gains = base ** (config.strength * dt if _gains_read_dt(degree, config) else config.strength)
     gains[0] = 1.0
     return gains
 
@@ -216,20 +225,13 @@ def run_sg(
     grid, basis = initial.grid, initial.basis
     coeffs = initial.coeffs.copy()
     filtering = filter_config is not None and filter_config.kind != "none"
-    # filter_gains reads dt only for a dt-scaled exponential filter
-    gains_read_dt = (
-        filtering
-        and filter_config.kind == "exponential"
-        and filter_config.dt_scaled
-        and filter_config.strength > 0.0
-    )
 
     def step(stats: RunStats, dt_max: float) -> float:
         nonlocal coeffs
         with _timed(stats, "filter_limiter_s"):
             if filtering:
                 dt_est = 0.0
-                if gains_read_dt:
+                if _gains_read_dt(basis.degree, filter_config):
                     # the filter exponent needs a step-size estimate; take it
                     # from a probe-limited (admissible) reconstruction
                     probe, _ = apply_limiter(coeffs, basis, gas, limiter_config)

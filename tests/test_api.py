@@ -39,7 +39,7 @@ REMOVED = {
               "_pressure_unchecked", "physical_flux", "max_wave_speed"),
     "fv": ("hll_flux", "lax_friedrichs_flux", "_lf_unchecked", "extend_moments",
            "_dirichlet_moments", "MomentField.cell_means", "MomentField.copy",
-           "MomentField.n_components"),
+           "MomentField.n_components", "global_wave_speeds"),
     "ipm": ("dual_residual", "dual_hessian", "ipm_update"),
     "sg": ("limiter_theta", "filter_gain", "sg_update"),
     "stats": ("_window_mask",),

@@ -10,11 +10,11 @@ from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv.fv import (
     MomentField,
+    _cfl_steps,
     _hll_unchecked,
     cfl_time_step,
     deterministic_solve,
     extend_node_states,
-    global_wave_speeds,
     grid_1d,
     grid_2d,
     moment_flux_divergence,
@@ -102,15 +102,14 @@ def test_cfl_time_step_sod_initial():
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_global_wave_speeds_match_max_wave_speed(ndim):
-    # bit for bit, on many small fields so that round-off in any state shows
+    # cfl_time_step reduces the largest |v| + c per axis; bit for bit against
+    # the oracle's speeds, on many small fields so that round-off in any state shows
     rng = np.random.default_rng(5)
     grid = grid_1d(2, 0.0, 1.0) if ndim == 1 else grid_2d(2, 1)
     for _ in range(50):
         u = random_admissible(rng, 4, ndim).reshape(2, 1, 2, 2 + ndim)
-        speeds = global_wave_speeds(u, grid, GAS)
-        assert speeds == tuple(
-            float(np.max(max_wave_speed(u, GAS, axis))) for axis in range(ndim)
-        )
+        speeds = tuple(float(np.max(max_wave_speed(u, GAS, axis))) for axis in range(ndim))
+        assert cfl_time_step(u, grid, GAS, 0.9) == _cfl_steps(speeds, grid, 0.9)
 
 
 @pytest.mark.parametrize(
@@ -124,7 +123,7 @@ def test_global_wave_speeds_rejects_inadmissible(bad):
     states[5] = bad
     message = r"^inadmissible state in wave-speed scan at index \(3,\)$"
     with pytest.raises(InadmissibleStateError, match=message):
-        global_wave_speeds(states, grid_1d(6, 0.0, 1.0), GAS)
+        cfl_time_step(states, grid_1d(6, 0.0, 1.0), GAS, 0.9)
 
 
 def test_cfl_rejects_bad_number():

@@ -255,8 +255,9 @@ def test_solve_duals_empty_batch():
 
 
 def test_solve_duals_unrealizable_mean_raises(monkeypatch):
-    # 12 problems in chunks of 4; the bad mean of problem 7 sits in the
-    # second chunk, and its (cell, element) index counts the chunk offset
+    # 12 problems, whose chunks of 4 do not matter: the start of every
+    # problem is checked before the chunks are solved, and the first bad
+    # mean, problem 7, is named by its (cell, element) index
     import uqfv.ipm as ipm_mod
 
     monkeypatch.setattr(ipm_mod, "_CHUNK", 5)
@@ -552,13 +553,9 @@ def sod_2d(x, y, xi):
     return np.where((x < 0.5 + 0.05 * xi + 0.1 * y)[..., None], left, right)
 
 
-@pytest.mark.parametrize(
-    "ndim, threads", [(1, None), (2, 1), (2, 2)], ids=["sod_1d", "2d_1_thread", "2d_2_threads"]
-)
-def test_run_ipm_flux_sees_the_states_of_its_duals(monkeypatch, ndim, threads):
-    # each solve hands its node states to the flux and to the next solve;
-    # at every step they equal the states its duals map to, bit for bit, and
-    # dual_node_states finds every node of every accepted iterate in range
+def sod_batch(monkeypatch, ndim):
+    """A Sod ME-IPM field and its initial duals: 1D 40 x 3 elements, or a 2D
+    8 x 5 x 2 elements batch split into 4 chunks."""
     if ndim == 1:
         initial, grid = sod_initial, grid_1d(40, 0.0, 1.0)
         basis = build_basis(build_partition(-1, 1, 3), 4)
@@ -570,6 +567,34 @@ def test_run_ipm_flux_sees_the_states_of_its_duals(monkeypatch, ndim, threads):
         monkeypatch.setattr(ipm_mod, "_CHUNK", 24)  # 80 problems in 4 chunks
     field = project_initial_data(initial, grid, basis)
     duals0 = initial_duals_from_states(initial_node_states(initial, grid, basis), basis, GAS)
+    return field, duals0
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_solve_duals_cold_start_equals_warm_states(monkeypatch, ndim, threads):
+    # a solve given only in-range start duals maps them through
+    # dual_node_states; it equals the solve given those states, bit for bit
+    field, warm = sod_batch(monkeypatch, ndim)
+    basis = field.basis
+    cold = solve_duals(field.coeffs, warm, basis, GAS, threads=threads)
+    given_states = dual_node_states(warm, basis, GAS)
+    hot = solve_duals(field.coeffs, warm, basis, GAS, threads=threads, warm_states=given_states)
+    assert cold[1].iterations > 0
+    np.testing.assert_array_equal(hot[0], cold[0])
+    for name in ("per_problem_iterations", "per_problem_residuals", "node_states"):
+        np.testing.assert_array_equal(getattr(hot[1], name), getattr(cold[1], name))
+
+
+@pytest.mark.parametrize(
+    "ndim, threads", [(1, None), (2, 1), (2, 2)], ids=["sod_1d", "2d_1_thread", "2d_2_threads"]
+)
+def test_run_ipm_flux_sees_the_states_of_its_duals(monkeypatch, ndim, threads):
+    # each solve hands its node states to the flux and to the next solve;
+    # at every step they equal the states its duals map to, bit for bit, and
+    # dual_node_states finds every node of every accepted iterate in range
+    field, duals0 = sod_batch(monkeypatch, ndim)
+    basis = field.basis
     solve, divergence = ipm_mod.solve_duals, ipm_mod.moment_flux_divergence
     duals, checked = [], []
 

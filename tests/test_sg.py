@@ -395,16 +395,17 @@ def test_apply_limiter_properties(block):
 
 
 @pytest.mark.parametrize(
-    "config, calls_per_step",
+    "config, degree, calls_per_step",
     [
-        (FilterConfig("l2", strength=0.01), 1),
-        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=False), 1),
-        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 2),
+        (FilterConfig("l2", strength=0.01), 3, 1),
+        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=False), 3, 1),
+        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 3, 2),
+        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 0, 1),
     ],
 )
-def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, calls_per_step):
+def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, degree, calls_per_step):
     # the probe limiter estimates dt for the filter exponent; only a
-    # dt-scaled exponential filter reads it
+    # dt-scaled exponential filter above degree 0 reads it
     import uqfv.sg as sg_mod
 
     calls = []
@@ -414,7 +415,7 @@ def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, calls_per_
         return apply_limiter(*args, **kwargs)
 
     monkeypatch.setattr(sg_mod, "apply_limiter", counting)
-    basis = build_basis(build_partition(-1, 1, 2), 3)
+    basis = build_basis(build_partition(-1, 1, 2), degree)
     grid = grid_1d(20, 0.0, 1.0)
     field = project_initial_data(sod_initial, grid, basis)
     result = run_sg(field, GAS, t_end=0.1, filter_config=config)
