@@ -201,7 +201,7 @@ def parse_config(source) -> RunConfig:
     if method.name in _FILTERED:
         if "filter" not in sections:
             raise ConfigError(f"method {method.name} requires a [filter] section")
-        filt = sections["filter"].build(kind="exponential")
+        filt = sections["filter"].build()
     else:
         if "filter" in sections:
             raise ConfigError(f"[filter] is only valid for methods {_FILTERED}")

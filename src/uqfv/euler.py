@@ -26,7 +26,11 @@ __all__ = [
 
 
 class SolverError(Exception):
-    """A failure inside a solver step; the time loop prefixes the step number."""
+    """A failure inside a solver step; the time loop prefixes the step number.
+
+    A located failure carries ``index``: the tuple of ints its message
+    prints, the position of the first failing entry in the array checked.
+    """
 
 
 class InadmissibleStateError(SolverError, ValueError):
@@ -35,6 +39,19 @@ class InadmissibleStateError(SolverError, ValueError):
 
 class DualRangeError(ValueError):
     """Dual vector outside the range of the entropy gradient."""
+
+
+def _require(ok: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error(message.format(index=i))`` at the first False entry of ``ok``.
+
+    i is that entry's index in row-major order, as plain ints; the raised
+    error carries it as ``index``.
+    """
+    if not np.all(ok):
+        index = tuple(map(int, np.unravel_index(np.argmin(ok), ok.shape)))
+        exc = error(message.format(index=index))
+        exc.index = index
+        raise exc
 
 
 @dataclass(frozen=True)
@@ -88,11 +105,6 @@ def is_admissible(u, gas: GasModel) -> bool:
     return bool(np.all(admissible_mask(u, gas)))
 
 
-def _first_false(mask: np.ndarray) -> tuple:
-    """Index of the first False entry of a boolean mask, as plain ints."""
-    return tuple(map(int, np.argwhere(~mask)[0]))
-
-
 def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int) -> tuple:
     """Directional flux, velocity along ``axis`` and sound speed, from one pressure."""
     rho, m, en = _parts(u)
@@ -114,10 +126,7 @@ def entropy_gradient(u, gas: GasModel) -> np.ndarray:
     """Gradient of the entropy with respect to the conserved variables."""
     u = np.asarray(u, dtype=float)
     e_int, ok = _energy_and_mask(u)
-    if not np.all(ok):
-        raise InadmissibleStateError(
-            f"inadmissible state (rho <= 0 or p <= 0) at index {_first_false(ok)}"
-        )
+    _require(ok, InadmissibleStateError, "inadmissible state (rho <= 0 or p <= 0) at index {index}")
     rho, m, _ = _parts(u)
     q = _dot(m, m)
     grad = np.empty_like(u)
@@ -152,11 +161,11 @@ def entropy_gradient_inverse(lam, gas: GasModel) -> np.ndarray:
     dual lies outside the gradient's range (l_E >= 0 or non-finite input).
     """
     lam = np.asarray(lam, dtype=float)
-    ok = dual_range_mask(lam, gas)
-    if not np.all(ok):
-        raise DualRangeError(
-            f"dual vector outside the entropy-gradient range at index {_first_false(ok)}"
-        )
+    _require(
+        dual_range_mask(lam, gas),
+        DualRangeError,
+        "dual vector outside the entropy-gradient range at index {index}",
+    )
     return _dual_to_state_unchecked(lam, gas)
 
 

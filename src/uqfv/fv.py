@@ -23,8 +23,8 @@ from .euler import (
     InadmissibleStateError,
     SolverError,
     _energy_and_mask,
-    _first_false,
     _flux_and_speeds,
+    _require,
     _sound_speed_unchecked,
 )
 
@@ -185,11 +185,7 @@ def _wave_speeds(node_states, grid: StructuredGrid, gas: GasModel):
     """
     u = np.asarray(node_states, dtype=float)
     e_int, ok = _energy_and_mask(u)
-    if not np.all(ok):
-        index = _first_false(ok)
-        error = InadmissibleStateError(f"inadmissible state in wave-speed scan at index {index}")
-        error.index = index
-        raise error
+    _require(ok, InadmissibleStateError, "inadmissible state in wave-speed scan at index {index}")
     rho = u[..., 0]
     # the sound speed from the one energy the admissibility test used
     c = _sound_speed_unchecked(rho, (gas.gamma - 1.0) * e_int, gas)

@@ -27,7 +27,7 @@ from .euler import (
     SolverError,
     _dual_eval,
     _dual_to_state_unchecked,
-    _first_false,
+    _require,
     admissible_mask,
     dual_range_mask,
     entropy_gradient,
@@ -139,6 +139,15 @@ def _solve_batch(
     def where(p):
         return tuple(map(int, np.unravel_index(p + offset, shape)))
 
+    def require(ok, message):
+        """Raise DualSolveError at the first active problem where ``ok`` is False;
+        its (cells..., element) index fills the message's {index} and is ``index``."""
+        if not np.all(ok):
+            p = active[np.argmin(ok)]
+            error = DualSolveError(message.format(index=where(p), residual=rn[p]))
+            error.index = where(p)
+            raise error from None
+
     def residual(u, mom):
         """The moment residual mom - project(u) and its max-norm; a non-finite norm reads inf."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -166,14 +175,12 @@ def _solve_batch(
     )
 
     while active.size:
-        exhausted = iters[active] >= cfg.max_iter
-        if np.any(exhausted):
-            p = active[np.flatnonzero(exhausted)[0]]
-            raise DualSolveError(
-                f"dual solve at (cells..., element) {where(p)} "
-                f"did not reach tol={cfg.tol:g} within {cfg.max_iter} iterations "
-                f"(residual {rn[p]:.3e})"
-            )
+        require(
+            iters[active] < cfg.max_iter,
+            "dual solve at (cells..., element) {index} "
+            f"did not reach tol={cfg.tol:g} within {cfg.max_iter} iterations "
+            "(residual {residual:.3e})",
+        )
         # the matrices, an iteration's largest array, are freed before the line search
         try:
             delta = np.linalg.solve(
@@ -182,14 +189,13 @@ def _solve_batch(
         except np.linalg.LinAlgError:
             # slogdet factors each matrix as solve does; sign 0 marks a singular one
             sign = np.linalg.slogdet(_newton_matrix(basis, jac, active))[0]
-            p = active[np.flatnonzero(sign == 0.0)[0]]
-            msg = f"singular Newton matrix at (cells..., element) {where(p)}"
-            raise DualSolveError(msg) from None
+            require(sign != 0.0, "singular Newton matrix at (cells..., element) {index}")
+            raise
+        require(
+            np.all(np.isfinite(delta.reshape(active.size, -1)), axis=1),
+            "non-finite Newton direction at (cells..., element) {index}",
+        )
         delta = delta.reshape(active.size, k1, d)
-        if not np.all(np.isfinite(delta)):
-            broken = ~np.all(np.isfinite(delta.reshape(active.size, -1)), axis=1)
-            p = active[np.flatnonzero(broken)[0]]
-            raise DualSolveError(f"non-finite Newton direction at (cells..., element) {where(p)}")
 
         step = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
@@ -214,9 +220,7 @@ def _solve_batch(
             lam[rows], u[rows], jac[rows], obj[rows], res[rows], rn[rows] = (
                 cand[ok], t_u[ok], t_jac[ok], t_obj[ok], t_res[ok], t_rn[ok]
             )
-        if not np.all(accepted):
-            p = active[np.flatnonzero(~accepted)[0]]
-            raise DualSolveError(f"line search stalled at (cells..., element) {where(p)}")
+        require(accepted, "line search stalled at (cells..., element) {index}")
         iters[active] += 1
         active = active[rn[active] > cfg.tol]
     return iters, rn
@@ -261,12 +265,11 @@ def solve_duals(
     n_prob = lam.shape[0]
     if warm_states is None:
         bad = ~np.all(dual_range_mask(basis.reconstruct(lam), gas), axis=-1)
-        ok = ~bad | admissible_mask(mom[:, 0, :], gas)
-        if not np.all(ok):
-            raise DualSolveError(
-                "unrealizable moments: inadmissible cell mean at (cells..., element) "
-                f"{_first_false(ok.reshape(shape))}"
-            )
+        _require(
+            (~bad | admissible_mask(mom[:, 0, :], gas)).reshape(shape),
+            DualSolveError,
+            "unrealizable moments: inadmissible cell mean at (cells..., element) {index}",
+        )
         lam[bad] = 0.0
         lam[bad, 0, :] = entropy_gradient(mom[bad, 0, :], gas)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -311,12 +314,12 @@ def initial_duals_from_states(node_states: np.ndarray, basis: GpcBasis, gas: Gas
 def dual_node_states(duals: np.ndarray, basis: GpcBasis, gas: GasModel) -> np.ndarray:
     """Admissible states mapped from the entropic expansion at the quadrature nodes."""
     lam_nodes = basis.reconstruct(duals)
-    ok = dual_range_mask(lam_nodes, gas)
-    if not np.all(ok):
-        raise DualSolveError(
-            "entropic variable leaves the dual range at a quadrature node, "
-            f"at (cells..., element, node) index {_first_false(ok)}"
-        )
+    _require(
+        dual_range_mask(lam_nodes, gas),
+        DualSolveError,
+        "entropic variable leaves the dual range at a quadrature node, "
+        "at (cells..., element, node) index {index}",
+    )
     return _dual_to_state_unchecked(lam_nodes, gas)
 
 

@@ -91,7 +91,7 @@ def run(config: RunConfig, output_dir=None) -> RunReport:
         files["errors_csv"] = errors_path
 
     report_path = out / config.output.report
-    _write_report(report_path, config, stats, errors, statistics.clamped)
+    _write_report(report_path, config, stats, errors)
     files["report"] = report_path
     return RunReport(
         config=config,
@@ -163,9 +163,7 @@ def run_batch(config_paths, output_dir) -> list:
     return reports
 
 
-def _write_report(
-    path, config: RunConfig, stats: RunStats, errors: dict | None, clamped: int = 0
-):
+def _write_report(path, config: RunConfig, stats: RunStats, errors: dict | None):
     lines = {
         "method": config.method.name,
         "problem": config.problem.preset,
@@ -175,7 +173,6 @@ def _write_report(
         "t_end": config.method.t_end,
         "cfl": config.method.cfl,
         **asdict(stats),
-        "clamped_negative_variances": clamped,
     }
     if errors:
         lines.update(errors)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import GpcBasis
-from .euler import GasModel, InadmissibleStateError, SolverError, _dot, _first_false, admissible_mask
+from .euler import GasModel, InadmissibleStateError, SolverError, _dot, _require, admissible_mask
 from .fv import (
     MomentField,
     RunResult,
@@ -56,7 +56,7 @@ class LimiterConfig:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Moment filter: kind in {none, l2, exponential}.
+    """Moment filter: kind in {l2, exponential}; no filter is ``None`` or strength 0.
 
     The exponential filter uses exp(c (k/K)^order) with c = log(machine eps)
     and is raised to strength*dt when dt_scaled (default), making the total
@@ -64,13 +64,13 @@ class FilterConfig:
     The l2 gain is 1 / (1 + strength k^2 (k+1)^2) per application.
     """
 
-    kind: str = "none"
+    kind: str = "exponential"
     strength: float = 0.0
     order: int = 1
     dt_scaled: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("none", "l2", "exponential"):
+        if self.kind not in ("l2", "exponential"):
             raise ValueError(f"unknown filter kind: {self.kind!r}")
         if self.strength < 0.0:
             raise ValueError(f"filter strength must be >= 0, got {self.strength}")
@@ -95,7 +95,7 @@ def _gains_read_dt(degree: int, config: FilterConfig | None) -> bool:
 def filter_gains(degree: int, config: FilterConfig | None, dt: float = 0.0) -> np.ndarray:
     """Gain per polynomial degree, shape (degree + 1,); gain of degree 0 is 1."""
     k = np.arange(degree + 1, dtype=float)
-    if config is None or config.kind == "none" or config.strength == 0.0 or degree == 0:
+    if config is None or config.strength == 0.0 or degree == 0:
         return np.ones(degree + 1)
     if config.kind == "l2":
         return 1.0 / (1.0 + config.strength * k**2 * (k + 1.0) ** 2)
@@ -107,7 +107,7 @@ def filter_gains(degree: int, config: FilterConfig | None, dt: float = 0.0) -> n
 
 
 def apply_filter(coeffs: np.ndarray, config: FilterConfig | None, dt: float = 0.0) -> np.ndarray:
-    """Scale each coefficient by its gain; identity for kind none or strength 0."""
+    """Scale each coefficient by its gain; identity for no filter or strength 0."""
     degree = coeffs.shape[-2] - 1
     gains = filter_gains(degree, config, dt)
     if np.all(gains == 1.0):
@@ -179,11 +179,11 @@ def apply_limiter(
     if not config.enabled:
         return coeffs, np.zeros(cells_shape)
     means = coeffs[..., 0, :]
-    ok = admissible_mask(means, gas)
-    if not np.all(ok):
-        raise InadmissibleStateError(
-            f"inadmissible cell mean at (cells..., element) index {_first_false(ok)}"
-        )
+    _require(
+        admissible_mask(means, gas),
+        InadmissibleStateError,
+        "inadmissible cell mean at (cells..., element) index {index}",
+    )
     nodes = basis.reconstruct(coeffs)
     bad = ~np.all(admissible_mask(nodes, gas), axis=-1)
     theta = np.zeros(cells_shape)
@@ -193,14 +193,11 @@ def apply_limiter(
     theta[bad] = np.where(raw > 0.0, np.minimum(raw + config.epsilon, 1.0), 0.0)
     limited = coeffs.copy()
     limited[bad, 1:, :] *= (1.0 - theta[bad])[:, None, None]
-    ok = admissible_mask(basis.reconstruct(limited[bad]), gas)
-    if not np.all(ok):
-        block, node = np.argwhere(~ok)[0]
-        index = (*np.argwhere(bad)[block], node)
-        raise LimiterError(
-            "reconstruction still inadmissible after limiting at index "
-            f"{tuple(map(int, index))}"
-        )
+    # the re-checked blocks in a (cells..., element, node) mask, so the
+    # error names the node's index in the field
+    ok = np.ones(cells_shape + (basis.n_nodes,), dtype=bool)
+    ok[bad] = admissible_mask(basis.reconstruct(limited[bad]), gas)
+    _require(ok, LimiterError, "reconstruction still inadmissible after limiting at index {index}")
     return limited, theta
 
 
@@ -224,12 +221,11 @@ def run_sg(
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
     coeffs = initial.coeffs.copy()
-    filtering = filter_config is not None and filter_config.kind != "none"
 
     def step(stats: RunStats, dt_max: float) -> float:
         nonlocal coeffs
         with _timed(stats, "filter_limiter_s"):
-            if filtering:
+            if filter_config is not None:
                 dt_est = 0.0
                 if _gains_read_dt(basis.degree, filter_config):
                     # the filter exponent needs a step-size estimate; take it

@@ -28,7 +28,6 @@ class FieldStatistics:
     grid: StructuredGrid
     mean: np.ndarray
     variance: np.ndarray
-    clamped: int = 0
 
     @property
     def n_components(self) -> int:
@@ -45,7 +44,8 @@ def variance(field: MomentField) -> np.ndarray:
     """Total variance over the random variable, shape (cells..., d).
 
     Per element the local variance is the sum of squared higher coefficients;
-    the element means contribute their spread around the global mean.
+    the element means contribute their spread around the global mean. The
+    element weights are positive, so no entry is negative.
     """
     weights = field.basis.element_weights
     mean = expectation(field)
@@ -55,12 +55,7 @@ def variance(field: MomentField) -> np.ndarray:
 
 
 def field_statistics(field: MomentField) -> FieldStatistics:
-    mean = expectation(field)
-    var = variance(field)
-    negative = int(np.count_nonzero(var < 0.0))
-    if negative:
-        var = np.maximum(var, 0.0)
-    return FieldStatistics(grid=field.grid, mean=mean, variance=var, clamped=negative)
+    return FieldStatistics(grid=field.grid, mean=expectation(field), variance=variance(field))
 
 
 def _weighted_l2(values: np.ndarray, grid: StructuredGrid) -> np.ndarray:

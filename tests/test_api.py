@@ -29,20 +29,21 @@ PUBLIC = {
 
 # test-only duplicates, test-only entropy maps and Euler kernels, test-only
 # options, the Lax-Friedrichs flux and uncalled methods, deleted or moved to
-# tests/oracles.py;
+# tests/oracles.py; the first-False locator that ``euler._require`` replaced,
+# and the count of a variance clamp that never fired;
 # a dotted name is an attribute of a class in the module
 REMOVED = {
     "basis": ("QuadratureRule.integrate", "QuadratureRule.ref_nodes",
               "ElementPartition.element_of", "GpcBasis.eval_at"),
     "euler": ("sound_speed", "dual_state_jacobian", "legendre_dual", "_flux_unchecked",
               "entropy", "_entropy_unchecked", "entropy_hessian", "pressure",
-              "_pressure_unchecked", "physical_flux", "max_wave_speed"),
+              "_pressure_unchecked", "physical_flux", "max_wave_speed", "_first_false"),
     "fv": ("hll_flux", "lax_friedrichs_flux", "_lf_unchecked", "extend_moments",
            "_dirichlet_moments", "MomentField.cell_means", "MomentField.copy",
            "MomentField.n_components", "global_wave_speeds"),
     "ipm": ("dual_residual", "dual_hessian", "ipm_update"),
     "sg": ("limiter_theta", "filter_gain", "sg_update"),
-    "stats": ("_window_mask",),
+    "stats": ("_window_mask", "FieldStatistics.clamped"),
 }
 
 

@@ -191,8 +191,9 @@ def test_gradient_inverse_rejects_out_of_range():
 def test_gradient_inverse_names_first_row_out_of_range():
     lam = np.tile(entropy_gradient(SOD_L, GAS), (3, 1))
     lam[2, -1] = 1.0
-    with pytest.raises(DualRangeError, match=r"entropy-gradient range at index \(2,\)$"):
+    with pytest.raises(DualRangeError, match=r"entropy-gradient range at index \(2,\)$") as info:
         entropy_gradient_inverse(lam, GAS)
+    assert info.value.index == (2,)
 
 
 def test_dual_jacobian_spd_and_matches_finite_differences():
@@ -229,8 +230,9 @@ def test_entropy_gradient_names_first_inadmissible_state():
     u[1, 2] = [1.0, 2.0, 1.0]  # negative pressure
     u[1, 3] = [-1.0, 0.0, 2.5]
     message = r"^inadmissible state \(rho <= 0 or p <= 0\) at index \(1, 2\)$"
-    with pytest.raises(InadmissibleStateError, match=message):
+    with pytest.raises(InadmissibleStateError, match=message) as info:
         entropy_gradient(u, GAS)
+    assert info.value.index == (1, 2)
 
 
 @st.composite

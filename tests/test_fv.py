@@ -122,8 +122,9 @@ def test_global_wave_speeds_rejects_inadmissible(bad):
     states[3] = bad
     states[5] = bad
     message = r"^inadmissible state in wave-speed scan at index \(3,\)$"
-    with pytest.raises(InadmissibleStateError, match=message):
+    with pytest.raises(InadmissibleStateError, match=message) as info:
         cfl_time_step(states, grid_1d(6, 0.0, 1.0), GAS, 0.9)
+    assert info.value.index == (3,)
 
 
 def test_cfl_rejects_bad_number():

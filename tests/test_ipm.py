@@ -268,8 +268,9 @@ def test_solve_duals_unrealizable_mean_raises(monkeypatch):
     moments[3, 0, 0] = [-1.0, 0.0, 2.5]
     warm = np.full_like(moments, np.nan)
     message = r"^unrealizable moments: inadmissible cell mean at \(cells\.\.\., element\) \(2, 1\)$"
-    with pytest.raises(DualSolveError, match=message):
+    with pytest.raises(DualSolveError, match=message) as info:
         solve_duals(moments, warm, basis, GAS, threads=1)
+    assert info.value.index == (2, 1)
 
 
 def sod_block_with_warm_l_rho(l_rho):
@@ -288,19 +289,23 @@ def test_solve_duals_overflowing_warm_start_is_unconverged():
     # residual is not finite, reads inf, and the Newton step cannot be formed
     basis, moments, warm = sod_block_with_warm_l_rho(1e3)
     message = r"^non-finite Newton direction at \(cells\.\.\., element\) \(1, 0\)$"
-    with pytest.raises(DualSolveError, match=message):
+    with pytest.raises(DualSolveError, match=message) as info:
         solve_duals(moments, warm, basis, GAS)
+    assert info.value.index == (1, 0)
 
 
 def test_solve_duals_singular_newton_matrix_is_located():
     # l_rho = -1e4 underflows the density to 0, so cell 1's Hessian is zero
     basis, moments, warm = sod_block_with_warm_l_rho(-1e4)
     message = r"^singular Newton matrix at \(cells\.\.\., element\) \(1, 0\)$"
-    with pytest.raises(DualSolveError, match=message):
+    with pytest.raises(DualSolveError, match=message) as info:
         solve_duals(moments, warm, basis, GAS)
+    assert info.value.index == (1, 0)
     field = MomentField(grid_1d(2, 0.0, 1.0), basis, moments)
-    with pytest.raises(DualSolveError, match=r"^step 0: singular Newton matrix .*\(1, 0\)$"):
+    message = r"^step 0: singular Newton matrix .*\(1, 0\)$"
+    with pytest.raises(DualSolveError, match=message) as info:
         run_ipm(field, GAS, 0.01, initial_duals=warm)
+    assert info.value.index == (1, 0)
 
 
 def realizable_block(unit, basis, ndim):
@@ -351,13 +356,14 @@ def test_solve_duals_property_converges_or_fails_located(
             try:
                 outcomes.append(solve_duals(moments, warm, basis, GAS, cfg, threads))
             except DualSolveError as exc:
-                outcomes.append(str(exc))
+                outcomes.append((str(exc), exc.index))
     one, two = outcomes
-    if isinstance(one, str):
+    if isinstance(one[0], str):
         assert two == one
-        where = re.search(r"\(cells\.\.\., element\) \(([\d, ]+)\)", one)
+        where = re.search(r"\(cells\.\.\., element\) \(([\d, ]+)\)", one[0])
         assert where, one
         index = tuple(int(i) for i in where.group(1).split(","))
+        assert index == one[1]
         assert len(index) == len(cells) + 1
         assert all(0 <= i < n for i, n in zip(index, cells + (n_elements,)))
         return
@@ -463,8 +469,9 @@ def test_dual_node_states_names_first_node_out_of_range():
     duals[1, 1, 1, -1] = 0.3
     duals[2, 0, 0, -1] = 1.0
     message = r"dual range at a quadrature node, at \(cells\.\.\., element, node\) index \(1, 1, 3\)$"
-    with pytest.raises(DualSolveError, match=message):
+    with pytest.raises(DualSolveError, match=message) as info:
         dual_node_states(duals, basis, GAS)
+    assert info.value.index == (1, 1, 3)
 
 
 def test_dual_node_states_always_admissible():
@@ -638,8 +645,18 @@ def test_newton_matrix_matches_the_oracle(n_elements, degree):
 def test_run_ipm_dual_solve_error_names_step_and_block():
     basis = build_basis(build_partition(-1, 1, 3), 4)
     field = project_initial_data(sod_initial, grid_1d(50, 0.0, 1.0), basis)
-    with pytest.raises(DualSolveError, match=r"^step 0: .*\(23, 0\)"):
+    message = (
+        r"^step 0: dual solve at \(cells\.\.\., element\) \(23, 0\) did not reach "
+        r"tol=1e-07 within 1 iterations \(residual 7\.223e-01\)$"
+    )
+    with pytest.raises(DualSolveError, match=message) as info:
         run_ipm(field, GAS, 0.14, newton=NewtonConfig(max_iter=1))
+    assert info.value.index == (23, 0)
+    # without halvings the first full Newton step of block (25, 1) is refused
+    message = r"^step 0: line search stalled at \(cells\.\.\., element\) \(25, 1\)$"
+    with pytest.raises(DualSolveError, match=message) as info:
+        run_ipm(field, GAS, 0.14, newton=NewtonConfig(max_halvings=0))
+    assert info.value.index == (25, 1)
 
 
 def test_newton_config_rejects_bad_limits():

@@ -62,8 +62,10 @@ def test_limiter_density_violation_hand_value():
 def test_limiter_requires_admissible_mean():
     basis = degree_one_basis()
     coeffs = coeffs_for_nodes([-1.0, 0.0, 2.0], [-3.0, 0.0, 3.0])
-    with pytest.raises(InadmissibleStateError):
+    message = r"^inadmissible cell mean at \(cells\.\.\., element\) index \(0,\)$"
+    with pytest.raises(InadmissibleStateError, match=message) as info:
         block_theta(coeffs, basis)
+    assert info.value.index == (0,)
 
 
 def test_limiter_matches_bisection_oracle():
@@ -147,7 +149,6 @@ def test_apply_limiter_full_damping_keeps_mean():
 
 def test_filter_gain_k0_is_one_for_all_kinds():
     for cfg in (
-        FilterConfig("none"),
         FilterConfig("l2", strength=3.0),
         FilterConfig("exponential", strength=2.0, order=10),
     ):
@@ -181,7 +182,6 @@ def test_apply_filter_identity_cases():
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal((5, 2, 4, 3))
     np.testing.assert_array_equal(apply_filter(coeffs, None), coeffs)
-    np.testing.assert_array_equal(apply_filter(coeffs, FilterConfig("none")), coeffs)
     np.testing.assert_array_equal(
         apply_filter(coeffs, FilterConfig("l2", strength=0.0)), coeffs
     )
@@ -261,8 +261,9 @@ def test_run_sg_limiter_disabled_fails_on_sod():
     field = project_initial_data(sod_initial, grid, basis)
     with pytest.raises(
         InadmissibleStateError, match="step 0: inadmissible state in wave-speed scan"
-    ):
+    ) as info:
         run_sg(field, GAS, t_end=0.05, limiter_config=LimiterConfig(enabled=False))
+    assert str(info.value).endswith(f" at index {info.value.index}")
 
 
 def test_run_sg_single_element_matches_classical_oracle():
@@ -322,13 +323,16 @@ def test_sg_update_rejects_inadmissible_reconstruction():
     coeffs = coeffs_for_nodes([-0.1, 0.0, 2.0], [2.1, 0.0, 3.0])[None, None]
     field = MomentField(grid, basis, coeffs)
     off = LimiterConfig(enabled=False)
-    with pytest.raises(InadmissibleStateError, match="^step 0: inadmissible state"):
+    message = r"^step 0: inadmissible state in wave-speed scan at index \(0, 0, 0\)$"
+    with pytest.raises(InadmissibleStateError, match=message) as info:
         run_sg(field, GAS, t_end=1.0, limiter_config=off, max_steps=1)
+    assert info.value.index == (0, 0, 0)
 
 
 def test_filter_config_validation():
-    with pytest.raises(ValueError):
-        FilterConfig("lanczos")
+    for kind in ("lanczos", "none"):
+        with pytest.raises(ValueError, match=f"unknown filter kind: '{kind}'"):
+            FilterConfig(kind)
     with pytest.raises(ValueError):
         FilterConfig("exponential", strength=-1.0, order=2)
     with pytest.raises(ValueError):
@@ -460,5 +464,8 @@ def test_apply_limiter_error_names_global_index(monkeypatch):
     bad_nodes = np.argwhere(~admissible_mask(basis.reconstruct(coeffs), GAS))
     assert set(map(tuple, bad_nodes[:, :2])) == {(5, 1)}
     monkeypatch.setattr(sg_mod, "_theta_raw", lambda nodes, means: np.zeros(len(nodes)))
-    with pytest.raises(LimiterError, match=re.escape(str(tuple(map(int, bad_nodes[0]))))):
+    index = tuple(map(int, bad_nodes[0]))
+    message = f"^reconstruction still inadmissible after limiting at index {re.escape(str(index))}$"
+    with pytest.raises(LimiterError, match=message) as info:
         apply_limiter(coeffs, basis, GAS)
+    assert info.value.index == index

@@ -8,9 +8,10 @@ into a temporary directory, with the ``src/`` tree of the checkout this
 script sits in. Sod runs use 400 cells up to t = 0.14; ``riemann_2d`` runs
 48 x 48 cells up to t = 0.1. One line per config: name, the hash of its
 ``stats.csv``, steps, Newton iterations, and for a config with a reference
-(``me_hsg_exact_sod``) the density's errE and errVar to 17 digits.
+(``me_hsg_exact_sod``) the density's errE and errVar to 17 digits. The
+last line gives the line count of ``src/uqfv/*.py``, as ``wc -l`` totals it.
 Comparing two checkouts' output shows whether a change kept the outputs
-bit for bit.
+bit for bit, and how much it grew or shrank the package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from uqfv.config import parse_config  # noqa: E402
 from uqfv.runner import run  # noqa: E402
@@ -65,6 +67,8 @@ def main(names: list[str]) -> int:
             if report.errors is not None:
                 line += "".join(f" {k}={v:.17g}" for k, v in report.errors.items())
             print(line, flush=True)
+    lines = sum(path.read_bytes().count(b"\n") for path in (SRC / "uqfv").glob("*.py"))
+    print(f"src/uqfv {lines} lines")
     return 0
 
 
