@@ -202,17 +202,18 @@ class GpcBasis:
     def n_coeffs(self) -> int:
         return self.degree + 1
 
-    def project(self, values) -> np.ndarray:
+    def project(self, values, out=None) -> np.ndarray:
         """Coefficients <u phi_k f> of node samples by quadrature.
 
         ``values`` has the solver layout (..., Q, d): node axis second to
-        last, component axis last. The result is (..., K+1, d).
+        last, component axis last. The result is (..., K+1, d), written into
+        ``out`` if given.
         """
-        return np.matmul(self._phi_w, values)
+        return np.matmul(self._phi_w, values, out=out)
 
-    def reconstruct(self, coeffs) -> np.ndarray:
-        """Values at the quadrature nodes, (..., K+1, d) -> (..., Q, d)."""
-        return np.matmul(self._phi_t, coeffs)
+    def reconstruct(self, coeffs, out=None) -> np.ndarray:
+        """Values at the quadrature nodes, (..., K+1, d) -> (..., Q, d), into ``out`` if given."""
+        return np.matmul(self._phi_t, coeffs, out=out)
 
 
 def build_basis(

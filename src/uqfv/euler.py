@@ -83,8 +83,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _internal_energy(u: np.ndarray) -> np.ndarray:
+    """E - 0.5 |m|^2 / rho, each operation in place on the one new array."""
     rho, m, en = _parts(u)
-    return en - 0.5 * _dot(m, m) / rho
+    e = np.asarray(_dot(m, m))  # a 0-d array, not a scalar, for a single state
+    e *= 0.5
+    e /= rho
+    return np.subtract(en, e, out=e)
 
 
 def admissible_mask(u, gas: GasModel) -> np.ndarray:
@@ -105,21 +109,39 @@ def is_admissible(u, gas: GasModel) -> bool:
     return bool(np.all(admissible_mask(u, gas)))
 
 
-def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int) -> tuple:
-    """Directional flux, velocity along ``axis`` and sound speed, from one pressure."""
+def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int, out=None) -> tuple:
+    """Directional flux, velocity along ``axis`` and sound speed, from one pressure.
+
+    ``out`` is (f, v, c), arrays shaped like ``u``, ``u[..., 0]`` and
+    ``u[..., 0]`` to write the three into, or None for fresh ones. The
+    pressure passes through c and the |m|^2 terms through v, each operation
+    in the order ``_internal_energy`` and ``_sound_speed_in_place`` take.
+    """
     rho, m, en = _parts(u)
-    p = (gas.gamma - 1.0) * _internal_energy(u)
-    v = m[..., axis] / rho
-    f = np.empty_like(u)
+    if out is None:
+        out = (np.empty_like(u), np.empty_like(rho), np.empty_like(rho))
+    f, v, c = out
+    p = np.multiply(m[..., 0], m[..., 0], out=c)
+    for i in range(1, m.shape[-1]):
+        p += np.multiply(m[..., i], m[..., i], out=v)
+    p *= 0.5
+    p /= rho
+    np.subtract(en, p, out=p)
+    p *= gas.gamma - 1.0
+    np.divide(m[..., axis], rho, out=v)
     f[..., 0] = m[..., axis]
-    f[..., 1:-1] = m * v[..., None]
+    np.multiply(m, v[..., None], out=f[..., 1:-1])
     f[..., 1 + axis] += p
-    f[..., -1] = v * (en + p)
-    return f, v, _sound_speed_unchecked(rho, p, gas)
+    np.add(en, p, out=f[..., -1])
+    f[..., -1] *= v
+    return f, v, _sound_speed_in_place(rho, p, gas)
 
 
-def _sound_speed_unchecked(rho: np.ndarray, p: np.ndarray, gas: GasModel) -> np.ndarray:
-    return np.sqrt(gas.gamma * p / rho)
+def _sound_speed_in_place(rho: np.ndarray, p: np.ndarray, gas: GasModel) -> np.ndarray:
+    """sqrt(gamma p / rho), computed in place of the pressure array ``p``."""
+    p *= gas.gamma
+    p /= rho
+    return np.sqrt(p, out=p)
 
 
 def entropy_gradient(u, gas: GasModel) -> np.ndarray:

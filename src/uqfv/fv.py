@@ -25,7 +25,7 @@ from .euler import (
     _energy_and_mask,
     _flux_and_speeds,
     _require,
-    _sound_speed_unchecked,
+    _sound_speed_in_place,
 )
 
 __all__ = [
@@ -156,25 +156,38 @@ def _check_flux(flux: str) -> None:
         raise ValueError(f"unknown numerical flux: {flux!r}")
 
 
-def _hll_unchecked(ul, ur, gas: GasModel, axis: int) -> np.ndarray:
+def _hll_unchecked(ul, ur, gas: GasModel, axis: int, *, sides=None, work=None) -> np.ndarray:
     """HLL two-wave flux with Davis wave-speed bounds, on admissible states.
 
     s_L = min(v_L - c_L, v_R - c_R), s_R = max(v_L + c_L, v_R + c_R);
     consistent (flux(u, u) = physical flux) and positivity preserving under
-    the CFL restriction.
+    the CFL restriction. ``sides`` is ((f, v, c) of ``ul``, (f, v, c) of
+    ``ur``) from ``_flux_and_speeds`` when the caller has them; ``work`` is
+    the ``_Workspace`` the flux and its temporaries go into (a fresh one
+    without it). Every operation keeps the operands and order of the plain
+    formula, so the buffers do not change a bit of the result.
     """
-    fl, vl, cl = _flux_and_speeds(ul, gas, axis)
-    fr, vr, cr = _flux_and_speeds(ur, gas, axis)
-    s_l = np.minimum(vl - cl, vr - cr)
-    s_r = np.maximum(vl + cl, vr + cr)
+    if sides is None:
+        sides = (_flux_and_speeds(ul, gas, axis), _flux_and_speeds(ur, gas, axis))
+    (fl, vl, cl), (fr, vr, cr) = sides
+    work = _Workspace() if work is None else work
+    shape = vl.shape
+    s_l = np.subtract(vl, cl, out=work.take("s_l", shape))
+    s_r = np.add(vl, cl, out=work.take("s_r", shape))
+    scratch = work.take("speed", shape)
+    np.minimum(s_l, np.subtract(vr, cr, out=scratch), out=s_l)
+    np.maximum(s_r, np.add(vr, cr, out=scratch), out=s_r)
+    flux = np.multiply(s_r[..., None], fl, out=work.take("flux", ul.shape))
+    term = work.take("term", ul.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        middle = (
-            s_r[..., None] * fl
-            - s_l[..., None] * fr
-            + (s_l * s_r)[..., None] * (ur - ul)
-        ) / (s_r - s_l)[..., None]
-    flux = np.where(s_l[..., None] >= 0.0, fl, middle)
-    flux = np.where(s_r[..., None] <= 0.0, fr, flux)
+        # the middle state, s_r fl - s_l fr + s_l s_r (ur - ul), over s_r - s_l
+        flux -= np.multiply(s_l[..., None], fr, out=term)
+        np.multiply(s_l, s_r, out=scratch)
+        flux += np.multiply(scratch[..., None], np.subtract(ur, ul, out=term), out=term)
+        flux /= np.subtract(s_r, s_l, out=scratch)[..., None]
+    mask = work.take("mask", shape, bool)
+    np.copyto(flux, fl, where=np.greater_equal(s_l, 0.0, out=mask)[..., None])
+    np.copyto(flux, fr, where=np.less_equal(s_r, 0.0, out=mask)[..., None])
     return flux
 
 
@@ -188,8 +201,13 @@ def _wave_speeds(node_states, grid: StructuredGrid, gas: GasModel):
     _require(ok, InadmissibleStateError, "inadmissible state in wave-speed scan at index {index}")
     rho = u[..., 0]
     # the sound speed from the one energy the admissibility test used
-    c = _sound_speed_unchecked(rho, (gas.gamma - 1.0) * e_int, gas)
-    return (np.abs(u[..., 1 + a] / rho) + c for a in range(grid.ndim))
+    e_int *= gas.gamma - 1.0
+    c = _sound_speed_in_place(rho, e_int, gas)
+    for a in range(grid.ndim):
+        speed = np.divide(u[..., 1 + a], rho)
+        np.abs(speed, out=speed)
+        speed += c
+        yield speed
 
 
 def cfl_time_step(node_states, grid: StructuredGrid, gas: GasModel, cfl: float) -> float:
@@ -224,20 +242,46 @@ def _ghost(bc, inside: np.ndarray, across: np.ndarray) -> np.ndarray:
 
 
 def extend_node_states(
-    node_states: np.ndarray, grid: StructuredGrid, axis: int
+    node_states: np.ndarray, grid: StructuredGrid, axis: int, out=None
 ) -> np.ndarray:
     """Node-state array with one ghost layer per side along a spatial axis.
 
     Equivalent to extending the moments and reconstructing: the ghost states
-    of a dirichlet side are the prescribed state at every node.
+    of a dirichlet side are the prescribed state at every node. ``out``, if
+    given, is the array of the extended shape to write them into.
     """
     lo_bc, hi_bc = grid.bcs[axis]
     n = node_states.shape[axis]
     first = _take_range(node_states, axis, 0, 1)
     last = _take_range(node_states, axis, n - 1, n)
     return np.concatenate(
-        [_ghost(lo_bc, first, last), node_states, _ghost(hi_bc, last, first)], axis=axis
+        [_ghost(lo_bc, first, last), node_states, _ghost(hi_bc, last, first)],
+        axis=axis,
+        out=out,
     )
+
+
+class _Workspace:
+    """Named flat buffers that the flux kernel reshapes for each call and axis.
+
+    ``take(name, shape)`` returns the first prod(shape) entries of the named
+    buffer, grown when a call needs more than it holds. ``run_sg`` and
+    ``deterministic_solve`` hold one workspace for their run, so their step
+    arrays are allocated once; fresh temporaries each step were trimmed from
+    the heap and faulted in again by the next step. ``run_ipm`` holds none:
+    each flux call makes its own and frees it before the dual solve, since
+    buffers held through the solves would add to their peak memory.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
 
 
 def moment_flux_divergence(
@@ -245,29 +289,57 @@ def moment_flux_divergence(
     grid: StructuredGrid,
     basis: GpcBasis,
     gas: GasModel,
+    *,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """Projected flux divergence sum_axis <(F_+ - F_-) phi_k f> / dh.
 
     ``node_states`` has shape (cells..., L, Q, d); the result matches the
     moment-coefficient layout (cells..., L, K+1, d). Forward Euler then reads
     ``coeffs -= dt * divergence``. Every axis sees the same ``node_states``.
+    With a ``work`` workspace the result is its ``"div"`` buffer, valid
+    until the next call with it; without one the call makes its own.
     """
-    div = None
-    for axis in range(grid.ndim):
-        diff = _flux_difference(node_states, grid, gas, axis)
-        contrib = basis.project(diff) / grid.deltas[axis]
-        div = contrib if div is None else div + contrib
+    work = _Workspace() if work is None else work
+    shape = node_states.shape[:-2] + (basis.n_coeffs, node_states.shape[-1])
+    div = work.take("div", shape)
+    for axis, h in enumerate(grid.deltas):
+        diff = _flux_difference(node_states, grid, gas, axis, work)
+        contrib = basis.project(diff, out=div if axis == 0 else work.take("contrib", shape))
+        contrib /= h
+        if axis:
+            div += contrib
     return div
 
 
 def _flux_difference(
-    states: np.ndarray, grid: StructuredGrid, gas: GasModel, axis: int
+    states: np.ndarray, grid: StructuredGrid, gas: GasModel, axis: int, work: _Workspace
 ) -> np.ndarray:
-    """F(i+1/2) - F(i-1/2) per cell along one axis, pointwise in the trailing axes."""
-    ext = extend_node_states(states, grid, axis)
-    left = _take_range(ext, axis, 0, ext.shape[axis] - 1)
-    right = _take_range(ext, axis, 1, ext.shape[axis])
-    return np.diff(_hll_unchecked(left, right, gas, axis), axis=axis)
+    """F(i+1/2) - F(i-1/2) per cell along one axis, pointwise in the trailing axes.
+
+    The one interface-flux routine: the ghost-extended states, and their
+    flux, velocity and sound speed once per cell, go into ``work``; the
+    interfaces read them through left and right views. The difference is
+    ``work``'s ``"diff"`` buffer.
+    """
+    shape = list(states.shape)
+    shape[axis] += 2
+    ext = extend_node_states(states, grid, axis, out=work.take("ext", shape))
+    per_cell = (ext,) + _flux_and_speeds(
+        ext,
+        gas,
+        axis,
+        out=(work.take("f", shape), work.take("v", shape[:-1]), work.take("c", shape[:-1])),
+    )
+    n = shape[axis]
+    ul, *left = (_take_range(a, axis, 0, n - 1) for a in per_cell)
+    ur, *right = (_take_range(a, axis, 1, n) for a in per_cell)
+    flux = _hll_unchecked(ul, ur, gas, axis, sides=(left, right), work=work)
+    return np.subtract(
+        _take_range(flux, axis, 1, n - 1),
+        _take_range(flux, axis, 0, n - 2),
+        out=work.take("diff", states.shape),
+    )
 
 
 def _take_range(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
@@ -288,22 +360,24 @@ def deterministic_solve(
     Used by the stochastic-collocation reference. Each row takes its own CFL
     step from its own cells' wave speeds and keeps its own time; a row that
     has reached ``t_end`` takes steps of zero. As in ``moment_flux_divergence``,
-    every axis's flux difference is taken from the same state. Returns the
-    final states and the loop's ``RunStats``, whose steps are those of the
-    row that needs the most.
+    every axis's flux difference is taken from the same state, and the run
+    holds one flux workspace. Returns the final states and the loop's
+    ``RunStats``, whose steps are those of the row that needs the most.
     """
     u = np.array(states, dtype=float)
     cells = tuple(range(grid.ndim))
+    work = _Workspace()
 
     def step(stats: RunStats, dt_max) -> np.ndarray:
-        nonlocal u
         speeds = [np.max(s, axis=cells) for s in _wave_speeds(u, grid, gas)]
         dt = np.clip(dt_max, 0.0, _cfl_steps(speeds, grid, cfl))
-        update = None
+        update = work.take("update", u.shape)
         for axis, h in enumerate(grid.deltas):
-            term = (dt / h)[:, None] * _flux_difference(u, grid, gas, axis)
-            update = term if update is None else update + term
-        u = u - update
+            diff = _flux_difference(u, grid, gas, axis, work)
+            np.multiply((dt / h)[:, None], diff, out=diff if axis else update)
+            if axis:
+                update += diff
+        np.subtract(u, update, out=u)
         return dt
 
     stats = integrate(step, t_end)

@@ -354,7 +354,8 @@ def _collocation(initial, grid: StructuredGrid, gas: GasModel, t_end, cfl, n_nod
             u, run = deterministic_solve(states, grid, gas, t_end, cfl)
         except InadmissibleStateError as exc:
             *cell, row = exc.index
-            exc.args = (f"{exc}, which is (cells..., node) index {(*cell, start + row)}",)
+            exc.index = (*cell, start + row)
+            exc.args = (f"{exc}, which is (cells..., node) index {exc.index}",)
             raise
         stats.steps = max(stats.steps, run.steps)
         stats.wall_s += run.wall_s

@@ -22,6 +22,7 @@ from .fv import (
     RunStats,
     _check_flux,
     _timed,
+    _Workspace,
     cfl_time_step,
     integrate,
     moment_flux_divergence,
@@ -164,6 +165,8 @@ def apply_limiter(
     basis: GpcBasis,
     gas: GasModel,
     config: LimiterConfig | None = None,
+    *,
+    nodes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damp higher moments of every (cell, element) toward the cell mean.
 
@@ -172,11 +175,17 @@ def apply_limiter(
     admissible at every quadrature node (verified, LimiterError otherwise).
     Only blocks with an inadmissible node are limited and checked again;
     every other block keeps theta 0 and its coefficients bit for bit.
+    ``nodes``, if given, is an array shaped like ``basis.reconstruct(coeffs)``
+    that receives the node states of the returned coefficients: the
+    limiter's own reconstruction, with the limited blocks' re-check in
+    place of theirs (``reconstruct`` is blockwise, so these are its bits).
     """
     if config is None:
         config = LimiterConfig()
     cells_shape = coeffs.shape[:-2]
     if not config.enabled:
+        if nodes is not None:
+            basis.reconstruct(coeffs, out=nodes)
         return coeffs, np.zeros(cells_shape)
     means = coeffs[..., 0, :]
     _require(
@@ -184,7 +193,7 @@ def apply_limiter(
         InadmissibleStateError,
         "inadmissible cell mean at (cells..., element) index {index}",
     )
-    nodes = basis.reconstruct(coeffs)
+    nodes = basis.reconstruct(coeffs, out=nodes)
     bad = ~np.all(admissible_mask(nodes, gas), axis=-1)
     theta = np.zeros(cells_shape)
     if not np.any(bad):
@@ -193,11 +202,13 @@ def apply_limiter(
     theta[bad] = np.where(raw > 0.0, np.minimum(raw + config.epsilon, 1.0), 0.0)
     limited = coeffs.copy()
     limited[bad, 1:, :] *= (1.0 - theta[bad])[:, None, None]
+    redone = basis.reconstruct(limited[bad])
     # the re-checked blocks in a (cells..., element, node) mask, so the
     # error names the node's index in the field
     ok = np.ones(cells_shape + (basis.n_nodes,), dtype=bool)
-    ok[bad] = admissible_mask(basis.reconstruct(limited[bad]), gas)
+    ok[bad] = admissible_mask(redone, gas)
     _require(ok, LimiterError, "reconstruction still inadmissible after limiting at index {index}")
+    nodes[bad] = redone
     return limited, theta
 
 
@@ -216,11 +227,16 @@ def run_sg(
     Each step filters, limits, then updates; the step size obeys the CFL
     bound and the last step is truncated to land on t_end exactly. The
     limiter checks the cell means; with it disabled, the CFL scan rejects
-    an inadmissible reconstruction. ``flux`` accepts only ``"hll"``.
+    an inadmissible reconstruction. ``flux`` accepts only ``"hll"``. The
+    run holds one flux workspace; the limiter reconstructs into its node
+    buffer, which the CFL scan and the flux then read.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
     coeffs = initial.coeffs.copy()
+    work = _Workspace()
+    # the node states of the coefficients each limiter call returns
+    nodes = work.take("nodes", coeffs.shape[:-2] + (basis.n_nodes, coeffs.shape[-1]))
 
     def step(stats: RunStats, dt_max: float) -> float:
         nonlocal coeffs
@@ -230,14 +246,15 @@ def run_sg(
                 if _gains_read_dt(basis.degree, filter_config):
                     # the filter exponent needs a step-size estimate; take it
                     # from a probe-limited (admissible) reconstruction
-                    probe, _ = apply_limiter(coeffs, basis, gas, limiter_config)
-                    dt_est = min(cfl_time_step(basis.reconstruct(probe), grid, gas, cfl), dt_max)
+                    apply_limiter(coeffs, basis, gas, limiter_config, nodes=nodes)
+                    dt_est = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
                 coeffs = apply_filter(coeffs, filter_config, dt_est)
-            coeffs, _ = apply_limiter(coeffs, basis, gas, limiter_config)
-        nodes = basis.reconstruct(coeffs)
+            coeffs, _ = apply_limiter(coeffs, basis, gas, limiter_config, nodes=nodes)
         dt = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
         with _timed(stats, "flux_s"):
-            coeffs = coeffs - dt * moment_flux_divergence(nodes, grid, basis, gas)
+            div = moment_flux_divergence(nodes, grid, basis, gas, work=work)
+            div *= dt
+            coeffs -= div
         return dt
 
     stats = integrate(step, t_end, max_steps)

@@ -8,12 +8,16 @@ directly. These oracles define expected values; they deliberately avoid
 reusing the code paths they check. The dual helpers at the end
 (``dual_residual``, ``dual_hessian``, ``legendre_dual``) build on the entropy
 and its Hessian, defined here, and on the package's gradient inverse, but take
-another route than the solvers do.
+another route than the solvers do. The flux-kernel helpers (``hll_expression``,
+``flux_difference``, ``flux_divergence``) pin bits, not formulas: they spell
+out the HLL flux as plain expressions, and compose the package's own pieces
+into fresh arrays, in the operation order the buffered kernel must keep.
 """
 
 import numpy as np
 
 from uqfv.euler import InadmissibleStateError, entropy_gradient_inverse, is_admissible
+from uqfv.fv import _hll_unchecked, extend_node_states
 from uqfv.ipm import dual_node_states
 
 
@@ -283,6 +287,62 @@ def extend_moments(field, axis=0):
     return np.concatenate(
         [ghost(lo_bc, first, last), coeffs, ghost(hi_bc, last, first)], axis=axis
     )
+
+
+def hll_expression(ul, ur, gamma, axis=0):
+    """HLL flux with Davis bounds as plain numpy expressions, fresh arrays only.
+
+    Each operation has the operands and order of the package's in-place
+    kernel (``euler._flux_and_speeds``, ``fv._hll_unchecked``), so the two
+    agree bit for bit.
+    """
+
+    def flux_and_speeds(u):
+        rho, m, en = u[..., 0], u[..., 1:-1], u[..., -1]
+        mm = m[..., 0] * m[..., 0]
+        for i in range(1, m.shape[-1]):
+            mm = mm + m[..., i] * m[..., i]
+        p = (gamma - 1.0) * (en - 0.5 * mm / rho)
+        v = m[..., axis] / rho
+        f = np.empty_like(u)
+        f[..., 0] = m[..., axis]
+        f[..., 1:-1] = m * v[..., None]
+        f[..., 1 + axis] += p
+        f[..., -1] = v * (en + p)
+        return f, v, np.sqrt(gamma * p / rho)
+
+    (fl, vl, cl), (fr, vr, cr) = flux_and_speeds(ul), flux_and_speeds(ur)
+    s_l = np.minimum(vl - cl, vr - cr)
+    s_r = np.maximum(vl + cl, vr + cr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        middle = (
+            s_r[..., None] * fl - s_l[..., None] * fr + (s_l * s_r)[..., None] * (ur - ul)
+        ) / (s_r - s_l)[..., None]
+    flux = np.where(s_l[..., None] >= 0.0, fl, middle)
+    return np.where(s_r[..., None] <= 0.0, fr, flux)
+
+
+def flux_difference(node_states, grid, gas, axis):
+    """F(i+1/2) - F(i-1/2) along one axis from fresh arrays.
+
+    ``extend_node_states``, then ``_hll_unchecked`` on copies of the left
+    and right interface states (so every cell's flux is computed twice,
+    once per side), then ``np.diff``.
+    """
+    ext = extend_node_states(node_states, grid, axis)
+    n = ext.shape[axis]
+    left = np.take(ext, np.arange(n - 1), axis=axis)
+    right = np.take(ext, np.arange(1, n), axis=axis)
+    return np.diff(_hll_unchecked(left, right, gas, axis), axis=axis)
+
+
+def flux_divergence(node_states, grid, basis, gas):
+    """sum_axis project(flux_difference) / dh, the moment flux divergence."""
+    div = None
+    for axis, h in enumerate(grid.deltas):
+        contrib = basis.project(flux_difference(node_states, grid, gas, axis)) / h
+        div = contrib if div is None else div + contrib
+    return div
 
 
 def entropy(u, gas):

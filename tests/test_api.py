@@ -30,14 +30,16 @@ PUBLIC = {
 # test-only duplicates, test-only entropy maps and Euler kernels, test-only
 # options, the Lax-Friedrichs flux and uncalled methods, deleted or moved to
 # tests/oracles.py; the first-False locator that ``euler._require`` replaced,
-# and the count of a variance clamp that never fired;
+# the count of a variance clamp that never fired, and the sound speed that
+# now overwrites its pressure (``_sound_speed_in_place``);
 # a dotted name is an attribute of a class in the module
 REMOVED = {
     "basis": ("QuadratureRule.integrate", "QuadratureRule.ref_nodes",
               "ElementPartition.element_of", "GpcBasis.eval_at"),
     "euler": ("sound_speed", "dual_state_jacobian", "legendre_dual", "_flux_unchecked",
               "entropy", "_entropy_unchecked", "entropy_hessian", "pressure",
-              "_pressure_unchecked", "physical_flux", "max_wave_speed", "_first_false"),
+              "_pressure_unchecked", "physical_flux", "max_wave_speed", "_first_false",
+              "_sound_speed_unchecked"),
     "fv": ("hll_flux", "lax_friedrichs_flux", "_lf_unchecked", "extend_moments",
            "_dirichlet_moments", "MomentField.cell_means", "MomentField.copy",
            "MomentField.n_components", "global_wave_speeds"),

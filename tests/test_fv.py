@@ -5,12 +5,13 @@ import pytest
 
 import oracles
 from oracles import max_wave_speed, physical_flux
-from uqfv import ipm, riemann, sg
+from uqfv import fv, ipm, riemann, sg
 from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv.fv import (
     MomentField,
     _cfl_steps,
+    _flux_difference,
     _hll_unchecked,
     cfl_time_step,
     deterministic_solve,
@@ -326,3 +327,99 @@ def test_moment_field_validates_shape_and_finiteness():
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         MomentField(grid, basis, bad)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_hll_matches_the_expression_form_bit_for_bit(ndim):
+    # the in-place kernel keeps the operands and order of the plain formula;
+    # the states pick all three branches: left flux, right flux, middle state
+    rng = np.random.default_rng(40 + ndim)
+    ul, ur = random_admissible(rng, 4000, ndim), random_admissible(rng, 4000, ndim)
+    for axis in range(ndim):
+        got = _hll_unchecked(ul, ur, GAS, axis)
+        np.testing.assert_array_equal(got, oracles.hll_expression(ul, ur, GAS.gamma, axis))
+        fl = physical_flux(ul, GAS, axis)
+        fr = physical_flux(ur, GAS, axis)
+        picked_l = np.all(got == fl, axis=-1)
+        picked_r = np.all(got == fr, axis=-1)
+        assert picked_l.any() and picked_r.any() and (~picked_l & ~picked_r).any()
+
+
+def _kernel_case(rng, ndim, bc, shape, n_elements=2, degree=2):
+    """Random admissible node states on a grid whose every side has ``bc``."""
+    if bc == "dirichlet":
+        bc = ("dirichlet", random_admissible(rng, 1, ndim)[0])
+    elif bc == "mixed":
+        bc = (("dirichlet", random_admissible(rng, 1, ndim)[0]), "transmissive")
+    grid = grid_1d(shape[0], 0.0, 1.0, bc=bc) if ndim == 1 else grid_2d(*shape, bc_x=bc, bc_y=bc)
+    basis = build_basis(build_partition(-1, 1, n_elements), degree)
+    lq = (n_elements, basis.n_nodes)
+    nodes = random_admissible(rng, np.prod(shape + lq), ndim).reshape(shape + lq + (2 + ndim,))
+    return nodes, grid, basis
+
+
+@pytest.mark.parametrize("bc", ["transmissive", "periodic", "dirichlet", "mixed"])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_flux_kernel_matches_the_composed_oracle(ndim, bc):
+    # the kernel's ghost layer, once-per-cell flux and held buffers give the
+    # bits of extend_node_states, _hll_unchecked on both sides and np.diff
+    rng = np.random.default_rng(7 * ndim + len(bc))
+    nodes, grid, basis = _kernel_case(rng, ndim, bc, (9,) if ndim == 1 else (7, 5))
+    expected = oracles.flux_divergence(nodes, grid, basis, GAS)
+    np.testing.assert_array_equal(moment_flux_divergence(nodes, grid, basis, GAS), expected)
+    work = fv._Workspace()
+    for _ in range(2):
+        got = moment_flux_divergence(nodes, grid, basis, GAS, work=work)
+        np.testing.assert_array_equal(got, expected)
+    for axis in range(ndim):
+        np.testing.assert_array_equal(
+            _flux_difference(nodes, grid, GAS, axis, work),
+            oracles.flux_difference(nodes, grid, GAS, axis),
+        )
+
+
+def test_one_workspace_serves_calls_of_different_shapes():
+    # a small call after a large one reads only the front of the grown
+    # buffers; stale entries behind it must not leak into its result
+    rng = np.random.default_rng(5)
+    small = _kernel_case(rng, 1, "transmissive", (6,))
+    large = _kernel_case(rng, 2, "periodic", (8, 5), n_elements=3, degree=3)
+    rows = random_admissible(rng, 10 * 4, 1).reshape(10, 4, 3)
+    row_grid = grid_1d(10, 0.0, 1.0, bc="periodic")
+    work = fv._Workspace()
+    for nodes, grid, basis in (small, large, small):
+        got = moment_flux_divergence(nodes, grid, basis, GAS, work=work).copy()
+        np.testing.assert_array_equal(got, oracles.flux_divergence(nodes, grid, basis, GAS))
+        np.testing.assert_array_equal(
+            _flux_difference(rows, row_grid, GAS, 0, work),
+            oracles.flux_difference(rows, row_grid, GAS, 0),
+        )
+
+
+def _oracle_deterministic_solve(u, grid, t_end, cfl=0.9):
+    """deterministic_solve's per-row time loop, with the composed oracle's flux."""
+    cells = tuple(range(grid.ndim))
+    t = np.zeros(u.shape[-2])
+    while np.any(t < t_end):
+        speeds = [np.max(max_wave_speed(u, GAS, a), axis=cells) for a in cells]
+        dt = np.clip(t_end - t, 0.0, _cfl_steps(speeds, grid, cfl))
+        update = None
+        for axis, h in enumerate(grid.deltas):
+            term = (dt / h)[:, None] * oracles.flux_difference(u, grid, GAS, axis)
+            update = term if update is None else update + term
+        u = u - update
+        t = t + dt
+    return u
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_deterministic_solve_batch_matches_the_composed_oracle(ndim):
+    # rows of a batch keep their own step sizes; the held workspace and the
+    # in-place update give the bits of the fresh-array loop
+    rng = np.random.default_rng(60 + ndim)
+    grid = grid_1d(12, 0.0, 1.0, bc="periodic") if ndim == 1 else grid_2d(6, 5, bc_y="periodic")
+    states = random_admissible(rng, np.prod(grid.shape) * 3, ndim)
+    states = states.reshape(grid.shape + (3, 2 + ndim))
+    got, stats = deterministic_solve(states, grid, GAS, 0.1)
+    assert stats.steps > 3
+    np.testing.assert_array_equal(got, _oracle_deterministic_solve(states, grid, 0.1))

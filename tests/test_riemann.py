@@ -318,8 +318,9 @@ def test_collocation_failure_names_the_node(monkeypatch):
         r"^step 0: inadmissible state in wave-speed scan at index \(3, 2\), "
         r"which is \(cells\.\.\., node\) index \(3, 7\)$"
     )
-    with pytest.raises(InadmissibleStateError, match=message):
+    with pytest.raises(InadmissibleStateError, match=message) as info:
         collocation_reference(initial, grid, GAS, t_end=0.05, n_nodes=10)
+    assert info.value.index == (3, 7)
 
 
 def test_sod_reference_on_grid_shapes():

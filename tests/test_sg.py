@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from uqfv.basis import build_basis, build_partition
+from uqfv.basis import GpcBasis, build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError, admissible_mask
 from uqfv.fv import MomentField, deterministic_solve, grid_1d, moment_flux_divergence
 from uqfv.problems import project_initial_data
@@ -396,6 +396,13 @@ def test_apply_limiter_properties(block):
     admissible = np.all(admissible_mask(basis.reconstruct(coeffs), GAS), axis=-1)
     assert np.all(theta[admissible] == 0.0)
     np.testing.assert_array_equal(limited[admissible], coeffs[admissible])
+    # handed an array, the limiter leaves in it the node states of what it
+    # returns, bit for bit a reconstruction of them; disabled, it reconstructs
+    for config in (None, LimiterConfig(enabled=False)):
+        nodes = np.full(coeffs.shape[:-2] + (basis.n_nodes, 3), np.nan)
+        out, _ = apply_limiter(coeffs, basis, GAS, config, nodes=nodes)
+        np.testing.assert_array_equal(out, limited if config is None else coeffs)
+        np.testing.assert_array_equal(nodes, basis.reconstruct(out))
 
 
 @pytest.mark.parametrize(
@@ -405,26 +412,50 @@ def test_apply_limiter_properties(block):
         (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=False), 3, 1),
         (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 3, 2),
         (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 0, 1),
+        (None, 3, 1),
     ],
 )
 def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, degree, calls_per_step):
     # the probe limiter estimates dt for the filter exponent; only a
-    # dt-scaled exponential filter above degree 0 reads it
+    # dt-scaled exponential filter above degree 0 reads it. The step uses
+    # the node states each limiter call reconstructs, so the whole field is
+    # reconstructed once per limiter call and never again
     import uqfv.sg as sg_mod
 
     calls = []
+    reconstructions = []
+    reconstruct = GpcBasis.reconstruct
 
     def counting(*args, **kwargs):
         calls.append(1)
         return apply_limiter(*args, **kwargs)
 
+    def counting_reconstruct(self, coeffs, out=None):
+        if coeffs.shape == field.coeffs.shape:
+            reconstructions.append(1)
+        return reconstruct(self, coeffs, out)
+
     monkeypatch.setattr(sg_mod, "apply_limiter", counting)
+    monkeypatch.setattr(GpcBasis, "reconstruct", counting_reconstruct)
     basis = build_basis(build_partition(-1, 1, 2), degree)
     grid = grid_1d(20, 0.0, 1.0)
     field = project_initial_data(sod_initial, grid, basis)
+    reconstructions.clear()
     result = run_sg(field, GAS, t_end=0.1, filter_config=config)
     assert result.stats.steps > 3
     assert len(calls) == calls_per_step * result.stats.steps
+    assert len(reconstructions) == len(calls)
+
+
+def test_run_sg_repeats_bit_for_bit_in_one_process():
+    # each run holds its own workspace: a second run, after buffers of the
+    # first were freed and the heap reused, gives the same coefficients
+    basis = build_basis(build_partition(-1, 1, 3), 4)
+    field = project_initial_data(sod_initial, grid_1d(50, 0.0, 1.0), basis)
+    first = run_sg(field, GAS, t_end=0.1)
+    second = run_sg(field, GAS, t_end=0.1)
+    assert first.stats.steps == second.stats.steps > 3
+    np.testing.assert_array_equal(first.field.coeffs, second.field.coeffs)
 
 
 @pytest.mark.parametrize("shape, d", [((16,), 3), ((5, 4), 4)])

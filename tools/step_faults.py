@@ -1,0 +1,103 @@
+"""Wall time, minor page faults and system time of warm solver runs.
+
+    python3 tools/step_faults.py                   # every shape, 3 warm runs each
+    python3 tools/step_faults.py me_hsg hsg        # a subset, by name
+    python3 tools/step_faults.py --runs 5 me_ipm   # 5 warm runs
+
+The shapes are the golden SG, IPM and ``riemann_2d`` configs of
+``tools/stats_hashes.py`` (Sod at 400 cells to t = 0.14, the 2D problem at
+48 x 48 to t = 0.1). Each shape runs in a fresh interpreter with the ``src/``
+tree of the checkout this script sits in: one warm-up run, then the warm
+runs, each timed by ``getrusage(RUSAGE_SELF)`` and ``perf_counter`` around
+the ``run_sg`` or ``run_ipm`` call alone (the inputs are built once, before
+the warm-up). One line per warm run gives its wall time, minor faults and
+system time; the faults show whether a step's temporaries are faulted in
+afresh each step, which the wall time alone does not tell apart from work.
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TOOLS))
+
+from stats_hashes import CONFIGS  # noqa: E402  (puts src/ on the path)
+
+SHAPES = [name for name in CONFIGS if name not in ("me_hsg_exact_sod", "collocation")]
+
+
+def _runner(name: str):
+    """A callable that runs the shape's solver once, from inputs built here."""
+    from uqfv.config import parse_config
+    from uqfv.ipm import initial_duals_from_states, run_ipm
+    from uqfv.problems import (
+        initial_node_states,
+        make_basis,
+        make_gas,
+        make_grid,
+        make_initial,
+        project_initial_data,
+    )
+    from uqfv.sg import run_sg
+
+    config = parse_config(CONFIGS[name])
+    gas, grid = make_gas(config.problem), make_grid(config.grid, config.problem)
+    initial, basis = make_initial(config.problem), make_basis(config)
+    field = project_initial_data(initial, grid, basis)
+    method = config.method
+    if method.name in ("ipm", "me_ipm"):
+        duals = initial_duals_from_states(initial_node_states(initial, grid, basis), basis, gas)
+        return lambda: run_ipm(
+            field, gas, method.t_end, cfl=method.cfl, newton=config.newton, initial_duals=duals
+        )
+    return lambda: run_sg(
+        field, gas, method.t_end, cfl=method.cfl,
+        filter_config=config.filter, limiter_config=config.limiter,
+    )
+
+
+def _measure(name: str, runs: int) -> None:
+    """Child process: one warm-up run, then ``runs`` measured runs of one shape."""
+    once = _runner(name)
+    once()
+    for i in range(runs):
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        start = time.perf_counter()
+        once()
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        print(
+            f"{name:18s} run {i}: wall {wall:.3f} s, "
+            f"minor faults {after.ru_minflt - before.ru_minflt}, "
+            f"sys {after.ru_stime - before.ru_stime:.3f} s",
+            flush=True,
+        )
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("shapes", nargs="*", help=f"any of {SHAPES} (default: all)")
+    parser.add_argument("--runs", type=int, default=3, help="warm runs per shape")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.shapes) - set(SHAPES))
+    if unknown:
+        parser.error(f"unknown shape(s) {unknown}; known: {SHAPES}")
+    if args.child:
+        _measure(args.shapes[0], args.runs)
+        return 0
+    for name in args.shapes or SHAPES:
+        subprocess.run(
+            [sys.executable, __file__, "--child", "--runs", str(args.runs), name], check=True
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
