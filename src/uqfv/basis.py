@@ -152,7 +152,7 @@ class GpcBasis:
     Attributes
     ----------
     partition : ElementPartition
-    degree : highest polynomial degree per element
+    degree : highest polynomial degree per element, >= 0 (``build_basis`` checks it)
     rule : reference QuadratureRule on [-1, 1]
     element_weights : probability mass of each element, sums to one
     phi : (degree+1, n_nodes) basis values at the reference nodes
@@ -170,8 +170,6 @@ class GpcBasis:
     """
 
     def __init__(self, partition: ElementPartition, degree: int, rule: QuadratureRule):
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
         self.partition = partition
         self.degree = int(degree)
         self.rule = rule
@@ -223,6 +221,8 @@ def build_basis(
     quad_count: int | None = None,
 ) -> GpcBasis:
     """Basis with its quadrature; default rule is Gauss with 2*(degree+1) nodes."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if quad_count is None:
         quad_count = 2 * (degree + 1)
         if quad_kind == "clenshaw-curtis":

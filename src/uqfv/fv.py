@@ -69,12 +69,11 @@ class StructuredGrid:
     bcs: tuple
 
     def __post_init__(self):
-        for n in self.shape:
+        for axis, n, (lo, hi) in zip("xy", self.shape, self.extents):
             if n < 1:
-                raise ValueError(f"cell counts must be positive, got {self.shape}")
-        for lo, hi in self.extents:
+                raise ValueError(f"n{axis} must be positive, got {n}")
             if not lo < hi:
-                raise ValueError(f"empty extent ({lo}, {hi})")
+                raise ValueError(f"{axis}_min must be less than {axis}_max, got ({lo}, {hi})")
         for lo_bc, hi_bc in self.bcs:
             if (lo_bc[0] == "periodic") != (hi_bc[0] == "periodic"):
                 raise ValueError("periodic boundaries must pair up on an axis")

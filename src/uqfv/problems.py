@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import GpcBasis, build_basis, build_partition
-from .config import GridSpec, ProblemSpec, RunConfig
+from .config import BasisSpec, GridSpec, ProblemSpec
 from .euler import GasModel
 from .fv import MomentField, StructuredGrid, grid_1d, grid_2d
 
@@ -51,12 +51,10 @@ def make_grid(grid: GridSpec, problem: ProblemSpec) -> StructuredGrid:
     )
 
 
-def make_basis(config: RunConfig) -> GpcBasis:
-    spec = config.basis
+def make_basis(spec: BasisSpec) -> GpcBasis:
     partition = build_partition(*XI_DOMAIN, spec.n_elements)
-    if spec.quadrature == "clenshaw-curtis":
-        return build_basis(partition, spec.degree, "clenshaw-curtis", spec.cc_level)
-    return build_basis(partition, spec.degree, "gauss-legendre", spec.quad_points)
+    count = spec.cc_level if spec.quadrature == "clenshaw-curtis" else spec.quad_points
+    return build_basis(partition, spec.degree, spec.quadrature, count)
 
 
 def make_initial(problem: ProblemSpec):

@@ -40,7 +40,7 @@ def run(config: RunConfig, output_dir=None) -> RunReport:
     initial = make_initial(config.problem)
     method = config.method.name
     if method != "collocation":
-        basis = make_basis(config)
+        basis = make_basis(config.basis)
         field0 = project_initial_data(initial, grid, basis)
     out = Path(output_dir if output_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)

@@ -67,7 +67,9 @@ def relative_errors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell-volume-weighted relative L2 errors of mean and variance.
 
-    Returns one value per conserved component.
+    Returns one value per conserved component. A component whose reference
+    norm vanishes, such as the momentum of gas at rest, has no relative
+    error: its entry is nan.
     """
     if computed.grid.shape != reference.grid.shape:
         raise ValueError("statistics live on different grids")
@@ -76,9 +78,10 @@ def relative_errors(
     norm_e = _weighted_l2(reference.mean, grid)
     err_v = _weighted_l2(computed.variance - reference.variance, grid)
     norm_v = _weighted_l2(reference.variance, grid)
-    if np.any(norm_e == 0.0) or np.any(norm_v == 0.0):
-        raise ValueError("reference norm vanishes; relative error undefined")
-    return err_e / norm_e, err_v / norm_v
+    return tuple(
+        np.divide(err, norm, out=np.full_like(err, np.nan), where=norm != 0.0)
+        for err, norm in ((err_e, norm_e), (err_v, norm_v))
+    )
 
 
 def write_csv(stats: FieldStatistics, path) -> None:

@@ -230,6 +230,18 @@ def test_default_gauss_count_is_twice_coefficients():
     assert build_basis(build_partition(-1, 1, 3), 4).n_nodes == 10
 
 
+def test_default_cc_level_is_smallest_with_twice_coefficients():
+    # degree 4 wants 10 nodes: level 3 has 9, level 4 has 17
+    assert build_basis(build_partition(-1, 1, 1), 4, "clenshaw-curtis").n_nodes == 17
+    assert build_basis(build_partition(-1, 1, 1), 1, "clenshaw-curtis").n_nodes == 5
+
+
+@pytest.mark.parametrize("kind", ["gauss-legendre", "clenshaw-curtis"])
+def test_negative_degree_rejected_before_the_default_rule(kind):
+    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+        build_basis(build_partition(-1, 1, 1), -1, kind)
+
+
 def test_gauss_exactness_sweep():
     # Q nodes integrate monomials up to degree 2Q-1 against the density 1/2
     for q in range(1, 9):

@@ -252,6 +252,112 @@ def test_inadmissible_problem_data_rejected(preset, line, message):
         parse_config(text)
 
 
+RIEMANN_2D = """
+[problem]
+preset = riemann_2d
+[grid]
+nx = 8
+ny = 8
+[basis]
+degree = 2
+[method]
+name = hsg
+t_end = 0.1
+"""
+ME_IPM = MINIMAL_SOD.replace("me_hsg", "me_ipm")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # checks the parser makes itself
+        (
+            "[problem\npreset = sod_1d\n",
+            "config parse error: File contains no section headers.\n"
+            "file: '<string>', line: 1\n'[problem\\n'",
+        ),
+        (MINIMAL_SOD.replace("preset = sod_1d", ""), "[problem] missing required key 'preset'"),
+        (
+            ME_IPM + "[limiter]\nenabled = false\n",
+            "[limiter] is only valid for the stochastic Galerkin methods",
+        ),
+        (
+            MINIMAL_SOD.replace("sod_1d", "sod_3d"),
+            "unknown problem preset 'sod_3d'; options: ('sod_1d', 'custom_1d', 'riemann_2d')",
+        ),
+        (
+            MINIMAL_SOD.replace("sod_1d", "sod_1d\nsigma = -0.1"),
+            "[problem] sigma must be >= 0, got -0.1",
+        ),
+        (
+            MINIMAL_SOD.replace("me_hsg", "me_foo"),
+            "unknown method 'me_foo'; options: "
+            "('hsg', 'fhsg', 'ipm', 'me_hsg', 'me_fhsg', 'me_ipm', 'collocation')",
+        ),
+        (MINIMAL_SOD.replace("me_hsg", "me_hsg\nnodes = 0"), "[method] nodes must be >= 1, got 0"),
+        (MINIMAL_SOD + "[output]\nreference = foo\n", "[output] unknown reference 'foo'"),
+        (
+            MINIMAL_SOD + "[output]\nreference_nodes = 0\n",
+            "[output] reference_nodes must be >= 1, got 0",
+        ),
+        (
+            MINIMAL_SOD + "[output]\nreference_subcells = 0\n",
+            "[output] reference_subcells must be >= 1, got 0",
+        ),
+        (ME_IPM + "[newton]\ntol = 0\n", "[newton] newton tolerance must be positive, got 0.0"),
+        (RIEMANN_2D.replace("ny = 8\n", ""), "[grid] riemann_2d requires ny"),
+        # checks the parser leaves to the objects it builds
+        (
+            MINIMAL_SOD.replace("sod_1d", "sod_1d\ngamma = 1"),
+            "[problem] gamma must exceed 1, got 1.0",
+        ),
+        (MINIMAL_SOD.replace("nx = 50", "nx = 0"), "[grid] nx must be positive, got 0"),
+        (RIEMANN_2D.replace("ny = 8", "ny = 0"), "[grid] ny must be positive, got 0"),
+        (
+            MINIMAL_SOD.replace("nx = 50", "nx = 50\nbc = foo"),
+            "[grid] unknown boundary condition: 'foo'",
+        ),
+        (
+            RIEMANN_2D.replace("ny = 8", "ny = 8\nbc_y = dirichlet"),
+            "[grid] unknown boundary condition: 'dirichlet'",
+        ),
+        (MINIMAL_SOD.replace("degree = 4", "degree = -1"), "[basis] degree must be >= 0, got -1"),
+        (
+            MINIMAL_SOD.replace("n_elements = 3", "n_elements = 0"),
+            "[basis] n_elements must be >= 1, got 0",
+        ),
+        (
+            MINIMAL_SOD.replace("degree = 4", "degree = 4\nquad_points = 0"),
+            "[basis] gauss rule needs at least one node, got 0",
+        ),
+        (
+            MINIMAL_SOD.replace("degree = 4", "degree = 4\nquadrature = cc\ncc_level = -1"),
+            "[basis] clenshaw-curtis level must be >= 0, got -1",
+        ),
+        (
+            MINIMAL_SOD.replace("degree = 4", "degree = 4\nquadrature = foo"),
+            "[basis] unknown quadrature kind: 'foo'",
+        ),
+    ],
+    ids=[
+        "unparsable", "missing-key", "limiter-with-ipm", "unknown-preset", "negative-sigma",
+        "unknown-method", "no-nodes", "unknown-reference", "no-reference-nodes",
+        "no-reference-subcells", "newton-tol", "riemann-2d-without-ny",
+        "gamma", "nx", "ny", "bc", "bc-y", "degree", "n-elements", "quad-points", "cc-level",
+        "quadrature",
+    ],
+)
+def test_rejections(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+def test_make_initial_rejects_unknown_preset():
+    with pytest.raises(ValueError, match=r"^unknown preset 'sod_3d'$"):
+        make_initial(ProblemSpec("sod_3d"))
+
+
 def test_custom_density_bump_just_positive_accepted():
     # the lowest density 1 - 0.6 (1 + 0.5) = 0.1 keeps the data admissible
     text = MINIMAL_SOD.replace("sod_1d", "custom_1d\namplitude = -0.6") + "t_end = 0.1\n"

@@ -135,6 +135,13 @@ def test_cfl_rejects_bad_number():
         cfl_time_step(states, grid, GAS, 1.5)
 
 
+def test_cfl_rejects_a_field_without_waves():
+    # admissible gas at rest whose sound speed sqrt(gamma p / rho) underflows to 0
+    states = np.tile([1e300, 0.0, 2.5e-300], (4, 1, 1, 1))
+    with pytest.raises(ValueError, match=r"^zero wave speed everywhere; nothing to advance$"):
+        cfl_time_step(states, grid_1d(4, 0.0, 1.0), GAS, 0.9)
+
+
 def _constant_field(grid, basis, state):
     shape = grid.shape + (basis.n_elements, basis.n_coeffs, len(state))
     coeffs = np.zeros(shape)
@@ -188,6 +195,19 @@ def test_extend_node_states_matches_moment_extension():
 def test_periodic_must_pair():
     with pytest.raises(ValueError):
         grid_1d(4, 0.0, 1.0, bc=("periodic", "transmissive"))
+
+
+def test_unknown_boundary_kind_rejected():
+    with pytest.raises(ValueError, match=r"^unknown boundary condition: 'foo'$"):
+        fv._normalize_bc(("foo", SOD_L))
+
+
+def test_integrate_rejects_negative_end_time():
+    def step(stats, dt_max):
+        raise AssertionError("no step may run")
+
+    with pytest.raises(ValueError, match=r"^end time must be >= 0, got -1.0$"):
+        fv.integrate(step, -1.0)
 
 
 def test_moment_divergence_vanishes_for_constant_field():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from oracles import physical_flux
 from uqfv.euler import GasModel, InadmissibleStateError
@@ -177,6 +178,80 @@ def test_vacuum_detection():
         solve_riemann(left, right, GAS)
 
 
+def traced_pressures(monkeypatch) -> list:
+    """The pressures at which solve_riemann evaluates its pressure function, in order.
+
+    Each evaluation calls the wave function twice at one p, left then right.
+    """
+    seen = []
+    wave_function = riemann._wave_function
+
+    def traced(p, *args):
+        seen.append(p)
+        return wave_function(p, *args)
+
+    monkeypatch.setattr(riemann, "_wave_function", traced)
+    return seen
+
+
+def brentq_star_pressure(sol) -> float:
+    """scipy's root of the pressure function, written out here from (rho, v, p)."""
+    gamma = GAS.gamma
+    (rho_l, v_l, p_l), (rho_r, v_r, p_r) = sol.left, sol.right
+
+    def branch(p, rho_k, p_k):
+        if p > p_k:
+            b = (gamma - 1.0) / (gamma + 1.0) * p_k
+            return (p - p_k) * np.sqrt(2.0 / ((gamma + 1.0) * rho_k) / (p + b))
+        a_k = np.sqrt(gamma * p_k / rho_k)
+        return 2.0 * a_k / (gamma - 1.0) * ((p / p_k) ** ((gamma - 1.0) / (2 * gamma)) - 1.0)
+
+    hi = max(p_l, p_r)
+    return brentq(
+        lambda p: branch(p, rho_l, p_l) + branch(p, rho_r, p_r) + (v_r - v_l),
+        1e-12 * hi, 10.0 * hi, xtol=1e-300,
+    )
+
+
+def test_newton_halves_steps_that_leave_the_positive_pressures(monkeypatch):
+    seen = traced_pressures(monkeypatch)
+    sol = solve_riemann(conserved(1.115, -0.131, 0.0073), conserved(63.4, -13.76, 491.9), GAS)
+    pressures = seen[::2]
+    assert sum(b == 0.5 * a for a, b in zip(pressures, pressures[1:])) == 4
+    assert sol.p_star == pytest.approx(brentq_star_pressure(sol), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "left, right, s",
+    [
+        (*TORO_TESTS[0], 1e5),
+        # two shocks: p* lies above the bisection's first bracket, which doubles
+        ((1.0, 3.0, 1.0), (2.0, -1.0, 0.5), 1e6),
+    ],
+    ids=["sod", "two-shocks"],
+)
+def test_bisection_finishes_what_newton_cannot(monkeypatch, left, right, s):
+    # data scaled by s, p by s^2 and v by s: the pressure function is in
+    # units of s, so Newton's absolute stop |f| <= 1e-12 is out of reach:
+    # its 100 iterations end, and the bisection's 200 midpoints decide p*
+    seen = traced_pressures(monkeypatch)
+    sol = solve_riemann(*(conserved(rho, v * s, p * s**2) for rho, v, p in (left, right)), GAS)
+    assert len(seen[::2]) > 300
+    bracket = max(sol.left[2], sol.right[2])
+    assert (2.0 * bracket in seen) == (sol.p_star > bracket)
+    assert sol.p_star == pytest.approx(brentq_star_pressure(sol), rel=1e-12)
+    unit = solve_riemann(conserved(*left), conserved(*right), GAS)
+    assert sol.p_star / s**2 == pytest.approx(unit.p_star, rel=1e-12)
+    assert sol.v_star / s == pytest.approx(unit.v_star, rel=1e-12)
+
+
+def test_exact_solutions_are_one_dimensional():
+    with pytest.raises(ValueError, match="expects 1D conserved states"):
+        solve_riemann(np.array([1.0, 0.0, 0.0, 2.5]), SOD_R, GAS)
+    with pytest.raises(ValueError, match="the exact shock-tube reference is one-dimensional"):
+        sod_reference_on_grid(SOD_L, SOD_R, GAS, grid_2d(4, 4), t=0.1)
+
+
 def test_sod_statistics_sigma_zero():
     x = np.linspace(0.05, 0.95, 19)
     mean, var = sod_reference_statistics(SOD_L, SOD_R, GAS, x, t=0.14, sigma=0.0)
@@ -321,6 +396,18 @@ def test_collocation_failure_names_the_node(monkeypatch):
     with pytest.raises(InadmissibleStateError, match=message) as info:
         collocation_reference(initial, grid, GAS, t_end=0.05, n_nodes=10)
     assert info.value.index == (3, 7)
+
+
+def test_sod_reference_on_grid_at_t0_is_the_uncertain_initial_data():
+    # at t = 0 the left state holds with probability (1 - (x - x0) / sigma) / 2
+    grid = grid_1d(50, 0.0, 1.0)
+    stats = sod_reference_on_grid(SOD_L, SOD_R, GAS, grid, t=0.0, n_nodes=40, subcells=1)
+    left = np.clip(0.5 * (1.0 - (grid.cell_centers(0) - 0.5) / 0.05), 0.0, 1.0)[:, None]
+    np.testing.assert_allclose(stats.mean, left * SOD_L + (1.0 - left) * SOD_R, atol=1e-14)
+    np.testing.assert_allclose(
+        stats.variance, left * (1.0 - left) * (SOD_L - SOD_R) ** 2, atol=1e-14
+    )
+    assert np.count_nonzero(stats.variance[:, 0] > 1e-3) == 4
 
 
 def test_sod_reference_on_grid_shapes():

@@ -3,7 +3,12 @@ import pytest
 
 from uqfv.cli import main
 from uqfv.config import parse_config
+from uqfv.euler import GasModel
+from uqfv.fv import grid_1d
+from uqfv.problems import make_initial
+from uqfv.riemann import collocation_reference
 from uqfv.runner import run
+from uqfv.stats import relative_errors
 
 SOD_SMALL = """
 [problem]
@@ -59,6 +64,35 @@ def test_run_determinism_bit_identical_csv(tmp_path):
     assert (tmp_path / "a" / "stats.csv").read_bytes() == (
         tmp_path / "b" / "stats.csv"
     ).read_bytes()
+
+
+def test_run_with_collocation_reference(tmp_path):
+    text = CUSTOM_PERIODIC + "[output]\nreference = collocation\nreference_nodes = 20\n"
+    cfg = parse_config(text)
+    report = run(cfg, output_dir=tmp_path)
+    reference = collocation_reference(
+        make_initial(cfg.problem), grid_1d(30, 0.0, 1.0, bc="periodic"), GasModel(1.4),
+        0.02, n_nodes=20,
+    )
+    err_e, err_v = relative_errors(report.statistics, reference)
+    row = (tmp_path / "errors.csv").read_text().splitlines()[1].split(",")
+    assert row[:4] == ["me_hsg", "2", "2", "30"]
+    assert [float(value) for value in row[4:6]] == [err_e[0], err_v[0]]
+
+
+def test_run_sod_with_dirichlet_boundaries(tmp_path):
+    # the waves stay clear of the walls up to t = 0.05, so the Sod states as
+    # Dirichlet data give the transmissive run to round-off
+    text = SOD_SMALL.replace("nx = 60", "nx = 60\nbc = dirichlet")
+    dirichlet = run(parse_config(text), tmp_path / "d")
+    transmissive = run(parse_config(SOD_SMALL), tmp_path / "t")
+    assert [bc[0] for bc in dirichlet.statistics.grid.bcs[0]] == ["dirichlet", "dirichlet"]
+    np.testing.assert_allclose(
+        dirichlet.statistics.mean, transmissive.statistics.mean, rtol=0.0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        dirichlet.statistics.variance, transmissive.statistics.variance, rtol=0.0, atol=1e-12
+    )
 
 
 def test_run_ipm_method_writes_dual_stats(tmp_path):
@@ -208,16 +242,25 @@ def test_cli_rejects_before_running(tmp_path, capsys, text, message):
 
 
 def test_cli_quadrature_too_small_for_degree(tmp_path, capsys):
-    # 3 Gauss nodes cannot make a degree-4 basis orthonormal; the run stops
-    # when it builds the basis, before it creates the output directory
+    # 3 Gauss nodes cannot make a degree-4 basis orthonormal; the parser
+    # builds the basis, so the CLI exits 2 and creates no output
     config_path = tmp_path / "run.ini"
     config_path.write_text(SOD_SMALL.replace("degree = 3", "degree = 4\nquad_points = 3"))
     code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
-    assert "error: degree 4 basis is not discretely orthonormal" in err
+    assert "config error: [basis] degree 4 basis is not discretely orthonormal" in err
     assert "gauss-legendre rule with 3 nodes" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_solver_failure_exit_code(tmp_path, capsys):
+    # a valid config whose run fails: one Newton iteration cannot reach the tolerance
+    config_path = tmp_path / "run.ini"
+    config_path.write_text(SOD_SMALL.replace("me_hsg", "me_ipm") + "[newton]\nmax_iter = 1\n")
+    code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert "error: step 0: dual solve at (cells..., element)" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):

@@ -142,11 +142,15 @@ def test_relative_errors_scale_invariant_in_reference():
 
 
 def test_relative_errors_zero_reference_norm():
+    # a component without a reference norm has no relative error; the others keep theirs
     grid = grid_1d(4, 0.0, 1.0)
-    ref = FieldStatistics(grid, np.zeros((4, 3)), np.ones((4, 3)))
-    computed = FieldStatistics(grid, np.ones((4, 3)), np.ones((4, 3)))
-    with pytest.raises(ValueError):
-        relative_errors(computed, ref)
+    mean = np.ones((4, 3))
+    mean[:, 1] = 0.0
+    ref = FieldStatistics(grid, mean, np.zeros((4, 3)))
+    computed = FieldStatistics(grid, 2.0 * np.ones((4, 3)), np.ones((4, 3)))
+    err_e, err_v = relative_errors(computed, ref)
+    np.testing.assert_array_equal(err_e, [1.0, np.nan, 1.0])
+    np.testing.assert_array_equal(err_v, [np.nan] * 3)
 
 
 def test_relative_errors_grid_mismatch():

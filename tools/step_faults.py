@@ -48,7 +48,7 @@ def _runner(name: str):
 
     config = parse_config(CONFIGS[name])
     gas, grid = make_gas(config.problem), make_grid(config.grid, config.problem)
-    initial, basis = make_initial(config.problem), make_basis(config)
+    initial, basis = make_initial(config.problem), make_basis(config.basis)
     field = project_initial_data(initial, grid, basis)
     method = config.method
     if method.name in ("ipm", "me_ipm"):
