@@ -226,7 +226,7 @@ def build_basis(
     if quad_count is None:
         quad_count = 2 * (degree + 1)
         if quad_kind == "clenshaw-curtis":
-            # smallest level with at least 2*(degree+1) points
-            quad_count = int(np.ceil(np.log2(max(quad_count - 1, 1))))
+            # smallest level with at least 2*(degree+1) points; level 0 has 1, not 2
+            quad_count = max(1, int(np.ceil(np.log2(quad_count - 1))))
     rule = build_quadrature(quad_kind, quad_count)
     return GpcBasis(partition, degree, rule)

@@ -29,6 +29,9 @@ __all__ = [
 # allocator reuses and the peak memory grows with the block.
 _BLOCK = 5
 
+# solve_riemann's Newton stops at |f| <= _RTOL times the data's velocity scale
+_RTOL = 1e-12
+
 
 class VacuumError(ValueError):
     """Initial data generates vacuum; the pressure equation has no positive root."""
@@ -144,8 +147,15 @@ def _star_side(p_star, v_star, rho, v, p, a, gamma, sign):
     return "rarefaction", rho_star, v + sign * a, v_star + sign * a_star
 
 
-def solve_riemann(left, right, gas: GasModel, tol: float = 1e-12) -> RiemannSolution:
-    """Exact two-wave solution; Newton on the pressure function, bisection fallback."""
+def solve_riemann(left, right, gas: GasModel) -> RiemannSolution:
+    """Exact two-wave solution by Newton on the pressure function.
+
+    The pressure function is monotone and concave (Toro, section 4.3.1), so
+    Newton from the two-rarefaction guess converges without a fallback. It
+    stops when |f| <= 1e-12 (|v_l| + a_l + |v_r| + a_r): f is a velocity, so
+    the stop is relative to the data's velocity scale, and the step is taken
+    once more after the stop is met.
+    """
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     if left.shape != (3,) or right.shape != (3,):
@@ -169,36 +179,25 @@ def solve_riemann(left, right, gas: GasModel, tol: float = 1e-12) -> RiemannSolu
         f_r, df_r = _wave_function(p, rho_r, p_r, a_r, gamma)
         return f_l + f_r + (v_r - v_l), df_l + df_r
 
-    # two-rarefaction guess keeps Newton inside the positive branch
+    # two-rarefaction guess: positive, up to underflow, unless the data generate vacuum
     exp = (gamma - 1.0) / (2.0 * gamma)
     guess = (
         (a_l + a_r - 0.5 * (gamma - 1.0) * (v_r - v_l))
         / (a_l / p_l**exp + a_r / p_r**exp)
     ) ** (1.0 / exp)
-    p = max(guess, tol)
-    converged = False
+    p = max(guess, np.finfo(float).tiny)
+    stop = _RTOL * (abs(v_l) + a_l + abs(v_r) + a_r)
     for _ in range(100):
         f, df = fun(p)
-        step = f / df
-        p_new = p - step
-        if p_new <= 0.0:
-            p_new = 0.5 * p
-        if abs(p_new - p) <= tol * max(p_new, 1e-300) and abs(f) <= tol:
-            p = p_new
-            converged = True
+        p_new = p - f / df
+        p = p_new if p_new > 0.0 else 0.5 * p
+        if abs(f) <= stop:
             break
-        p = p_new
-    if not converged:
-        lo, hi = tol, max(p_l, p_r)
-        while fun(hi)[0] < 0.0:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if fun(mid)[0] > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        p = 0.5 * (lo + hi)
+    else:
+        raise RuntimeError(
+            "Newton on the pressure function did not converge in 100 "
+            f"iterations for left state {left.tolist()} and right state {right.tolist()}"
+        )
     p_star = p
     f_l, _ = _wave_function(p_star, rho_l, p_l, a_l, gamma)
     f_r, _ = _wave_function(p_star, rho_r, p_r, a_r, gamma)

@@ -234,6 +234,8 @@ def test_default_cc_level_is_smallest_with_twice_coefficients():
     # degree 4 wants 10 nodes: level 3 has 9, level 4 has 17
     assert build_basis(build_partition(-1, 1, 1), 4, "clenshaw-curtis").n_nodes == 17
     assert build_basis(build_partition(-1, 1, 1), 1, "clenshaw-curtis").n_nodes == 5
+    # degree 0 wants 2 nodes: level 0 has 1, level 1 has 3
+    assert build_basis(build_partition(-1, 1, 1), 0, "clenshaw-curtis").n_nodes == 3
 
 
 @pytest.mark.parametrize("kind", ["gauss-legendre", "clenshaw-curtis"])

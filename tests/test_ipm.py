@@ -308,6 +308,31 @@ def test_solve_duals_singular_newton_matrix_is_located():
     assert info.value.index == (1, 0)
 
 
+def test_solve_duals_reraises_a_solve_failure_on_nonsingular_matrices(monkeypatch):
+    # a LAPACK failure that slogdet does not confirm as a singular matrix is
+    # not a located DualSolveError: the solve's own error goes up unchanged
+    basis, moments, warm = sod_block_with_warm_l_rho(entropy_gradient(SOD_L, GAS)[0] + 0.1)
+    failure = np.linalg.LinAlgError("injected solve failure")
+    signs = []
+    slogdet = np.linalg.slogdet
+
+    def failing_solve(*args):
+        raise failure
+
+    def recorded_slogdet(a):
+        result = slogdet(a)
+        signs.append(result[0])
+        return result
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(np.linalg, "slogdet", recorded_slogdet)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        solve_duals(moments, warm, basis, GAS, threads=1)
+    assert info.value is failure
+    # one active problem, cell 1, whose Newton matrix is positive definite
+    assert [sign.tolist() for sign in signs] == [[1.0]]
+
+
 def realizable_block(unit, basis, ndim):
     """Moments of smooth admissible node states, one profile per problem.
 

@@ -195,7 +195,11 @@ def traced_pressures(monkeypatch) -> list:
 
 
 def brentq_star_pressure(sol) -> float:
-    """scipy's root of the pressure function, written out here from (rho, v, p)."""
+    """scipy's root of the pressure function, written out here from (rho, v, p).
+
+    f rises from f(0+) < 0 (no vacuum) to +inf; the bracket starts at the
+    smallest normal float and its top doubles from max(p_l, p_r) until f > 0.
+    """
     gamma = GAS.gamma
     (rho_l, v_l, p_l), (rho_r, v_r, p_r) = sol.left, sol.right
 
@@ -206,11 +210,13 @@ def brentq_star_pressure(sol) -> float:
         a_k = np.sqrt(gamma * p_k / rho_k)
         return 2.0 * a_k / (gamma - 1.0) * ((p / p_k) ** ((gamma - 1.0) / (2 * gamma)) - 1.0)
 
+    def f(p):
+        return branch(p, rho_l, p_l) + branch(p, rho_r, p_r) + (v_r - v_l)
+
     hi = max(p_l, p_r)
-    return brentq(
-        lambda p: branch(p, rho_l, p_l) + branch(p, rho_r, p_r) + (v_r - v_l),
-        1e-12 * hi, 10.0 * hi, xtol=1e-300,
-    )
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    return brentq(f, np.finfo(float).tiny, hi, xtol=1e-300)
 
 
 def test_newton_halves_steps_that_leave_the_positive_pressures(monkeypatch):
@@ -223,26 +229,71 @@ def test_newton_halves_steps_that_leave_the_positive_pressures(monkeypatch):
 
 @pytest.mark.parametrize(
     "left, right, s",
-    [
-        (*TORO_TESTS[0], 1e5),
-        # two shocks: p* lies above the bisection's first bracket, which doubles
-        ((1.0, 3.0, 1.0), (2.0, -1.0, 0.5), 1e6),
-    ],
+    [(*TORO_TESTS[0], 1e5), ((1.0, 3.0, 1.0), (2.0, -1.0, 0.5), 1e6)],
     ids=["sod", "two-shocks"],
 )
-def test_bisection_finishes_what_newton_cannot(monkeypatch, left, right, s):
+def test_newton_stop_is_relative_to_the_velocity_scale(monkeypatch, left, right, s):
     # data scaled by s, p by s^2 and v by s: the pressure function is in
-    # units of s, so Newton's absolute stop |f| <= 1e-12 is out of reach:
-    # its 100 iterations end, and the bisection's 200 midpoints decide p*
+    # units of s, and so is the stop, so Newton takes as many steps as at s = 1
     seen = traced_pressures(monkeypatch)
     sol = solve_riemann(*(conserved(rho, v * s, p * s**2) for rho, v, p in (left, right)), GAS)
-    assert len(seen[::2]) > 300
-    bracket = max(sol.left[2], sol.right[2])
-    assert (2.0 * bracket in seen) == (sol.p_star > bracket)
+    assert len(seen[::2]) <= 8
     assert sol.p_star == pytest.approx(brentq_star_pressure(sol), rel=1e-12)
     unit = solve_riemann(conserved(*left), conserved(*right), GAS)
     assert sol.p_star / s**2 == pytest.approx(unit.p_star, rel=1e-12)
     assert sol.v_star / s == pytest.approx(unit.v_star, rel=1e-12)
+
+
+def test_sod_takes_five_evaluations(monkeypatch):
+    seen = traced_pressures(monkeypatch)
+    sol = solve_riemann(SOD_L, SOD_R, GAS)
+    assert len(seen[::2]) == 5
+    assert (sol.p_star, sol.v_star) == (0.30313017805064674, 0.9274526200489497)
+
+
+def test_near_vacuum_star_pressure_far_below_the_data():
+    # p* = 4.2e-14 under p ~ 1e5: an absolute floor of 1e-12 on p decided p*
+    # here once, 23 times too large
+    sol = solve_riemann(
+        conserved(0.029154965757176094, -19201.62416818866, 103621.495477619),
+        conserved(0.6724663046351537, -3141.666708035295, 469314.26335554576),
+        GAS,
+    )
+    assert sol.p_star == pytest.approx(brentq_star_pressure(sol), rel=1e-10, abs=0.0)
+    assert sol.p_star == pytest.approx(4.159e-14, rel=1e-3, abs=0.0)
+
+
+def test_star_pressure_matches_brentq_over_scales_and_near_vacuum():
+    # 300 seeded draws: velocity scale 1e-6 to 1e8 (p scales by its square),
+    # rho and p spread over 6 and 8 decades, a mean flow, and velocity
+    # jumps from strong collision up to 1e-4 short of the vacuum limit
+    rng = np.random.default_rng(1)
+    n = 300
+    scale = 10.0 ** rng.uniform(-6.0, 8.0, n)
+    rho = 10.0 ** rng.uniform(-3.0, 3.0, (n, 2))
+    p = 10.0 ** rng.uniform(-4.0, 4.0, (n, 2))
+    vacuum = 2.0 * np.sqrt(GAS.gamma * p / rho).sum(axis=1) / (GAS.gamma - 1.0)
+    share = np.where(
+        np.arange(n) % 3 == 0, 1.0 - 10.0 ** rng.uniform(-4.0, -1.0, n), rng.uniform(-3.0, 0.9, n)
+    )
+    v_l = rng.uniform(-2.0, 2.0, n) * vacuum
+    v = np.stack([v_l, v_l + share * vacuum], axis=1)
+    for i in range(n):
+        sol = solve_riemann(
+            *(conserved(rho[i, k], v[i, k] * scale[i], p[i, k] * scale[i] ** 2) for k in (0, 1)),
+            GAS,
+        )
+        assert sol.p_star == pytest.approx(brentq_star_pressure(sol), rel=1e-10, abs=0.0), i
+
+
+def test_newton_that_never_converges_names_the_data(monkeypatch):
+    monkeypatch.setattr(riemann, "_wave_function", lambda p, *args: (1.0, 1.0))
+    message = (
+        r"^Newton on the pressure function did not converge in 100 iterations "
+        r"for left state \[1\.0, 0\.0, 2\.5\] and right state \[0\.125, 0\.0, 0\.25\]$"
+    )
+    with pytest.raises(RuntimeError, match=message):
+        solve_riemann(SOD_L, SOD_R, GAS)
 
 
 def test_exact_solutions_are_one_dimensional():

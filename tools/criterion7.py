@@ -8,9 +8,11 @@ this script sits in; even pairs run ME-IPM first, odd pairs IPM first. A run
 is timed as ``test_criterion_7_me_ipm_speedup`` times it: ``run_ipm`` to
 t = 0.14, warm-started from the projected entropy gradient of the initial
 node states, after one short warm-up run of each shape in the same process.
-One line per pair gives both times, both Newton counts and the ratio
-ME-IPM / IPM; the last lines give the median and quartiles of the times and
-ratios. The acceptance bound on the ratio is 0.5.
+That first timed run of each shape is the cold one, as in the test; the
+process then times both shapes again, in the same order, for the warm one.
+One line per pair gives the cold times, both Newton counts and the cold and
+warm ratios ME-IPM / IPM; the last lines give the median and quartiles of
+the times and of both ratios. The acceptance bound on the ratio is 0.5.
 """
 
 from __future__ import annotations
@@ -50,13 +52,14 @@ def _run(name: str, nx: int, max_steps: int | None = None) -> tuple[float, int]:
 
 
 def _pair(order: list[str]) -> None:
-    """Child process: warm up both shapes, then time each in ``order``."""
+    """Child process: warm up both shapes, then time each in ``order``, twice."""
     sys.path.insert(0, str(SRC))
     for name in order:
         _run(name, 20, max_steps=3)
-    for name in order:
-        seconds, newton = _run(name, NX)
-        print(name, seconds, newton, flush=True)
+    for phase in ("cold", "warm"):
+        for name in order:
+            seconds, newton = _run(name, NX)
+            print(phase, name, seconds, newton, flush=True)
 
 
 def _quartiles(values) -> str:
@@ -72,18 +75,23 @@ def main(pairs: int) -> int:
             [sys.executable, __file__, "--pair", *order],
             check=True, capture_output=True, text=True,
         ).stdout
-        runs = {name: (float(s), int(n)) for name, s, n in map(str.split, out.splitlines())}
-        (me, me_newton), (cl, cl_newton) = runs["me_ipm"], runs["ipm"]
-        rows.append((me, cl, me / cl))
+        runs = {
+            (phase, name): (float(s), int(n))
+            for phase, name, s, n in map(str.split, out.splitlines())
+        }
+        (me, me_newton), (cl, cl_newton) = runs["cold", "me_ipm"], runs["cold", "ipm"]
+        warm = runs["warm", "me_ipm"][0] / runs["warm", "ipm"][0]
+        rows.append((me, cl, me / cl, warm))
         print(
             f"pair {i:2d} ({order[0]} first): ME-IPM {me:.3f} s ({me_newton} Newton), "
-            f"IPM {cl:.3f} s ({cl_newton} Newton), ratio {me / cl:.3f}",
+            f"IPM {cl:.3f} s ({cl_newton} Newton), ratio {me / cl:.3f}, warm {warm:.3f}",
             flush=True,
         )
-    me, cl, ratio = map(list, zip(*rows))
-    print(f"ME-IPM s: {_quartiles(me)}")
-    print(f"IPM s:    {_quartiles(cl)}")
-    print(f"ratio:    {_quartiles(ratio)}, max {max(ratio):.3f}, bound 0.5")
+    me, cl, ratio, warm = map(list, zip(*rows))
+    print(f"ME-IPM s:   {_quartiles(me)}")
+    print(f"IPM s:      {_quartiles(cl)}")
+    print(f"ratio:      {_quartiles(ratio)}, max {max(ratio):.3f}, bound 0.5")
+    print(f"warm ratio: {_quartiles(warm)}, max {max(warm):.3f}")
     return 0
 
 

@@ -2,6 +2,7 @@
 
     python3 tools/stats_hashes.py            # every config
     python3 tools/stats_hashes.py me_hsg ipm # a subset, by name
+    python3 tools/stats_hashes.py --write    # every config, into tests/golden.json
 
 Each config runs through ``uqfv.runner.run`` (the path ``uqfv run`` takes)
 into a temporary directory, with the ``src/`` tree of the checkout this
@@ -12,16 +13,26 @@ script sits in. Sod runs use 400 cells up to t = 0.14; ``riemann_2d`` runs
 last line gives the line count of ``src/uqfv/*.py``, as ``wc -l`` totals it.
 Comparing two checkouts' output shows whether a change kept the outputs
 bit for bit, and how much it grew or shrank the package.
+
+``--write`` also stores each config's record, with the numpy version, its
+BLAS build and the machine, in ``tests/golden.json``, which
+``tests/test_golden.py`` checks. A change that moves the outputs rewrites
+the file and says why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = SRC.parent / "tests" / "golden.json"
 sys.path.insert(0, str(SRC))
 
 from uqfv.config import parse_config  # noqa: E402
@@ -53,20 +64,48 @@ CONFIGS = {
 }
 
 
-def main(names: list[str]) -> int:
+def platform_record() -> dict:
+    """What the hashes depend on besides the source: numpy, its BLAS and the machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": blas["name"],
+        "blas_version": blas["version"],
+        "machine": platform.machine(),
+    }
+
+
+def config_record(name: str, out_dir: Path) -> dict:
+    """Run one config into ``out_dir``: its stats.csv hash, steps, Newton count, errors."""
+    report = run(parse_config(CONFIGS[name]), out_dir)
+    return {
+        "sha256": hashlib.sha256(report.output_files["stats_csv"].read_bytes()).hexdigest(),
+        "steps": report.stats.steps,
+        "newton": report.stats.newton_iterations,
+        "errors": {k: float(v) for k, v in (report.errors or {}).items()},
+    }
+
+
+def main(args: list[str]) -> int:
+    names = [a for a in args if a != "--write"]
+    write = len(names) < len(args)
     unknown = sorted(set(names) - set(CONFIGS))
-    if unknown:
-        print(f"unknown config(s) {unknown}; known: {sorted(CONFIGS)}", file=sys.stderr)
+    if unknown or (write and names):
+        print(
+            f"usage: stats_hashes.py [--write | config...]; known configs: {sorted(CONFIGS)}",
+            file=sys.stderr,
+        )
         return 2
+    records = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in names or CONFIGS:
-            report = run(parse_config(CONFIGS[name]), Path(tmp) / name)
-            digest = hashlib.sha256(report.output_files["stats_csv"].read_bytes()).hexdigest()
-            stats = report.stats
-            line = f"{name:18s} {digest} steps={stats.steps} newton={stats.newton_iterations}"
-            if report.errors is not None:
-                line += "".join(f" {k}={v:.17g}" for k, v in report.errors.items())
+            record = records[name] = config_record(name, Path(tmp) / name)
+            line = f"{name:18s} {record['sha256']} steps={record['steps']} newton={record['newton']}"
+            line += "".join(f" {k}={v:.17g}" for k, v in record["errors"].items())
             print(line, flush=True)
+    if write:
+        golden = {"platform": platform_record(), "configs": records}
+        GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     lines = sum(path.read_bytes().count(b"\n") for path in (SRC / "uqfv").glob("*.py"))
     print(f"src/uqfv {lines} lines")
     return 0
