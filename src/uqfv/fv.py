@@ -164,7 +164,10 @@ def _hll_unchecked(ul, ur, gas: GasModel, axis: int, *, sides=None, work=None) -
     ``ur``) from ``_flux_and_speeds`` when the caller has them; ``work`` is
     the ``_Workspace`` the flux and its temporaries go into (a fresh one
     without it). Every operation keeps the operands and order of the plain
-    formula, so the buffers do not change a bit of the result.
+    formula, so the buffers do not change a bit of the result. Speeds,
+    masks and their product and difference are made once per state; the
+    loop then runs one component at a time, since broadcast along the
+    component axis numpy's inner loops would span only 3 or 4 entries.
     """
     if sides is None:
         sides = (_flux_and_speeds(ul, gas, axis), _flux_and_speeds(ur, gas, axis))
@@ -173,20 +176,24 @@ def _hll_unchecked(ul, ur, gas: GasModel, axis: int, *, sides=None, work=None) -
     shape = vl.shape
     s_l = np.subtract(vl, cl, out=work.take("s_l", shape))
     s_r = np.add(vl, cl, out=work.take("s_r", shape))
-    scratch = work.take("speed", shape)
-    np.minimum(s_l, np.subtract(vr, cr, out=scratch), out=s_l)
-    np.maximum(s_r, np.add(vr, cr, out=scratch), out=s_r)
-    flux = np.multiply(s_r[..., None], fl, out=work.take("flux", ul.shape))
-    term = work.take("term", ul.shape)
+    term = work.take("term", shape)
+    np.minimum(s_l, np.subtract(vr, cr, out=term), out=s_l)
+    np.maximum(s_r, np.add(vr, cr, out=term), out=s_r)
+    left = np.greater_equal(s_l, 0.0, out=work.take("left", shape, bool))
+    right = np.less_equal(s_r, 0.0, out=work.take("right", shape, bool))
+    flux, f = work.take("flux", ul.shape), work.take("component", shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the middle state, s_r fl - s_l fr + s_l s_r (ur - ul), over s_r - s_l
-        flux -= np.multiply(s_l[..., None], fr, out=term)
-        np.multiply(s_l, s_r, out=scratch)
-        flux += np.multiply(scratch[..., None], np.subtract(ur, ul, out=term), out=term)
-        flux /= np.subtract(s_r, s_l, out=scratch)[..., None]
-    mask = work.take("mask", shape, bool)
-    np.copyto(flux, fl, where=np.greater_equal(s_l, 0.0, out=mask)[..., None])
-    np.copyto(flux, fr, where=np.less_equal(s_r, 0.0, out=mask)[..., None])
+        product = np.multiply(s_l, s_r, out=work.take("product", shape))
+        width = np.subtract(s_r, s_l, out=work.take("width", shape))
+        for i in range(ul.shape[-1]):
+            # the middle state, s_r fl - s_l fr + s_l s_r (ur - ul), over s_r - s_l
+            np.multiply(s_r, fl[..., i], out=f)
+            f -= np.multiply(s_l, fr[..., i], out=term)
+            f += np.multiply(product, np.subtract(ur[..., i], ul[..., i], out=term), out=term)
+            f /= width
+            np.copyto(f, fl[..., i], where=left)
+            np.copyto(f, fr[..., i], where=right)
+            flux[..., i] = f
     return flux
 
 

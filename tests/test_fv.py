@@ -365,6 +365,18 @@ def test_hll_matches_the_expression_form_bit_for_bit(ndim):
         assert picked_l.any() and picked_r.any() and (~picked_l & ~picked_r).any()
 
 
+def test_hll_workspace_reused_across_shapes_and_components():
+    # the kernel's per-state buffers have no component axis and take hands
+    # out prefixes of flat buffers: after a larger 2D call (d = 4), a smaller
+    # 1D call (d = 3) must read none of the stale entries behind its prefix
+    rng = np.random.default_rng(9)
+    work = fv._Workspace()
+    for n, ndim in ((300, 1), (1200, 2), (50, 1)):
+        ul, ur = random_admissible(rng, n, ndim), random_admissible(rng, n, ndim)
+        got = _hll_unchecked(ul, ur, GAS, ndim - 1, work=work)
+        np.testing.assert_array_equal(got, oracles.hll_expression(ul, ur, GAS.gamma, ndim - 1))
+
+
 def _kernel_case(rng, ndim, bc, shape, n_elements=2, degree=2):
     """Random admissible node states on a grid whose every side has ``bc``."""
     if bc == "dirichlet":

@@ -164,9 +164,9 @@ def test_filter_gain_exponential_reaches_machine_eps():
     # net exponent one at k=K gives exp(log eps) = machine epsilon
     cfg = FilterConfig("exponential", strength=2.0, order=4, dt_scaled=True)
     gain = filter_gains(4, cfg, dt=0.5)[4]
-    assert gain == pytest.approx(np.finfo(float).eps, rel=1e-12)
+    assert gain == pytest.approx(np.finfo(float).eps, rel=1e-12, abs=0.0)
     raw = FilterConfig("exponential", strength=1.0, order=4, dt_scaled=False)
-    assert filter_gains(4, raw)[4] == pytest.approx(np.finfo(float).eps, rel=1e-12)
+    assert filter_gains(4, raw)[4] == pytest.approx(np.finfo(float).eps, rel=1e-12, abs=0.0)
 
 
 def test_filter_gains_monotone_nonincreasing():

@@ -3,16 +3,20 @@
     python3 tools/step_faults.py                   # every shape, 3 warm runs each
     python3 tools/step_faults.py me_hsg hsg        # a subset, by name
     python3 tools/step_faults.py --runs 5 me_ipm   # 5 warm runs
+    python3 tools/step_faults.py collocation       # the collocation reference
 
-The shapes are the golden SG, IPM and ``riemann_2d`` configs of
-``tools/stats_hashes.py`` (Sod at 400 cells to t = 0.14, the 2D problem at
-48 x 48 to t = 0.1). Each shape runs in a fresh interpreter with the ``src/``
-tree of the checkout this script sits in: one warm-up run, then the warm
-runs, each timed by ``getrusage(RUSAGE_SELF)`` and ``perf_counter`` around
-the ``run_sg`` or ``run_ipm`` call alone (the inputs are built once, before
-the warm-up). One line per warm run gives its wall time, minor faults and
-system time; the faults show whether a step's temporaries are faulted in
-afresh each step, which the wall time alone does not tell apart from work.
+The shapes are the golden SG, IPM, collocation and ``riemann_2d`` configs
+of ``tools/stats_hashes.py`` (Sod at 400 cells to t = 0.14, the 2D problem
+at 48 x 48 to t = 0.1); ``collocation`` runs ``collocation_reference`` on its
+100 Gauss nodes, so it shows what the collocation block size costs per run.
+Each shape runs in a fresh interpreter with the ``src/`` tree of the
+checkout this script sits in: one warm-up run, then the warm runs, each
+timed by ``getrusage(RUSAGE_SELF)`` and ``perf_counter`` around the
+``run_sg``, ``run_ipm`` or ``collocation_reference`` call alone (the inputs
+are built once, before the warm-up). One line per warm run gives its wall
+time, minor faults and system time; the faults show whether a step's
+temporaries are faulted in afresh each step, which the wall time alone does
+not tell apart from work.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ sys.path.insert(0, str(TOOLS))
 
 from stats_hashes import CONFIGS  # noqa: E402  (puts src/ on the path)
 
-SHAPES = [name for name in CONFIGS if name not in ("me_hsg_exact_sod", "collocation")]
+SHAPES = [name for name in CONFIGS if name != "me_hsg_exact_sod"]
 
 
 def _runner(name: str):
@@ -44,13 +48,18 @@ def _runner(name: str):
         make_initial,
         project_initial_data,
     )
+    from uqfv.riemann import collocation_reference
     from uqfv.sg import run_sg
 
     config = parse_config(CONFIGS[name])
     gas, grid = make_gas(config.problem), make_grid(config.grid, config.problem)
-    initial, basis = make_initial(config.problem), make_basis(config.basis)
+    initial, method = make_initial(config.problem), config.method
+    if method.name == "collocation":
+        return lambda: collocation_reference(
+            initial, grid, gas, method.t_end, cfl=method.cfl, n_nodes=method.nodes
+        )
+    basis = make_basis(config.basis)
     field = project_initial_data(initial, grid, basis)
-    method = config.method
     if method.name in ("ipm", "me_ipm"):
         duals = initial_duals_from_states(initial_node_states(initial, grid, basis), basis, gas)
         return lambda: run_ipm(
