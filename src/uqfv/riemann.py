@@ -30,6 +30,12 @@ __all__ = [
 # blocks of 5 and 45 for the one batch.
 _BLOCK = 25
 
+# (sub-point, node) pairs per sample call in sod_reference_statistics: 8
+# Gauss pieces at 5 sub-points and 100 nodes. After a collocation run, 1600
+# cells took 0.24 s at 4000 and 6000, 0.55 s at 1000 and 0.45 s one cell per
+# call; at 8000, 0.30 s, with 31k minor faults per call against 290 at 4000.
+_SAMPLES = 4000
+
 # solve_riemann's Newton stops at |f| <= _RTOL times the data's velocity scale
 _RTOL = 1e-12
 
@@ -256,34 +262,38 @@ def sod_reference_statistics(
     rule with ``n_nodes`` is applied per smooth piece. ``sub_points`` may
     hold per-point offsets (e.g. sub-cell positions relative to the cell
     center); the statistics then describe the sub-point-averaged state.
+
+    All points' pieces are sampled in blocks of ``_SAMPLES`` (sub-point, node)
+    pairs, one ``sample`` call per block, and ``np.add.at`` adds them into the
+    sums one by one, in point and xi order: no bit depends on the block size.
     """
     sol = solve_riemann(left, right, gas)
     x_points = np.asarray(x_points, dtype=float)
     offsets = np.asarray([0.0] if sub_points is None else sub_points, dtype=float)
+    xs = x_points[:, None] + offsets
     if sigma == 0.0:
-        xs = x_points[:, None] + offsets[None, :]
         mean = _uncertain_state(sol, xs, t, 0.0, x0, sigma).mean(axis=1)
         return mean, np.zeros_like(mean)
 
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
-    mean = np.zeros((len(x_points), 3))
-    second = np.zeros((len(x_points), 3))
-    speeds = sol.wave_speeds
-    for i, x in enumerate(x_points):
-        xs = x + offsets
-        cuts = ((xs[:, None] - x0 - speeds[None, :] * t) / sigma).ravel()
-        cuts = np.sort(cuts[(cuts > -1.0) & (cuts < 1.0)])
-        edges = np.concatenate([[-1.0], cuts, [1.0]])
-        keep = np.diff(edges) > 1e-15
-        lo, hi = edges[:-1][keep, None], edges[1:][keep, None]
-        xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_nodes
+    cuts = ((xs[..., None] - x0 - sol.wave_speeds * t) / sigma).reshape(len(xs), -1)
+    # cuts beyond -1 or 1 clip to it, and their zero-width pieces drop out
+    edges = np.sort(np.clip(np.pad(cuts, [(0, 0), (1, 1)], constant_values=(-1, 1)), -1, 1))
+    # every point's pieces, points in order and each point's pieces in xi order
+    point, piece = np.nonzero(np.diff(edges) > 1e-15)
+    lo, hi = edges[point, piece][:, None], edges[point, piece + 1][:, None]
+    mid, half, quarter = 0.5 * (lo + hi), 0.5 * (hi - lo), 0.25 * (hi - lo)
+    mean, second = np.zeros((len(xs), 3)), np.zeros((len(xs), 3))
+    step = max(1, _SAMPLES // (len(offsets) * n_nodes))
+    for start in range(0, len(point), step):
+        block, at = slice(start, start + step), point[start : start + step]
+        xi = mid[block] + half[block] * gl_nodes
         # (sub-points, pieces, nodes, 3), averaged over the sub-points
-        states = _uncertain_state(sol, xs[:, None, None], t, xi, x0, sigma).mean(axis=0)
+        states = _uncertain_state(sol, xs[at].T[..., None], t, xi, x0, sigma).mean(0)
         # density of xi is 1/2; piece scaling (hi-lo)/2
-        weights = 0.25 * (hi - lo) * gl_weights
-        for w, piece in zip(weights, states):
-            mean[i] += w @ piece
-            second[i] += w @ piece**2
+        w = (quarter[block] * gl_weights)[:, None, :]
+        np.add.at(mean, at, np.matmul(w, states)[:, 0])
+        np.add.at(second, at, np.matmul(w, states**2)[:, 0])
     var = np.maximum(second - mean**2, 0.0)
     return mean, var
 

@@ -12,6 +12,9 @@ another route than the solvers do. The flux-kernel helpers (``hll_expression``,
 ``flux_difference``, ``flux_divergence``) pin bits, not formulas: they spell
 out the HLL flux as plain expressions, and compose the package's own pieces
 into fresh arrays, in the operation order the buffered kernel must keep.
+``sod_reference_loop`` pins bits the same way: it is the exact reference's
+loop over points, one ``sample`` call and one sum per point, which the
+blocked ``sod_reference_statistics`` must match at any block size.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from uqfv.euler import InadmissibleStateError, entropy_gradient_inverse, is_admissible
 from uqfv.fv import _hll_unchecked, extend_node_states
 from uqfv.ipm import dual_node_states
+from uqfv.riemann import _uncertain_state, solve_riemann
 
 
 def _require_admissible(u, gas):
@@ -399,3 +403,37 @@ def legendre_dual(lam, gas):
     lam = np.asarray(lam, dtype=float)
     u = entropy_gradient_inverse(lam, gas)
     return np.sum(lam * u, axis=-1) - entropy(u, gas)
+
+
+def sod_reference_loop(left, right, gas, x_points, t, x0=0.5, sigma=0.05, n_nodes=100,
+                       sub_points=None):
+    """``sod_reference_statistics`` (sigma > 0) point by point, with its piece count.
+
+    Each point's xi-interval is cut where a wave crosses one of its
+    sub-points, and each piece's Gauss sums are added into the point's sums
+    in xi order. Returns the mean, the variance and the number of pieces.
+    """
+    sol = solve_riemann(left, right, gas)
+    offsets = np.asarray([0.0] if sub_points is None else sub_points, dtype=float)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
+    mean = np.zeros((len(x_points), 3))
+    second = np.zeros((len(x_points), 3))
+    speeds = sol.wave_speeds
+    pieces = 0
+    for i, x in enumerate(np.asarray(x_points, dtype=float)):
+        xs = x + offsets
+        cuts = ((xs[:, None] - x0 - speeds[None, :] * t) / sigma).ravel()
+        cuts = np.sort(cuts[(cuts > -1.0) & (cuts < 1.0)])
+        edges = np.concatenate([[-1.0], cuts, [1.0]])
+        keep = np.diff(edges) > 1e-15
+        pieces += np.count_nonzero(keep)
+        lo, hi = edges[:-1][keep, None], edges[1:][keep, None]
+        xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_nodes
+        # (sub-points, pieces, nodes, 3), averaged over the sub-points
+        states = _uncertain_state(sol, xs[:, None, None], t, xi, x0, sigma).mean(axis=0)
+        # density of xi is 1/2; piece scaling (hi-lo)/2
+        weights = 0.25 * (hi - lo) * gl_weights
+        for w, piece in zip(weights, states):
+            mean[i] += w @ piece
+            second[i] += w @ piece**2
+    return mean, np.maximum(second - mean**2, 0.0), pieces

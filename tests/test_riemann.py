@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import physical_flux
+from oracles import physical_flux, sod_reference_loop
 from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv import riemann
 from uqfv.fv import deterministic_solve, grid_1d, grid_2d
@@ -368,6 +368,76 @@ def test_sod_statistics_node_doubling_converges():
     m100, _ = sod_reference_statistics(SOD_L, SOD_R, GAS, x, 0.14, n_nodes=100)
     m200, _ = sod_reference_statistics(SOD_L, SOD_R, GAS, x, 0.14, n_nodes=200)
     assert np.max(np.abs(m100[:, 0] - m200[:, 0])) < 1e-6
+
+
+# (left, right, x_points, t, x0, sigma, n_nodes, sub_points) of sod_reference_statistics
+_SOD_SUB = (np.arange(5) + 0.5) / 5 - 0.5
+_TORO_123 = conserved(1.0, -3.7, 0.4), conserved(1.0, 3.7, 0.4)
+REFERENCE_CASES = {
+    "sod": (SOD_L, SOD_R, np.linspace(0.0025, 0.9975, 200), 0.14, 0.5, 0.05, 20, _SOD_SUB / 200),
+    "no sub-points": (SOD_L, SOD_R, np.linspace(0.01, 0.99, 99), 0.14, 0.5, 0.05, 17, None),
+    # equal sub-points cut at equal xi, and the zero-width pieces between go
+    "duplicated sub-points": (
+        SOD_L, SOD_R, np.linspace(0.2, 0.9, 71), 0.14, 0.5, 0.05, 9, [-0.004, 0.0, 0.0, 0.004]
+    ),
+    # no wave reaches x = 0.02 or 0.98 by t = 0.14: one piece, the data's state
+    "unreached cells": (SOD_L, SOD_R, np.array([0.02, 0.98]), 0.14, 0.5, 0.05, 11, _SOD_SUB / 50),
+    "t = 0": (SOD_L, SOD_R, np.linspace(0.41, 0.59, 37), 0.0, 0.5, 0.05, 13, _SOD_SUB / 100),
+    # Toro's 123 problem at |v| = 3.7: two fans with a star pressure near vacuum
+    "toro 123 near vacuum": (*_TORO_123, np.linspace(0.005, 0.995, 100), 0.1, 0.5, 0.05, 15,
+                             _SOD_SUB / 100),
+}
+
+
+@pytest.mark.parametrize("pieces_per_block", [1, 7, "default", "all"])
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_sod_statistics_blocks_match_the_loop_over_points(monkeypatch, case, pieces_per_block):
+    """Any block of Gauss pieces gives the per-point loop's statistics bit for bit."""
+    args = REFERENCE_CASES[case]
+    mean, var, pieces = sod_reference_loop(*args[:2], GAS, *args[2:])
+    n_nodes, sub_points = args[-2:]
+    samples = (1 if sub_points is None else len(sub_points)) * n_nodes  # per piece
+    if pieces_per_block == "all":
+        monkeypatch.setattr(riemann, "_SAMPLES", pieces * samples + samples)
+    elif pieces_per_block != "default":
+        monkeypatch.setattr(riemann, "_SAMPLES", pieces_per_block * samples)
+    got_mean, got_var = sod_reference_statistics(*args[:2], GAS, *args[2:])
+    assert np.array_equal(got_mean, mean)
+    assert np.array_equal(got_var, var)
+
+
+def test_sod_statistics_cases_cover_the_block_edges():
+    """The cases above reach what the blocks must get right."""
+    pieces = {
+        case: sod_reference_loop(*args[:2], GAS, *args[2:])[2]
+        for case, args in REFERENCE_CASES.items()
+    }
+    assert pieces["sod"] % 7 != 0  # the last of the blocks of 7 is partial
+    assert pieces["unreached cells"] == 2
+    # the duplicate sub-point adds no piece
+    left, right, x, t, x0, sigma, n_nodes, _ = REFERENCE_CASES["duplicated sub-points"]
+    single = sod_reference_loop(left, right, GAS, x, t, x0, sigma, n_nodes, [-0.004, 0.0, 0.004])
+    assert pieces["duplicated sub-points"] == single[2]
+    sol = solve_riemann(*_TORO_123, GAS)
+    assert sol.left_wave == sol.right_wave == "rarefaction"
+    assert sol.p_star < 1e-3 * 0.4
+
+
+def test_sod_statistics_samples_once_per_block(monkeypatch):
+    """One ``sample`` call per block of pieces, not one per point."""
+    calls = []
+    sample = riemann.RiemannSolution.sample
+    monkeypatch.setattr(
+        riemann.RiemannSolution, "sample", lambda sol, s: calls.append(s.size) or sample(sol, s)
+    )
+    x = np.linspace(0.00125, 0.99875, 400)
+    sub = 0.0025 * _SOD_SUB
+    _, _, pieces = sod_reference_loop(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
+    calls.clear()
+    sod_reference_statistics(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
+    block = riemann._SAMPLES // (len(sub) * 100)
+    assert len(calls) == -(-pieces // block) < len(x)
+    assert max(calls) <= riemann._SAMPLES
 
 
 def test_collocation_sigma_zero_variance_vanishes():
