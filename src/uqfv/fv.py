@@ -155,7 +155,9 @@ def _check_flux(flux: str) -> None:
         raise ValueError(f"unknown numerical flux: {flux!r}")
 
 
-def _hll_unchecked(ul, ur, gas: GasModel, axis: int, *, sides=None, work=None) -> np.ndarray:
+def _hll_unchecked(
+    ul, ur, gas: GasModel, axis: int, *, sides=None, work=None, room=None
+) -> np.ndarray:
     """HLL two-wave flux with Davis wave-speed bounds, on admissible states.
 
     s_L = min(v_L - c_L, v_R - c_R), s_R = max(v_L + c_L, v_R + c_R);
@@ -163,7 +165,8 @@ def _hll_unchecked(ul, ur, gas: GasModel, axis: int, *, sides=None, work=None) -
     the CFL restriction. ``sides`` is ((f, v, c) of ``ul``, (f, v, c) of
     ``ur``) from ``_flux_and_speeds`` when the caller has them; ``work`` is
     the ``_Workspace`` the flux and its temporaries go into (a fresh one
-    without it). Every operation keeps the operands and order of the plain
+    without it), and ``room`` the shape, at least ``ul.shape``, its buffers
+    are made for. Every operation keeps the operands and order of the plain
     formula, so the buffers do not change a bit of the result. Speeds,
     masks and their product and difference are made once per state; the
     loop then runs one component at a time, since broadcast along the
@@ -173,18 +176,18 @@ def _hll_unchecked(ul, ur, gas: GasModel, axis: int, *, sides=None, work=None) -
         sides = (_flux_and_speeds(ul, gas, axis), _flux_and_speeds(ur, gas, axis))
     (fl, vl, cl), (fr, vr, cr) = sides
     work = _Workspace() if work is None else work
-    shape = vl.shape
-    s_l = np.subtract(vl, cl, out=work.take("s_l", shape))
-    s_r = np.add(vl, cl, out=work.take("s_r", shape))
-    term = work.take("term", shape)
+    shape, node_room = vl.shape, (ul.shape if room is None else room)[:-1]
+    s_l = np.subtract(vl, cl, out=work.take("s_l", shape, node_room))
+    s_r = np.add(vl, cl, out=work.take("s_r", shape, node_room))
+    term = work.take("term", shape, node_room)
     np.minimum(s_l, np.subtract(vr, cr, out=term), out=s_l)
     np.maximum(s_r, np.add(vr, cr, out=term), out=s_r)
-    left = np.greater_equal(s_l, 0.0, out=work.take("left", shape, bool))
-    right = np.less_equal(s_r, 0.0, out=work.take("right", shape, bool))
-    flux, f = work.take("flux", ul.shape), work.take("component", shape)
+    left = np.greater_equal(s_l, 0.0, out=work.take("left", shape, node_room, bool))
+    right = np.less_equal(s_r, 0.0, out=work.take("right", shape, node_room, bool))
+    flux, f = work.take("flux", ul.shape, room), work.take("component", shape, node_room)
     with np.errstate(divide="ignore", invalid="ignore"):
-        product = np.multiply(s_l, s_r, out=work.take("product", shape))
-        width = np.subtract(s_r, s_l, out=work.take("width", shape))
+        product = np.multiply(s_l, s_r, out=work.take("product", shape, node_room))
+        width = np.subtract(s_r, s_l, out=work.take("width", shape, node_room))
         for i in range(ul.shape[-1]):
             # the middle state, s_r fl - s_l fr + s_l s_r (ur - ul), over s_r - s_l
             np.multiply(s_r, fl[..., i], out=f)
@@ -271,7 +274,10 @@ class _Workspace:
     """Named flat buffers that the flux kernel reshapes for each call and axis.
 
     ``take(name, shape)`` returns the first prod(shape) entries of the named
-    buffer, grown when a call needs more than it holds. ``run_sg`` and
+    buffer, made anew when it holds fewer than prod(room) entries, where
+    ``room`` is the shape the caller may later need (``shape`` by default).
+    The flux kernel passes full-grid rooms for its windows, so a held buffer
+    does not grow with the window from step to step. ``run_sg`` and
     ``deterministic_solve`` hold one workspace for their run, so their step
     arrays are allocated once; fresh temporaries each step were trimmed from
     the heap and faulted in again by the next step. ``run_ipm`` holds none:
@@ -282,12 +288,12 @@ class _Workspace:
     def __init__(self):
         self._flat = {}
 
-    def take(self, name: str, shape, dtype=float) -> np.ndarray:
-        size = math.prod(shape)
+    def take(self, name: str, shape, room=None, dtype=float) -> np.ndarray:
+        size = math.prod(shape if room is None else room)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
+        return flat[: math.prod(shape)].reshape(shape)
 
 
 def moment_flux_divergence(
@@ -323,29 +329,46 @@ def _flux_difference(
 ) -> np.ndarray:
     """F(i+1/2) - F(i-1/2) per cell along one axis, pointwise in the trailing axes.
 
-    The one interface-flux routine: the ghost-extended states, and their
-    flux, velocity and sound speed once per cell, go into ``work``; the
-    interfaces read them through left and right views. The difference is
-    ``work``'s ``"diff"`` buffer.
+    The one interface-flux routine. The ghost-extended states go into
+    ``work``, and their bits are compared across each interface over every
+    other axis (bits, not floats: -0.0 == +0.0, but their fluxes can differ
+    in the sign of a zero). A cell whose two interfaces both join equal
+    states has equal fluxes on them, so an exact ``F - F = +0.0``. Only the
+    window of cells that holds every unequal interface, plus one equal
+    interface at each end, gets its flux, velocity and sound speed once per
+    cell and the HLL flux of its interfaces, through left and right views.
+    Every buffer keeps its full-grid size. The difference is ``work``'s
+    ``"diff"`` buffer.
     """
     shape = list(states.shape)
     shape[axis] += 2
+    n, room = shape[axis], shape[:axis] + [shape[axis] - 1] + shape[axis + 1 :]
     ext = extend_node_states(states, grid, axis, out=work.take("ext", shape))
-    per_cell = (ext,) + _flux_and_speeds(
-        ext,
-        gas,
-        axis,
-        out=(work.take("f", shape), work.take("v", shape[:-1]), work.take("c", shape[:-1])),
+    bits = ext.view(np.uint64)
+    differ = np.not_equal(
+        _take_range(bits, axis, 0, n - 1), _take_range(bits, axis, 1, n),
+        out=work.take("differ", room, dtype=bool),
     )
-    n = shape[axis]
-    ul, *left = (_take_range(a, axis, 0, n - 1) for a in per_cell)
-    ur, *right = (_take_range(a, axis, 1, n) for a in per_cell)
-    flux = _hll_unchecked(ul, ur, gas, axis, sides=(left, right), work=work)
-    return np.subtract(
-        _take_range(flux, axis, 1, n - 1),
-        _take_range(flux, axis, 0, n - 2),
-        out=work.take("diff", states.shape),
+    changed = np.flatnonzero(differ.any(axis=tuple(a for a in range(ext.ndim) if a != axis)))
+    diff = work.take("diff", states.shape)
+    diff.fill(0.0)
+    if not changed.size:
+        return diff
+    # the window's ext cells [lo, hi): interface i joins ext cells i and i + 1
+    lo, hi = max(int(changed[0]) - 1, 0), min(int(changed[-1]) + 3, n)
+    full = (ext, work.take("f", shape), work.take("v", shape[:-1]), work.take("c", shape[:-1]))
+    u, *out = (_take_range(a, axis, lo, hi) for a in full)
+    per_cell = (u,) + _flux_and_speeds(u, gas, axis, out=out)
+    m = hi - lo
+    ul, *left = (_take_range(a, axis, 0, m - 1) for a in per_cell)
+    ur, *right = (_take_range(a, axis, 1, m) for a in per_cell)
+    flux = _hll_unchecked(ul, ur, gas, axis, sides=(left, right), work=work, room=room)
+    np.subtract(
+        _take_range(flux, axis, 1, m - 1),
+        _take_range(flux, axis, 0, m - 2),
+        out=_take_range(diff, axis, lo, hi - 2),
     )
+    return diff
 
 
 def _take_range(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:

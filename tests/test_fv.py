@@ -20,7 +20,7 @@ from uqfv.fv import (
     grid_2d,
     moment_flux_divergence,
 )
-from uqfv.problems import project_initial_data
+from uqfv.problems import initial_node_states, project_initial_data
 
 GAS = GasModel(1.4)
 SOD_L = np.array([1.0, 0.0, 2.5])
@@ -455,3 +455,140 @@ def test_deterministic_solve_batch_matches_the_composed_oracle(ndim):
     got, stats = deterministic_solve(states, grid, GAS, 0.1)
     assert stats.steps > 3
     np.testing.assert_array_equal(got, _oracle_deterministic_solve(states, grid, 0.1))
+
+
+def assert_same_bits(got, expected):
+    """Equal bit for bit: unlike ==, this tells -0.0 from +0.0."""
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
+    )
+
+
+# name: (grid shape, boundary condition, the cells that hold random states,
+# with slice(None) along an axis the states do not vary on, and the number
+# of interfaces the flux window holds per axis, 0 where it is empty). A
+# window holds the interfaces between unequal cells plus one equal
+# interface at each end. "signed_zero" is a supersonic flow along x whose
+# cell (3, 2) holds a y-momentum of -0.0 where the others hold +0.0.
+WINDOW_CASES = {
+    "empty": ((12,), "transmissive", (slice(0, 0),), (0,)),
+    "low_edge": ((12,), "transmissive", (slice(0, 3),), (5,)),
+    "high_edge": ((12,), "transmissive", (slice(9, 12),), (5,)),
+    "dirichlet_ghost": ((12,), "dirichlet", (slice(0, 0),), (2,)),
+    "periodic_middle": ((12,), "periodic", (slice(5, 7),), (5,)),
+    "periodic_wrap": ((12,), "periodic", (slice(0, 2),), (13,)),
+    "constant_in_y": ((7, 5), "transmissive", (slice(2, 4), slice(None)), (5, 0)),
+    "constant_in_x": ((7, 5), "transmissive", (slice(None), slice(1, 3)), (0, 5)),
+    "corner": ((7, 5), "transmissive", (slice(0, 2), slice(3, 5)), (4, 4)),
+    "signed_zero": ((7, 5), "transmissive", (slice(0, 0), slice(None)), (4, 4)),
+}
+
+
+def _window_case(name):
+    """Rest-state node states with random ones in a band, and the case's grid and basis."""
+    shape, bc, band, windows = WINDOW_CASES[name]
+    rng = np.random.default_rng(len(name))
+    ndim = len(shape)
+    if bc == "dirichlet":
+        # a ghost on the low side only, unlike the constant edge cell
+        bc = (("dirichlet", random_admissible(rng, 1, ndim)[0]), "transmissive")
+    grid = grid_1d(shape[0], 0.0, 1.0, bc=bc) if ndim == 1 else grid_2d(*shape, bc_x=bc, bc_y=bc)
+    basis = build_basis(build_partition(-1, 1, 2), 2)
+    nodes = np.empty(shape + (2, basis.n_nodes, 2 + ndim))
+    nodes[...] = np.r_[1.0, np.zeros(ndim), 2.5]
+    held = nodes[band].shape
+    varied = tuple(1 if s == slice(None) else n for s, n in zip(band, held)) + held[ndim:]
+    nodes[band] = random_admissible(rng, np.prod(varied[:-1]), ndim).reshape(varied)
+    if name == "signed_zero":
+        nodes[...] = (1.0, 3.0, 0.0, 7.0)
+        nodes[3, 2, ..., 2] = -0.0
+    return nodes, grid, basis, windows
+
+
+@pytest.mark.parametrize("name", WINDOW_CASES)
+def test_flux_window_keeps_every_bit(name, monkeypatch):
+    # outside the window the kernel writes 0.0 and runs no flux; its result
+    # must still be the oracle's, which takes the flux at every interface
+    nodes, grid, basis, windows = _window_case(name)
+    expected = [oracles.flux_difference(nodes, grid, GAS, axis) for axis in range(grid.ndim)]
+    seen, hll = [], fv._hll_unchecked
+
+    def recording_hll(ul, ur, gas, axis, **kwargs):
+        seen.append((axis, ul.shape[axis]))
+        return hll(ul, ur, gas, axis, **kwargs)
+
+    monkeypatch.setattr(fv, "_hll_unchecked", recording_hll)
+    work = fv._Workspace()
+    for axis in range(grid.ndim):
+        assert_same_bits(_flux_difference(nodes, grid, GAS, axis, work), expected[axis])
+    assert seen == [(axis, n) for axis, n in enumerate(windows) if n]
+    assert_same_bits(
+        moment_flux_divergence(nodes, grid, basis, GAS, work=work),
+        oracles.flux_divergence(nodes, grid, basis, GAS),
+    )
+    if name == "signed_zero":
+        # the left flux wins at every x-interface, so the -0.0 cell's
+        # difference is -0.0 - +0.0 = -0.0, not the +0.0 that a float
+        # comparison (-0.0 == +0.0) would skip it to
+        assert np.signbit(expected[0][3, 2, ..., 2]).all()
+
+
+@pytest.mark.parametrize("name", WINDOW_CASES)
+def test_deterministic_solve_window_keeps_every_bit(name):
+    # each step's window grows with the waves; the rows' bits stay the oracle's
+    nodes, grid, _, _ = _window_case(name)
+    rows = nodes.reshape(grid.shape + (-1, nodes.shape[-1]))
+    got, stats = deterministic_solve(rows, grid, GAS, 0.2)
+    assert stats.steps > 3
+    assert_same_bits(got, _oracle_deterministic_solve(rows, grid, 0.2))
+
+
+def _buffer_sizes(work):
+    return {name: flat.size for name, flat in work._flat.items()}
+
+
+@pytest.mark.parametrize("solver", ["run_sg", "deterministic_solve"])
+def test_held_workspace_does_not_grow_with_the_window(solver, monkeypatch):
+    # Sod's first windows hold a few interfaces, its last ones more: the held
+    # buffers are made at full-grid size in step 1 and never again
+    grid = grid_1d(60, 0.0, 1.0)
+    basis = build_basis(build_partition(-1, 1, 2), 2)
+    def initial(x, xi):
+        return np.where((x < 0.5 + 0.05 * xi)[..., None], SOD_L, SOD_R)
+
+    field = project_initial_data(initial, grid, basis)
+    nodes = initial_node_states(initial, grid, basis)
+    windows, sizes, made, hll = [], [], [], fv._hll_unchecked
+    flux_difference, workspace_type = fv._flux_difference, fv._Workspace
+
+    def workspace():
+        made.append(workspace_type())
+        return made[-1]
+
+    def recording_hll(ul, ur, gas, axis, **kwargs):
+        windows.append(ul.shape[axis])
+        return hll(ul, ur, gas, axis, **kwargs)
+
+    def recording_difference(*args):
+        diff = flux_difference(*args)
+        sizes.append(_buffer_sizes(made[0]))
+        return diff
+
+    monkeypatch.setattr(fv, "_hll_unchecked", recording_hll)
+    monkeypatch.setattr(fv, "_flux_difference", recording_difference)
+    if solver == "run_sg":
+        monkeypatch.setattr(sg, "_Workspace", workspace)
+        sg.run_sg(field, GAS, 0.1)
+    else:
+        monkeypatch.setattr(fv, "_Workspace", workspace)
+        nodes = nodes.reshape(60, -1, 3)
+        deterministic_solve(nodes, grid, GAS, 0.1)
+    assert len(made) == 1 and len(sizes) > 10
+    assert windows[0] < windows[-1] < 61
+    assert sizes[0] == sizes[-1]
+    full = fv._Workspace()
+    rng = np.random.default_rng(3)
+    random_nodes = random_admissible(rng, nodes.size // 3).reshape(nodes.shape)
+    flux_difference(random_nodes, grid, GAS, 0, full)
+    assert _buffer_sizes(full).items() <= sizes[0].items()

@@ -1,4 +1,4 @@
-"""Hard inputs through the runner: Toro's test 3, and a single cell.
+"""Hard inputs: Toro's test 3 through the runner, a single cell, and Toro's 123 problem.
 
 Toro's test 3 (Riemann Solvers and Numerical Methods for Fluid Dynamics,
 3rd ed., section 4.3.3) starts from a left pressure 10^5 times the right one:
@@ -6,15 +6,25 @@ rho 1/1, e 2500/0.025, t_end 0.012, with the uncertain interface of the
 sod_1d preset. Each probe asserts that the run completes, that its final
 node states are admissible, and that errE_rho against the exact reference
 stays within 10% of the value measured when the probe was added.
+
+Toro's 123 problem (test 2 of the same section) pulls two rarefactions
+apart from rho 1, p 0.4 at velocities -2 | +2, which leaves a near-vacuum
+between them; at -3 | +3 the smallest final node density falls to about
+0.01. With the uncertain interface 0.5 + 0.05 xi on 100 cells up to
+t = 0.1, ``run_sg``, ``run_ipm`` and ``collocation_reference`` must each
+complete with admissible final node states below a density of 0.1.
 """
 
 import numpy as np
 import pytest
 
 from uqfv import riemann, runner
+from uqfv.basis import build_basis, build_partition
 from uqfv.config import parse_config
 from uqfv.euler import GasModel, admissible_mask
+from uqfv.fv import grid_1d
 from uqfv.ipm import dual_node_states, solve_duals
+from uqfv.problems import project_initial_data
 from uqfv.sg import apply_limiter
 
 GAS = GasModel(1.4)
@@ -99,3 +109,28 @@ def test_toro_3(tmp_path, final_node_states, name):
 @pytest.mark.parametrize("name", PROBES)
 def test_toro_3_single_cell(tmp_path, final_node_states, name):
     assert _probe(tmp_path, final_node_states, name, 1) <= 1.1 * SINGLE_CELL_ERR
+
+
+def _toro_123(speed):
+    """Toro's 123 data at velocities -speed | +speed across x = 0.5 + 0.05 xi."""
+
+    def initial(x, xi):
+        v = np.where(x < 0.5 + 0.05 * np.asarray(xi), -speed, speed)
+        return np.stack(np.broadcast_arrays(1.0, v, 0.4 / (GAS.gamma - 1.0) + 0.5 * v * v), -1)
+
+    return initial
+
+
+@pytest.mark.parametrize("solver", ["run_sg", "run_ipm", "collocation_reference"])
+@pytest.mark.parametrize("speed", [2.0, 3.0])
+def test_toro_123_near_vacuum(final_node_states, solver, speed):
+    initial, grid = _toro_123(speed), grid_1d(100, 0.0, 1.0)
+    if solver == "collocation_reference":
+        riemann.collocation_reference(initial, grid, GAS, 0.1)
+    else:
+        field = project_initial_data(initial, grid, build_basis(build_partition(-1, 1, 3), 4))
+        getattr(runner, solver)(field, GAS, 0.1)
+    assert final_node_states
+    for states in final_node_states:
+        assert np.all(admissible_mask(states, GAS))
+    assert min(states[..., 0].min() for states in final_node_states) < 0.1

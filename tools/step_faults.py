@@ -1,4 +1,4 @@
-"""Wall time, minor page faults and system time of warm solver runs.
+"""Wall time, minor page faults, system time and peak RSS of warm solver runs.
 
     python3 tools/step_faults.py                   # every shape, 3 warm runs each
     python3 tools/step_faults.py me_hsg hsg        # a subset, by name
@@ -23,9 +23,13 @@ checkout this script sits in: one warm-up run, then the warm runs, each
 timed by ``getrusage(RUSAGE_SELF)`` and ``perf_counter`` around the
 ``run_sg``, ``run_ipm``, ``collocation_reference`` or
 ``sod_reference_on_grid`` call alone (the inputs are built once, before the
-warm-up). One line per warm run gives its wall time, minor faults and
-system time; the faults show whether a step's temporaries are faulted in
-afresh each step, which the wall time alone does not tell apart from work.
+warm-up). One line per warm run gives its wall time, minor faults, system
+time and peak RSS; the faults show whether a step's temporaries are faulted
+in afresh each step, which the wall time alone does not tell apart from
+work. The peak RSS is ``ru_maxrss``, the process's high-water mark at the
+end of that run, so it shows what the largest run held, the warm-up
+included (``riemann_2d_me_ipm`` shows the held memory of its 2-thread dual
+solve).
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ def _measure(name: str, runs: int) -> None:
         print(
             f"{name:27s} run {i}: wall {wall:.3f} s, "
             f"minor faults {after.ru_minflt - before.ru_minflt}, "
-            f"sys {after.ru_stime - before.ru_stime:.3f} s",
+            f"sys {after.ru_stime - before.ru_stime:.3f} s, "
+            f"peak RSS {after.ru_maxrss / 1024:.1f} MiB",
             flush=True,
         )
 
