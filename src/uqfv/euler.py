@@ -70,22 +70,23 @@ def _parts(u: np.ndarray):
     return u[..., 0], u[..., 1:-1], u[..., -1]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """sum_i a[..., i] * b[..., i] over a short component axis, written out.
 
     Adds left to right, the order np.sum takes on these 1-4 long axes, so the
-    bits match it; the written-out sum skips the reduction machinery.
+    bits match it; the written-out sum skips the reduction machinery. The
+    sum goes into ``out`` if given.
     """
-    out = a[..., 0] * b[..., 0]
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
     for i in range(1, a.shape[-1]):
         out += a[..., i] * b[..., i]
     return out
 
 
-def _internal_energy(u: np.ndarray) -> np.ndarray:
-    """E - 0.5 |m|^2 / rho, each operation in place on the one new array."""
+def _internal_energy(u: np.ndarray, out=None) -> np.ndarray:
+    """E - 0.5 |m|^2 / rho, each operation in place on one array: ``out`` or a new one."""
     rho, m, en = _parts(u)
-    e = np.asarray(_dot(m, m))  # a 0-d array, not a scalar, for a single state
+    e = np.asarray(_dot(m, m, out))  # a 0-d array, not a scalar, for a single state
     e *= 0.5
     e /= rho
     return np.subtract(en, e, out=e)
@@ -96,11 +97,11 @@ def admissible_mask(u, gas: GasModel) -> np.ndarray:
     return _energy_and_mask(np.asarray(u, dtype=float))[1]
 
 
-def _energy_and_mask(u: np.ndarray) -> tuple:
-    """Internal energy per state, and admissible_mask computed from it."""
+def _energy_and_mask(u: np.ndarray, out=None) -> tuple:
+    """Internal energy per state, into ``out`` if given, and admissible_mask computed from it."""
     rho = u[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_int = _internal_energy(u)
+        e_int = _internal_energy(u, out)
     return e_int, np.isfinite(rho) & (rho > 0.0) & np.isfinite(e_int) & (e_int > 0.0)
 
 

@@ -6,6 +6,11 @@ component). The flux machinery works pointwise in the random variable:
 states are reconstructed at the quadrature nodes, the HLL flux is evaluated
 per node, and the flux differences are projected back onto the basis.
 ``integrate`` is the one time loop every solver hands its step to.
+
+The time loops' CFL scan, flux, projection and update run per axis on the
+window where neighbouring node states differ in their bits
+(``_flux_window``), with the bits of the full-grid step; ``cfl_time_step``
+and ``moment_flux_divergence`` keep their full-grid contracts.
 """
 
 from __future__ import annotations
@@ -223,7 +228,8 @@ def cfl_time_step(node_states, grid: StructuredGrid, gas: GasModel, cfl: float) 
     """Time step from lambda_1 dt/dx + lambda_2 dt/dy <= cfl (1D drops the y term).
 
     lambda_a is the largest |v| + c along axis a over every cell, element and
-    quadrature node.
+    quadrature node: a scan of the full grid. The time loops take the same
+    step from their flux windows' scans (``_flux_window``).
     """
     speeds = tuple(float(np.max(s)) for s in _wave_speeds(node_states, grid, gas))
     return _cfl_steps(speeds, grid, cfl)
@@ -276,13 +282,15 @@ class _Workspace:
     ``take(name, shape)`` returns the first prod(shape) entries of the named
     buffer, made anew when it holds fewer than prod(room) entries, where
     ``room`` is the shape the caller may later need (``shape`` by default).
-    The flux kernel passes full-grid rooms for its windows, so a held buffer
-    does not grow with the window from step to step. ``run_sg`` and
-    ``deterministic_solve`` hold one workspace for their run, so their step
-    arrays are allocated once; fresh temporaries each step were trimmed from
-    the heap and faulted in again by the next step. ``run_ipm`` holds none:
-    each flux call makes its own and frees it before the dual solve, since
-    buffers held through the solves would add to their peak memory.
+    Every window-shaped array of a step (the flux kernel's temporaries, the
+    flux differences, their projections) is taken with its full-grid room,
+    so a held buffer does not grow with the window from step to step.
+    ``run_sg`` and ``deterministic_solve`` hold one workspace for their run,
+    so their step arrays are allocated once; fresh temporaries each step
+    were trimmed from the heap and faulted in again by the next step.
+    ``run_ipm`` holds none: each step makes its own and frees it before the
+    dual solve, since buffers held through the solves would add to their
+    peak memory.
     """
 
     def __init__(self):
@@ -307,10 +315,12 @@ def moment_flux_divergence(
     """Projected flux divergence sum_axis <(F_+ - F_-) phi_k f> / dh.
 
     ``node_states`` has shape (cells..., L, Q, d); the result matches the
-    moment-coefficient layout (cells..., L, K+1, d). Forward Euler then reads
-    ``coeffs -= dt * divergence``. Every axis sees the same ``node_states``.
-    With a ``work`` workspace the result is its ``"div"`` buffer, valid
-    until the next call with it; without one the call makes its own.
+    moment-coefficient layout (cells..., L, K+1, d), on every cell of the
+    grid. Forward Euler then reads ``coeffs -= dt * divergence``, which the
+    time loops compute on the flux windows alone (``_window_update``).
+    Every axis sees the same ``node_states``. With a ``work`` workspace the
+    result is its ``"div"`` buffer, valid until the next call with it;
+    without one the call makes its own.
     """
     work = _Workspace() if work is None else work
     shape = node_states.shape[:-2] + (basis.n_coeffs, node_states.shape[-1])
@@ -327,7 +337,25 @@ def moment_flux_divergence(
 def _flux_difference(
     states: np.ndarray, grid: StructuredGrid, gas: GasModel, axis: int, work: _Workspace
 ) -> np.ndarray:
-    """F(i+1/2) - F(i-1/2) per cell along one axis, pointwise in the trailing axes.
+    """F(i+1/2) - F(i-1/2) of every cell along one axis: ``_flux_window``'s
+    difference in its window and +0.0 elsewhere, in ``work``'s ``"diff"``
+    buffer."""
+    _, lo, window = _flux_window(states, grid, gas, axis, work)
+    diff = work.take("diff", states.shape)
+    diff.fill(0.0)
+    _take_range(diff, axis, lo, lo + window.shape[axis])[...] = window
+    return diff
+
+
+def _flux_window(
+    states: np.ndarray,
+    grid: StructuredGrid,
+    gas: GasModel,
+    axis: int,
+    work: _Workspace,
+    reduce=None,
+) -> tuple:
+    """One axis's wave speed and its flux difference on the axis's window.
 
     The one interface-flux routine. The ghost-extended states go into
     ``work``, and their bits are compared across each interface over every
@@ -337,8 +365,20 @@ def _flux_difference(
     window of cells that holds every unequal interface, plus one equal
     interface at each end, gets its flux, velocity and sound speed once per
     cell and the HLL flux of its interfaces, through left and right views.
-    Every buffer keeps its full-grid size. The difference is ``work``'s
-    ``"diff"`` buffer.
+    An axis without an unequal interface runs no HLL flux.
+
+    Every grid cell outside the window equals, bit for bit, a grid cell in
+    it, in every line along the axis, so the window's grid cells (the
+    first slab of cells when the window is empty) stand for the whole grid
+    in the scan: their admissibility is checked before the flux sees them,
+    and a failure runs the full-grid scan for ``cfl_time_step``'s located
+    error. The largest |v_axis| + c comes from the flux's own velocity and
+    sound speed, in the operation order of ``_wave_speeds``.
+
+    Returns (speed, lo, diff): that speed, reduced over the axes ``reduce``
+    (all by default), and the differences of the grid cells lo, lo + 1, ...
+    along ``axis`` (none when the window is empty), in ``work``'s
+    ``"diff<axis>"`` buffer. Every buffer is taken with its full-grid room.
     """
     shape = list(states.shape)
     shape[axis] += 2
@@ -350,25 +390,96 @@ def _flux_difference(
         out=work.take("differ", room, dtype=bool),
     )
     changed = np.flatnonzero(differ.any(axis=tuple(a for a in range(ext.ndim) if a != axis)))
-    diff = work.take("diff", states.shape)
-    diff.fill(0.0)
-    if not changed.size:
-        return diff
-    # the window's ext cells [lo, hi): interface i joins ext cells i and i + 1
-    lo, hi = max(int(changed[0]) - 1, 0), min(int(changed[-1]) + 3, n)
+    # the window's ext cells [lo, hi): interface i joins ext cells i and i + 1.
+    # With no unequal interface every cell along the axis is equal, and the
+    # first grid cell stands for them all in the scan.
+    lo, hi = (1, 2)
+    if changed.size:
+        lo, hi = max(int(changed[0]) - 1, 0), min(int(changed[-1]) + 3, n)
     full = (ext, work.take("f", shape), work.take("v", shape[:-1]), work.take("c", shape[:-1]))
     u, *out = (_take_range(a, axis, lo, hi) for a in full)
+    # the window's grid cells, without its ghost cells
+    inner = max(1 - lo, 0), min(hi, n - 1) - lo
+    v, c = (_take_range(a, axis, *inner) for a in out[1:])
+    if not np.all(_energy_and_mask(_take_range(u, axis, *inner), out=c)[1]):
+        # the grid holds these states too: its scan raises at its first bad one
+        next(_wave_speeds(states, grid, gas))
     per_cell = (u,) + _flux_and_speeds(u, gas, axis, out=out)
-    m = hi - lo
-    ul, *left = (_take_range(a, axis, 0, m - 1) for a in per_cell)
-    ur, *right = (_take_range(a, axis, 1, m) for a in per_cell)
-    flux = _hll_unchecked(ul, ur, gas, axis, sides=(left, right), work=work, room=room)
-    np.subtract(
-        _take_range(flux, axis, 1, m - 1),
-        _take_range(flux, axis, 0, m - 2),
-        out=_take_range(diff, axis, lo, hi - 2),
-    )
-    return diff
+    diff_shape = list(states.shape)
+    diff_shape[axis] = 0
+    diff = np.empty(diff_shape)
+    if changed.size:
+        m = hi - lo
+        ul, *left = (_take_range(a, axis, 0, m - 1) for a in per_cell)
+        ur, *right = (_take_range(a, axis, 1, m) for a in per_cell)
+        flux = _hll_unchecked(ul, ur, gas, axis, sides=(left, right), work=work, room=room)
+        diff_shape[axis] = m - 2
+        diff = np.subtract(
+            _take_range(flux, axis, 1, m - 1),
+            _take_range(flux, axis, 0, m - 2),
+            out=work.take(f"diff{axis}", diff_shape, states.shape),
+        )
+    # |v| + c in place of v, which the flux has done with
+    speed = np.abs(v, out=v)
+    speed += c
+    return np.max(speed, axis=reduce), lo, diff
+
+
+def _window_sum(terms: list, starts: list) -> list:
+    """(cells, total) pieces of sum_axis terms, over the union of the windows.
+
+    ``terms[a]`` holds axis a's term on the grid cells ``starts[a]``,
+    ``starts[a] + 1``, ... along axis a; everywhere else it is +0.0. Each
+    total adds the terms in axis order, as the full-grid sum does, with
+    +0.0 for an axis whose window misses the cell (x + 0.0 turns a -0.0 into
+    +0.0). Outside the pieces every total is +0.0. The totals are views of
+    the terms, added into in place.
+    """
+    tx, x0 = terms[0], starts[0]
+    x1 = x0 + tx.shape[0]
+    if len(terms) == 1:
+        return [((slice(x0, x1),), tx)]
+    ty, y0 = terms[1], starts[1]
+    y1 = y0 + ty.shape[1]
+    tx[:, :y0] += 0.0
+    tx[:, y0:y1] += ty[x0:x1]
+    tx[:, y1:] += 0.0
+    ty[:x0] += 0.0
+    ty[x1:] += 0.0
+    y = slice(y0, y1)
+    return [((slice(x0, x1),), tx), ((slice(0, x0), y), ty[:x0]), ((slice(x1, None), y), ty[x1:])]
+
+
+def _window_update(
+    coeffs: np.ndarray,
+    node_states: np.ndarray,
+    grid: StructuredGrid,
+    basis: GpcBasis,
+    gas: GasModel,
+    cfl: float,
+    dt_max: float,
+    work: _Workspace,
+) -> float:
+    """One forward-Euler step of the moments ``coeffs``, in place, on the flux windows.
+
+    The step is the CFL step of ``node_states``, at most ``dt_max``, from
+    the windows' scans. Each axis's difference is projected and divided by
+    its cell width on its window, and ``coeffs -= dt * divergence`` runs on
+    the pieces of ``_window_sum``, the only cells it changes. Returns the step.
+    """
+    room = node_states.shape[:-2] + (basis.n_coeffs, node_states.shape[-1])
+    windows = (_flux_window(node_states, grid, gas, a, work) for a in range(grid.ndim))
+    speeds, starts, diffs = zip(*windows)
+    terms = []
+    for name, diff, h in zip(("div", "contrib"), diffs, grid.deltas):
+        term = basis.project(diff, out=work.take(name, diff.shape[:-2] + room[-2:], room))
+        term /= h
+        terms.append(term)
+    dt = min(_cfl_steps(speeds, grid, cfl), dt_max)
+    for cells, total in _window_sum(terms, starts):
+        total *= dt
+        coeffs[cells] -= total
+    return dt
 
 
 def _take_range(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
@@ -389,8 +500,10 @@ def deterministic_solve(
     Used by the stochastic-collocation reference. Each row takes its own CFL
     step from its own cells' wave speeds and keeps its own time; a row that
     has reached ``t_end`` takes steps of zero. As in ``moment_flux_divergence``,
-    every axis's flux difference is taken from the same state, and the run
-    holds one flux workspace. Returns the final states and the loop's
+    every axis's flux difference is taken from the same state. Each step
+    scans, fluxes and updates the flux windows alone (``_flux_window``,
+    ``_window_sum``), with the bits of the full-grid step, and the run holds
+    one flux workspace. Returns the final states and the loop's
     ``RunStats``, whose steps are those of the row that needs the most.
     """
     u = np.array(states, dtype=float)
@@ -398,15 +511,12 @@ def deterministic_solve(
     work = _Workspace()
 
     def step(stats: RunStats, dt_max) -> np.ndarray:
-        speeds = [np.max(s, axis=cells) for s in _wave_speeds(u, grid, gas)]
+        speeds, starts, terms = zip(*(_flux_window(u, grid, gas, a, work, cells) for a in cells))
         dt = np.clip(dt_max, 0.0, _cfl_steps(speeds, grid, cfl))
-        update = work.take("update", u.shape)
-        for axis, h in enumerate(grid.deltas):
-            diff = _flux_difference(u, grid, gas, axis, work)
-            np.multiply((dt / h)[:, None], diff, out=diff if axis else update)
-            if axis:
-                update += diff
-        np.subtract(u, update, out=u)
+        for diff, h in zip(terms, grid.deltas):
+            np.multiply((dt / h)[:, None], diff, out=diff)
+        for where, total in _window_sum(terms, starts):
+            u[where] -= total
         return dt
 
     stats = integrate(step, t_end)

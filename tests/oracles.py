@@ -15,12 +15,16 @@ into fresh arrays, in the operation order the buffered kernel must keep.
 ``sod_reference_loop`` pins bits the same way: it is the exact reference's
 loop over points, one ``sample`` call and one sum per point, which the
 blocked ``sod_reference_statistics`` must match at any block size.
+``full_grid_step`` and ``full_grid_row_step`` do the same for the time
+loops' steps: the full-grid CFL scan, and the update of every cell from
+``flux_divergence`` or ``flux_difference``, which the windowed steps of
+``run_sg``, ``run_ipm`` and ``deterministic_solve`` must match.
 """
 
 import numpy as np
 
 from uqfv.euler import InadmissibleStateError, entropy_gradient_inverse, is_admissible
-from uqfv.fv import _hll_unchecked, extend_node_states
+from uqfv.fv import _cfl_steps, _hll_unchecked, _wave_speeds, cfl_time_step, extend_node_states
 from uqfv.ipm import dual_node_states
 from uqfv.riemann import _uncertain_state, solve_riemann
 
@@ -347,6 +351,30 @@ def flux_divergence(node_states, grid, basis, gas):
         contrib = basis.project(flux_difference(node_states, grid, gas, axis)) / h
         div = contrib if div is None else div + contrib
     return div
+
+
+def full_grid_step(coeffs, node_states, grid, basis, gas, cfl, dt_max):
+    """(dt, coeffs - dt * divergence): a moment step on every cell, from fresh arrays.
+
+    The step is ``cfl_time_step``'s scan of the whole grid, at most ``dt_max``.
+    """
+    dt = min(cfl_time_step(node_states, grid, gas, cfl), dt_max)
+    return dt, coeffs - dt * flux_divergence(node_states, grid, basis, gas)
+
+
+def full_grid_row_step(u, grid, gas, cfl, dt_max):
+    """(dt, u - sum_axis (dt / h) diff): a step of rows (cells..., rows, d) on every cell.
+
+    Each row's step comes from its own maxima over the whole grid's scan.
+    """
+    cells = tuple(range(grid.ndim))
+    speeds = [np.max(s, axis=cells) for s in _wave_speeds(u, grid, gas)]
+    dt = np.clip(dt_max, 0.0, _cfl_steps(speeds, grid, cfl))
+    update = None
+    for axis, h in enumerate(grid.deltas):
+        term = (dt / h)[:, None] * flux_difference(u, grid, gas, axis)
+        update = term if update is None else update + term
+    return dt, u - update
 
 
 def entropy(u, gas):

@@ -10,6 +10,7 @@ from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv.fv import (
     MomentField,
+    _wave_speeds,
     _cfl_steps,
     _flux_difference,
     _hll_unchecked,
@@ -20,7 +21,9 @@ from uqfv.fv import (
     grid_2d,
     moment_flux_divergence,
 )
+from uqfv.ipm import dual_node_states, initial_duals_from_states, solve_duals
 from uqfv.problems import initial_node_states, project_initial_data
+from uqfv.sg import LimiterConfig, apply_limiter
 
 GAS = GasModel(1.4)
 SOD_L = np.array([1.0, 0.0, 2.5])
@@ -560,7 +563,7 @@ def test_held_workspace_does_not_grow_with_the_window(solver, monkeypatch):
     field = project_initial_data(initial, grid, basis)
     nodes = initial_node_states(initial, grid, basis)
     windows, sizes, made, hll = [], [], [], fv._hll_unchecked
-    flux_difference, workspace_type = fv._flux_difference, fv._Workspace
+    integrate, workspace_type = fv.integrate, fv._Workspace
 
     def workspace():
         made.append(workspace_type())
@@ -570,25 +573,189 @@ def test_held_workspace_does_not_grow_with_the_window(solver, monkeypatch):
         windows.append(ul.shape[axis])
         return hll(ul, ur, gas, axis, **kwargs)
 
-    def recording_difference(*args):
-        diff = flux_difference(*args)
-        sizes.append(_buffer_sizes(made[0]))
-        return diff
+    def recording_integrate(step, *args):
+        def recorded(stats, dt_max):
+            dt = step(stats, dt_max)
+            sizes.append(_buffer_sizes(made[0]))
+            return dt
+
+        return integrate(recorded, *args)
 
     monkeypatch.setattr(fv, "_hll_unchecked", recording_hll)
-    monkeypatch.setattr(fv, "_flux_difference", recording_difference)
     if solver == "run_sg":
         monkeypatch.setattr(sg, "_Workspace", workspace)
+        monkeypatch.setattr(sg, "integrate", recording_integrate)
         sg.run_sg(field, GAS, 0.1)
     else:
         monkeypatch.setattr(fv, "_Workspace", workspace)
+        monkeypatch.setattr(fv, "integrate", recording_integrate)
         nodes = nodes.reshape(60, -1, 3)
         deterministic_solve(nodes, grid, GAS, 0.1)
     assert len(made) == 1 and len(sizes) > 10
     assert windows[0] < windows[-1] < 61
     assert sizes[0] == sizes[-1]
-    full = fv._Workspace()
+    full = workspace_type()
     rng = np.random.default_rng(3)
     random_nodes = random_admissible(rng, nodes.size // 3).reshape(nodes.shape)
-    flux_difference(random_nodes, grid, GAS, 0, full)
+    fv._flux_window(random_nodes, grid, GAS, 0, full)
     assert _buffer_sizes(full).items() <= sizes[0].items()
+
+
+# The window cases, plus a 2D state that varies along both axes, a 1D rest
+# state whose momentum is -0.0 outside the window, and "one_axis_only": a
+# supersonic flow along x whose column x = 2 holds a y-momentum of -0.0.
+# Its cells (2, y) outside the y-window have an x-term of -0.0 - +0.0 and
+# a y-term of +0.0: the full-grid sum -0.0 + 0.0 = +0.0 leaves their state's
+# -0.0 as it is, where subtracting the x-term alone would give +0.0.
+STEP_CASES = (*WINDOW_CASES, "varies_in_y", "negative_zero_outside", "one_axis_only")
+
+
+def _step_case(name):
+    """Node states, grid and basis of a window case or of one of the step cases."""
+    if name in WINDOW_CASES:
+        return _window_case(name)[:3]
+    rng = np.random.default_rng(len(name))
+    basis = build_basis(build_partition(-1, 1, 2), 2)
+    shape, band, state = {
+        "varies_in_y": ((8, 7), (slice(3, 5), slice(2, 4)), (1.0, 0.0, 0.0, 2.5)),
+        "negative_zero_outside": ((24,), (slice(11, 13),), (1.0, -0.0, 2.5)),
+        "one_axis_only": ((10, 8), (slice(8, 10), slice(0, 2)), (1.0, 3.0, 0.0, 7.0)),
+    }[name]
+    ndim = len(shape)
+    grid = grid_1d(shape[0], 0.0, 1.0) if ndim == 1 else grid_2d(*shape)
+    nodes = np.empty(shape + (2, basis.n_nodes, 2 + ndim))
+    nodes[...] = state
+    if name == "one_axis_only":
+        nodes[2, ..., 2] = -0.0
+    held = nodes[band].shape
+    nodes[band] = random_admissible(rng, np.prod(held[:-1]), ndim).reshape(held)
+    return nodes, grid, basis
+
+
+def _recorded_steps(monkeypatch, module):
+    """The step sizes of the runs ``module.integrate`` makes, appended as they are taken."""
+    dts, integrate = [], fv.integrate
+
+    def recording_integrate(step, *args):
+        def recorded(stats, dt_max):
+            dts.append(step(stats, dt_max))
+            return dts[-1]
+
+        return integrate(recorded, *args)
+
+    monkeypatch.setattr(module, "integrate", recording_integrate)
+    return dts
+
+
+def _oracle_steps(step, state, t_end, max_steps=None):
+    """The time loop of ``integrate`` around an oracle step: (step sizes, final state)."""
+    t, dts = 0.0, []
+    while np.any(t < t_end) and (max_steps is None or len(dts) < max_steps):
+        dt, state = step(state, t_end - t)
+        dts.append(dt)
+        t = t + dt
+    return dts, state
+
+
+def _moment_case(name):
+    """The case's moments, with -0.0 momentum coefficients outside the window if it has them."""
+    nodes, grid, basis = _step_case(name)
+    coeffs = basis.project(nodes)
+    if name == "negative_zero_outside":
+        coeffs[:11, ..., 1] = coeffs[13:, ..., 1] = -0.0
+    return coeffs, grid, basis
+
+
+def _assert_negative_zero_kept(name, final):
+    # the case's -0.0 entries outside every window are -0.0 at the end
+    if name == "negative_zero_outside":
+        assert np.signbit(final[0, ..., 1]).all()
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_run_sg_window_step_keeps_every_bit(name, monkeypatch):
+    # each windowed step's dt and moments equal the full-grid step's, bit for bit
+    coeffs, grid, basis = _moment_case(name)
+    dts = _recorded_steps(monkeypatch, sg)
+    got = sg.run_sg(MomentField(grid, basis, coeffs), GAS, 1.0, max_steps=3).field.coeffs
+    nodes = np.empty(coeffs.shape[:-2] + (basis.n_nodes, coeffs.shape[-1]))
+
+    def step(coeffs, dt_max):
+        limited, _ = apply_limiter(coeffs, basis, GAS, nodes=nodes)
+        return oracles.full_grid_step(limited, nodes, grid, basis, GAS, 0.9, dt_max)
+
+    expected_dts, expected = _oracle_steps(step, coeffs, 1.0, 3)
+    assert_same_bits(np.array(dts), np.array(expected_dts))
+    assert_same_bits(got, expected)
+    _assert_negative_zero_kept(name, got)
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_run_ipm_window_step_keeps_every_bit(name, monkeypatch):
+    nodes, grid, basis = _step_case(name)
+    # one state per (cell, element), scaled per (element, node): a variation
+    # in xi this mild keeps the projected duals in range
+    scale = 1.0 + 0.02 * np.random.default_rng(1).standard_normal(nodes.shape[-3:-1] + (1,))
+    duals = initial_duals_from_states(nodes[..., :1, :] * scale, basis, GAS)
+    moments = basis.project(dual_node_states(duals, basis, GAS))
+    if name == "negative_zero_outside":
+        moments[:11, ..., 1] = moments[13:, ..., 1] = -0.0
+    dts = _recorded_steps(monkeypatch, ipm)
+    field = MomentField(grid, basis, moments)
+    got = ipm.run_ipm(field, GAS, 1.0, initial_duals=duals, max_steps=3).field.coeffs
+
+    def step(state, dt_max):
+        moments, lam, nodes = state
+        dt, moments = oracles.full_grid_step(moments, nodes, grid, basis, GAS, 0.9, dt_max)
+        lam, stats = solve_duals(moments, lam, basis, GAS, warm_states=nodes)
+        return dt, (moments, lam, stats.node_states)
+
+    lam, stats = solve_duals(moments, duals, basis, GAS)
+    expected_dts, (expected, _, _) = _oracle_steps(step, (moments, lam, stats.node_states), 1.0, 3)
+    assert_same_bits(np.array(dts), np.array(expected_dts))
+    assert_same_bits(got, expected)
+    _assert_negative_zero_kept(name, got)
+
+
+@pytest.mark.parametrize("name", STEP_CASES)
+def test_deterministic_solve_window_step_keeps_every_bit(name, monkeypatch):
+    nodes, grid, _ = _step_case(name)
+    rows = nodes.reshape(grid.shape + (-1, nodes.shape[-1]))
+    dts = _recorded_steps(monkeypatch, fv)
+    got, stats = deterministic_solve(rows, grid, GAS, 0.1)
+
+    def step(u, dt_max):
+        return oracles.full_grid_row_step(u, grid, GAS, 0.9, dt_max)
+
+    expected_dts, expected = _oracle_steps(step, rows, 0.1)
+    assert stats.steps >= 2
+    assert_same_bits(np.array(dts), np.array(expected_dts))
+    assert_same_bits(got, expected)
+    _assert_negative_zero_kept(name, got)
+    if name == "one_axis_only":
+        assert np.signbit(got[2, ..., 2]).all()
+
+
+@pytest.mark.parametrize("solver", ["run_sg", "deterministic_solve"])
+def test_window_scan_failure_names_the_first_bad_state_of_the_grid(solver):
+    # one inadmissible state in cells 0-4 of element (or row) 1, Sod's right
+    # state elsewhere: the window starts at cell 3, and the first bad state
+    # in row-major order, (0, 1), lies outside it; the full-grid scan names
+    # it, as cfl_time_step does
+    grid = grid_1d(12, 0.0, 1.0)
+    states = np.tile(SOD_R, (12, 2, 1))
+    states[:5, 1] = (1.0, 2.0, 1.0)
+    if solver == "run_sg":
+        basis = build_basis(build_partition(-1, 1, 2), 2)
+        coeffs = np.zeros((12, 2, basis.n_coeffs, 3))
+        coeffs[..., 0, :] = states
+        field = MomentField(grid, basis, coeffs)
+        index = (0, 1, 0)
+        run = lambda: sg.run_sg(field, GAS, 0.1, limiter_config=LimiterConfig(enabled=False))
+    else:
+        index = (0, 1)
+        run = lambda: deterministic_solve(states, grid, GAS, 0.1)
+    message = rf"^step 0: inadmissible state in wave-speed scan at index {re.escape(str(index))}$"
+    with pytest.raises(InadmissibleStateError, match=message) as info:
+        run()
+    assert info.value.index == index

@@ -12,7 +12,9 @@ apart from rho 1, p 0.4 at velocities -2 | +2, which leaves a near-vacuum
 between them; at -3 | +3 the smallest final node density falls to about
 0.01. With the uncertain interface 0.5 + 0.05 xi on 100 cells up to
 t = 0.1, ``run_sg``, ``run_ipm`` and ``collocation_reference`` must each
-complete with admissible final node states below a density of 0.1.
+complete with admissible final node states below a density of 0.1. The
+probes at -3.5 | +3.5 and -3.7 | +3.7 take the density nearer 0, where the
+time loops' windowed admissibility check guards the flux.
 """
 
 import numpy as np
@@ -122,7 +124,7 @@ def _toro_123(speed):
 
 
 @pytest.mark.parametrize("solver", ["run_sg", "run_ipm", "collocation_reference"])
-@pytest.mark.parametrize("speed", [2.0, 3.0])
+@pytest.mark.parametrize("speed", [2.0, 3.0, 3.5, 3.7])
 def test_toro_123_near_vacuum(final_node_states, solver, speed):
     initial, grid = _toro_123(speed), grid_1d(100, 0.0, 1.0)
     if solver == "collocation_reference":

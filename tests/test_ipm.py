@@ -627,7 +627,7 @@ def test_run_ipm_flux_sees_the_states_of_its_duals(monkeypatch, ndim, threads):
     # dual_node_states finds every node of every accepted iterate in range
     field, duals0 = sod_batch(monkeypatch, ndim)
     basis = field.basis
-    solve, divergence = ipm_mod.solve_duals, ipm_mod.moment_flux_divergence
+    solve, update = ipm_mod.solve_duals, ipm_mod._window_update
     duals, checked = [], []
 
     def recording_solve(*args, **kwargs):
@@ -635,13 +635,13 @@ def test_run_ipm_flux_sees_the_states_of_its_duals(monkeypatch, ndim, threads):
         duals.append(lam)
         return lam, stats
 
-    def checking_divergence(nodes, *args):
+    def checking_update(moments, nodes, *args):
         assert np.array_equal(nodes, dual_node_states(duals[-1], basis, GAS))
         checked.append(len(duals))
-        return divergence(nodes, *args)
+        return update(moments, nodes, *args)
 
     monkeypatch.setattr(ipm_mod, "solve_duals", recording_solve)
-    monkeypatch.setattr(ipm_mod, "moment_flux_divergence", checking_divergence)
+    monkeypatch.setattr(ipm_mod, "_window_update", checking_update)
     result = run_ipm(field, GAS, 1.0, initial_duals=duals0, threads=threads, max_steps=10)
     assert result.stats.newton_iterations > 0
     # step n's flux takes the states of solve n: the first solve, then the
