@@ -9,8 +9,8 @@ per node, and the flux differences are projected back onto the basis.
 
 The time loops' CFL scan, flux, projection and update run per axis on the
 window where neighbouring node states differ in their bits
-(``_flux_window``), with the bits of the full-grid step; ``cfl_time_step``
-and ``moment_flux_divergence`` keep their full-grid contracts.
+(``_flux_window``, ``moment_flux_divergence``), with the bits of the
+full-grid step; only ``cfl_time_step`` scans the full grid.
 """
 
 from __future__ import annotations
@@ -205,10 +205,13 @@ def _hll_unchecked(
     return flux
 
 
-def _wave_speeds(node_states, grid: StructuredGrid, gas: GasModel):
-    """|v| + c at every state, one array per axis, made as the caller takes it.
+def cfl_time_step(node_states, grid: StructuredGrid, gas: GasModel, cfl: float) -> float:
+    """Time step from lambda_1 dt/dx + lambda_2 dt/dy <= cfl (1D drops the y term).
 
-    An inadmissible state fails the scan; the error's ``index`` locates it.
+    lambda_a is the largest |v| + c along axis a over every cell, element and
+    quadrature node: a scan of the full grid, whose error's ``index`` locates
+    the first inadmissible state. The time loops take the same step from
+    their flux windows' scans (``_flux_window``).
     """
     u = np.asarray(node_states, dtype=float)
     e_int, ok = _energy_and_mask(u)
@@ -217,21 +220,7 @@ def _wave_speeds(node_states, grid: StructuredGrid, gas: GasModel):
     # the sound speed from the one energy the admissibility test used
     e_int *= gas.gamma - 1.0
     c = _sound_speed_in_place(rho, e_int, gas)
-    for a in range(grid.ndim):
-        speed = np.divide(u[..., 1 + a], rho)
-        np.abs(speed, out=speed)
-        speed += c
-        yield speed
-
-
-def cfl_time_step(node_states, grid: StructuredGrid, gas: GasModel, cfl: float) -> float:
-    """Time step from lambda_1 dt/dx + lambda_2 dt/dy <= cfl (1D drops the y term).
-
-    lambda_a is the largest |v| + c along axis a over every cell, element and
-    quadrature node: a scan of the full grid. The time loops take the same
-    step from their flux windows' scans (``_flux_window``).
-    """
-    speeds = tuple(float(np.max(s)) for s in _wave_speeds(node_states, grid, gas))
+    speeds = [float(np.max(np.abs(u[..., 1 + a] / rho) + c)) for a in range(grid.ndim)]
     return _cfl_steps(speeds, grid, cfl)
 
 
@@ -305,46 +294,26 @@ class _Workspace:
 
 
 def moment_flux_divergence(
-    node_states: np.ndarray,
-    grid: StructuredGrid,
-    basis: GpcBasis,
-    gas: GasModel,
-    *,
-    work: _Workspace | None = None,
-) -> np.ndarray:
-    """Projected flux divergence sum_axis <(F_+ - F_-) phi_k f> / dh.
+    node_states: np.ndarray, grid: StructuredGrid, basis: GpcBasis, gas: GasModel, *, work=None
+) -> tuple:
+    """Projected flux divergence sum_axis <(F_+ - F_-) phi_k f> / dh, on the flux windows.
 
-    ``node_states`` has shape (cells..., L, Q, d); the result matches the
-    moment-coefficient layout (cells..., L, K+1, d), on every cell of the
-    grid. Forward Euler then reads ``coeffs -= dt * divergence``, which the
-    time loops compute on the flux windows alone (``_window_update``).
-    Every axis sees the same ``node_states``. With a ``work`` workspace the
-    result is its ``"div"`` buffer, valid until the next call with it;
-    without one the call makes its own.
+    ``node_states`` (cells..., L, Q, d) feed every axis. Returns (speeds,
+    pieces): each axis's largest |v| + c over the grid, and ``_window_sum``'s
+    (cells, values) pieces of the divergence in the coefficient layout
+    (cells..., L, K+1, d); it is +0.0 on every other cell. The pieces are
+    views of the ``_Workspace`` ``work`` (a fresh one without it).
     """
     work = _Workspace() if work is None else work
-    shape = node_states.shape[:-2] + (basis.n_coeffs, node_states.shape[-1])
-    div = work.take("div", shape)
-    for axis, h in enumerate(grid.deltas):
-        diff = _flux_difference(node_states, grid, gas, axis, work)
-        contrib = basis.project(diff, out=div if axis == 0 else work.take("contrib", shape))
-        contrib /= h
-        if axis:
-            div += contrib
-    return div
-
-
-def _flux_difference(
-    states: np.ndarray, grid: StructuredGrid, gas: GasModel, axis: int, work: _Workspace
-) -> np.ndarray:
-    """F(i+1/2) - F(i-1/2) of every cell along one axis: ``_flux_window``'s
-    difference in its window and +0.0 elsewhere, in ``work``'s ``"diff"``
-    buffer."""
-    _, lo, window = _flux_window(states, grid, gas, axis, work)
-    diff = work.take("diff", states.shape)
-    diff.fill(0.0)
-    _take_range(diff, axis, lo, lo + window.shape[axis])[...] = window
-    return diff
+    room = node_states.shape[:-2] + (basis.n_coeffs, node_states.shape[-1])
+    windows = (_flux_window(node_states, grid, gas, a, work) for a in range(grid.ndim))
+    speeds, starts, diffs = zip(*windows)
+    terms = []
+    for name, diff, h in zip(("div", "contrib"), diffs, grid.deltas):
+        term = basis.project(diff, out=work.take(name, diff.shape[:-2] + room[-2:], room))
+        term /= h
+        terms.append(term)
+    return speeds, _window_sum(terms, starts)
 
 
 def _flux_window(
@@ -371,9 +340,9 @@ def _flux_window(
     it, in every line along the axis, so the window's grid cells (the
     first slab of cells when the window is empty) stand for the whole grid
     in the scan: their admissibility is checked before the flux sees them,
-    and a failure runs the full-grid scan for ``cfl_time_step``'s located
+    and a failure runs ``cfl_time_step``'s full-grid scan for its located
     error. The largest |v_axis| + c comes from the flux's own velocity and
-    sound speed, in the operation order of ``_wave_speeds``.
+    sound speed, in the operation order of ``cfl_time_step``'s scan.
 
     Returns (speed, lo, diff): that speed, reduced over the axes ``reduce``
     (all by default), and the differences of the grid cells lo, lo + 1, ...
@@ -403,7 +372,7 @@ def _flux_window(
     v, c = (_take_range(a, axis, *inner) for a in out[1:])
     if not np.all(_energy_and_mask(_take_range(u, axis, *inner), out=c)[1]):
         # the grid holds these states too: its scan raises at its first bad one
-        next(_wave_speeds(states, grid, gas))
+        cfl_time_step(states, grid, gas, 1.0)
     per_cell = (u,) + _flux_and_speeds(u, gas, axis, out=out)
     diff_shape = list(states.shape)
     diff_shape[axis] = 0
@@ -450,33 +419,17 @@ def _window_sum(terms: list, starts: list) -> list:
     return [((slice(x0, x1),), tx), ((slice(0, x0), y), ty[:x0]), ((slice(x1, None), y), ty[x1:])]
 
 
-def _window_update(
-    coeffs: np.ndarray,
-    node_states: np.ndarray,
-    grid: StructuredGrid,
-    basis: GpcBasis,
-    gas: GasModel,
-    cfl: float,
-    dt_max: float,
-    work: _Workspace,
-) -> float:
+def _window_update(coeffs, divergence: tuple, grid: StructuredGrid, cfl: float, dt_max: float):
     """One forward-Euler step of the moments ``coeffs``, in place, on the flux windows.
 
-    The step is the CFL step of ``node_states``, at most ``dt_max``, from
-    the windows' scans. Each axis's difference is projected and divided by
-    its cell width on its window, and ``coeffs -= dt * divergence`` runs on
-    the pieces of ``_window_sum``, the only cells it changes. Returns the step.
+    ``divergence`` is ``moment_flux_divergence``'s (speeds, pieces). The
+    step is the CFL step of the speeds, at most ``dt_max``, and
+    ``coeffs -= dt * divergence`` runs on the pieces alone, the only cells
+    it changes. Returns the step.
     """
-    room = node_states.shape[:-2] + (basis.n_coeffs, node_states.shape[-1])
-    windows = (_flux_window(node_states, grid, gas, a, work) for a in range(grid.ndim))
-    speeds, starts, diffs = zip(*windows)
-    terms = []
-    for name, diff, h in zip(("div", "contrib"), diffs, grid.deltas):
-        term = basis.project(diff, out=work.take(name, diff.shape[:-2] + room[-2:], room))
-        term /= h
-        terms.append(term)
+    speeds, pieces = divergence
     dt = min(_cfl_steps(speeds, grid, cfl), dt_max)
-    for cells, total in _window_sum(terms, starts):
+    for cells, total in pieces:
         total *= dt
         coeffs[cells] -= total
     return dt
@@ -499,8 +452,8 @@ def deterministic_solve(
 
     Used by the stochastic-collocation reference. Each row takes its own CFL
     step from its own cells' wave speeds and keeps its own time; a row that
-    has reached ``t_end`` takes steps of zero. As in ``moment_flux_divergence``,
-    every axis's flux difference is taken from the same state. Each step
+    has reached ``t_end`` takes steps of zero. As in the moment solvers'
+    steps, every axis's flux difference is taken from the same state. Each step
     scans, fluxes and updates the flux windows alone (``_flux_window``,
     ``_window_sum``), with the bits of the full-grid step, and the run holds
     one flux workspace. Returns the final states and the loop's

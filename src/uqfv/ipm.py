@@ -32,17 +32,16 @@ from .euler import (
     dual_range_mask,
     entropy_gradient,
 )
-from .fv import (  # the benchmark's trace wraps cfl_time_step and moment_flux_divergence here
+from .fv import (  # the benchmark's trace wraps cfl_time_step here, though no step calls it
     MomentField,
     RunResult,
     RunStats,
     _check_flux,
     _timed,
     _window_update,
-    _Workspace,
     cfl_time_step,  # noqa: F401
     integrate,
-    moment_flux_divergence,  # noqa: F401
+    moment_flux_divergence,
 )
 
 __all__ = [
@@ -346,9 +345,10 @@ def run_ipm(
     in step 0. Without it the solve starts from zero duals, which it
     replaces by the constant entropic ansatz of each cell mean. ``threads``
     goes to ``solve_duals``, and ``flux`` accepts only ``"hll"``. The CFL
-    scan, the flux, the projection and the update run on the flux windows
-    alone (``fv._window_update``), with the bits of the full-grid step; the
-    step's workspace is freed before the dual solve.
+    scan, the flux and the projection (``moment_flux_divergence``) and the
+    update (``fv._window_update``) run on the flux windows alone, with the
+    bits of the full-grid step; the step's workspace is freed before the
+    dual solve.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
@@ -371,7 +371,10 @@ def run_ipm(
                 stats, np.zeros_like(mom) if initial_duals is None else initial_duals
             )
         with _timed(stats, "flux_s"):
-            dt = _window_update(mom, nodes, grid, basis, gas, cfl, dt_max, _Workspace())
+            # no name holds the divergence, so its workspace is freed before the solve
+            dt = _window_update(
+                mom, moment_flux_divergence(nodes, grid, basis, gas), grid, cfl, dt_max
+            )
         lam, nodes = solve(stats, lam, nodes)
         return dt
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import GpcBasis
 from .euler import GasModel, InadmissibleStateError, SolverError, _dot, _require, admissible_mask
-from .fv import (  # the benchmark's trace wraps moment_flux_divergence here
+from .fv import (  # the benchmark's trace wraps cfl_time_step and moment_flux_divergence here
     MomentField,
     RunResult,
     RunStats,
@@ -26,7 +26,7 @@ from .fv import (  # the benchmark's trace wraps moment_flux_divergence here
     _Workspace,
     cfl_time_step,
     integrate,
-    moment_flux_divergence,  # noqa: F401
+    moment_flux_divergence,
 )
 
 __all__ = [
@@ -230,9 +230,10 @@ def run_sg(
     limiter checks the cell means; with it disabled, the CFL scan rejects
     an inadmissible reconstruction. ``flux`` accepts only ``"hll"``. The
     run holds one flux workspace; the limiter reconstructs into its node
-    buffer, which the CFL scan and the flux then read. The scan, the flux,
-    the projection and the update run on the flux windows alone
-    (``fv._window_update``), with the bits of the full-grid step.
+    buffer, which the flux then reads. The scan, the flux and the
+    projection (``moment_flux_divergence``) and the update
+    (``fv._window_update``) run on the flux windows alone, with the bits
+    of the full-grid step.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
@@ -254,7 +255,8 @@ def run_sg(
                 coeffs = apply_filter(coeffs, filter_config, dt_est)
             coeffs, _ = apply_limiter(coeffs, basis, gas, limiter_config, nodes=nodes)
         with _timed(stats, "flux_s"):
-            return _window_update(coeffs, nodes, grid, basis, gas, cfl, dt_max, work)
+            divergence = moment_flux_divergence(nodes, grid, basis, gas, work=work)
+            return _window_update(coeffs, divergence, grid, cfl, dt_max)
 
     stats = integrate(step, t_end, max_steps)
     return RunResult(field=MomentField(grid, basis, coeffs), stats=stats)

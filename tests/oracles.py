@@ -16,15 +16,19 @@ into fresh arrays, in the operation order the buffered kernel must keep.
 loop over points, one ``sample`` call and one sum per point, which the
 blocked ``sod_reference_statistics`` must match at any block size.
 ``full_grid_step`` and ``full_grid_row_step`` do the same for the time
-loops' steps: the full-grid CFL scan, and the update of every cell from
+loops' steps: the full-grid CFL scan (``cfl_time_step``, or the rows' maxima
+of ``max_wave_speed``), and the update of every cell from
 ``flux_divergence`` or ``flux_difference``, which the windowed steps of
 ``run_sg``, ``run_ipm`` and ``deterministic_solve`` must match.
+``zero_filled`` spreads a windowed result, such as the (cells, values)
+pieces of ``moment_flux_divergence``, over every cell, so it can be
+compared with them.
 """
 
 import numpy as np
 
 from uqfv.euler import InadmissibleStateError, entropy_gradient_inverse, is_admissible
-from uqfv.fv import _cfl_steps, _hll_unchecked, _wave_speeds, cfl_time_step, extend_node_states
+from uqfv.fv import _cfl_steps, _hll_unchecked, cfl_time_step, extend_node_states
 from uqfv.ipm import dual_node_states
 from uqfv.riemann import _uncertain_state, solve_riemann
 
@@ -368,13 +372,21 @@ def full_grid_row_step(u, grid, gas, cfl, dt_max):
     Each row's step comes from its own maxima over the whole grid's scan.
     """
     cells = tuple(range(grid.ndim))
-    speeds = [np.max(s, axis=cells) for s in _wave_speeds(u, grid, gas)]
+    speeds = [np.max(max_wave_speed(u, gas, axis), axis=cells) for axis in cells]
     dt = np.clip(dt_max, 0.0, _cfl_steps(speeds, grid, cfl))
     update = None
     for axis, h in enumerate(grid.deltas):
         term = (dt / h)[:, None] * flux_difference(u, grid, gas, axis)
         update = term if update is None else update + term
     return dt, u - update
+
+
+def zero_filled(shape, pieces):
+    """An array of ``shape`` that holds each (cells, values) piece, and +0.0 elsewhere."""
+    out = np.zeros(shape)
+    for cells, values in pieces:
+        out[cells] = values
+    return out
 
 
 def entropy(u, gas):

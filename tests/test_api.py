@@ -31,7 +31,8 @@ PUBLIC = {
 # options, the Lax-Friedrichs flux and uncalled methods, deleted or moved to
 # tests/oracles.py; the first-False locator that ``euler._require`` replaced,
 # the count of a variance clamp that never fired, and the sound speed that
-# now overwrites its pressure (``_sound_speed_in_place``);
+# now overwrites its pressure (``_sound_speed_in_place``); the full-grid flux
+# difference and wave-speed generator that the windowed step replaced;
 # a dotted name is an attribute of a class in the module
 REMOVED = {
     "basis": ("QuadratureRule.integrate", "QuadratureRule.ref_nodes",
@@ -42,7 +43,8 @@ REMOVED = {
               "_sound_speed_unchecked"),
     "fv": ("hll_flux", "lax_friedrichs_flux", "_lf_unchecked", "extend_moments",
            "_dirichlet_moments", "MomentField.cell_means", "MomentField.copy",
-           "MomentField.n_components", "global_wave_speeds"),
+           "MomentField.n_components", "global_wave_speeds", "_flux_difference",
+           "_wave_speeds"),
     "ipm": ("dual_residual", "dual_hessian", "ipm_update"),
     "sg": ("limiter_theta", "filter_gain", "sg_update"),
     "stats": ("_window_mask", "FieldStatistics.clamped"),

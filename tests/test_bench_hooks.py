@@ -56,3 +56,27 @@ def test_solve_duals_result_has_the_fields_bench_reads():
     assert stats.max_iterations_single >= 0
     assert stats.max_residual <= uqfv.NewtonConfig().tol
     assert stats.per_problem_iterations.shape == (3, 2)
+
+
+def test_every_step_calls_the_traced_flux(monkeypatch):
+    # the trace's fv.flux_div layer wraps sg.moment_flux_divergence and
+    # ipm.moment_flux_divergence: each step of either solver must call it once
+    gas = uqfv.GasModel(1.4)
+    basis = uqfv.build_basis(uqfv.build_partition(-1.0, 1.0, 2), 2)
+    grid = uqfv.grid_1d(16, 0.0, 1.0)
+
+    def sod(x, xi):
+        return np.where((x < 0.5 + 0.05 * xi)[..., None], [1.0, 0.0, 2.5], [0.125, 0.0, 0.25])
+
+    field = uqfv.project_initial_data(sod, grid, basis)
+    for module, run in ((uqfv.sg, uqfv.run_sg), (uqfv.ipm, uqfv.run_ipm)):
+        calls, flux = [], module.moment_flux_divergence
+
+        def counting_flux(*args, flux=flux, calls=calls, **kwargs):
+            calls.append(1)
+            return flux(*args, **kwargs)
+
+        monkeypatch.setattr(module, "moment_flux_divergence", counting_flux)
+        result = run(field, gas, 1.0, max_steps=4)
+        assert result.stats.steps == 4
+        assert len(calls) == 4, module.__name__

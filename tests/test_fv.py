@@ -10,9 +10,7 @@ from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv.fv import (
     MomentField,
-    _wave_speeds,
     _cfl_steps,
-    _flux_difference,
     _hll_unchecked,
     cfl_time_step,
     deterministic_solve,
@@ -213,11 +211,24 @@ def test_integrate_rejects_negative_end_time():
         fv.integrate(step, -1.0)
 
 
+def _divergence(nodes, grid, basis, work=None):
+    """``moment_flux_divergence`` on every cell: its pieces, and +0.0 elsewhere."""
+    _, pieces = moment_flux_divergence(nodes, grid, basis, GAS, work=work)
+    return oracles.zero_filled(nodes.shape[:-2] + (basis.n_coeffs, nodes.shape[-1]), pieces)
+
+
+def _difference(states, grid, axis, work):
+    """``_flux_window``'s difference on every cell: its window, and +0.0 elsewhere."""
+    _, lo, diff = fv._flux_window(states, grid, GAS, axis, work)
+    cells = (slice(None),) * axis + (slice(lo, lo + diff.shape[axis]),)
+    return oracles.zero_filled(states.shape, [(cells, diff)])
+
+
 def test_moment_divergence_vanishes_for_constant_field():
     basis = build_basis(build_partition(-1, 1, 3), 4)
     grid = grid_1d(6, 0.0, 1.0, bc="periodic")
     field = _constant_field(grid, basis, SOD_L)
-    div = moment_flux_divergence(field.node_states(), grid, basis, GAS)
+    div = _divergence(field.node_states(), grid, basis)
     np.testing.assert_allclose(div, 0.0, atol=1e-13)
 
 
@@ -231,7 +242,7 @@ def test_moment_divergence_conserves_mass_periodic():
     coeffs[..., 0, 2] = 2.5
     coeffs[..., 1, 0] = 0.01 * rng.standard_normal((32, 2))
     field = MomentField(grid, basis, coeffs)
-    div = moment_flux_divergence(field.node_states(), grid, basis, GAS)
+    div = _divergence(field.node_states(), grid, basis)
     # total change of the element-weighted means telescopes to zero
     total = np.einsum("xld,l->d", div[:, :, 0, :], basis.element_weights)
     np.testing.assert_allclose(total, 0.0, atol=1e-12)
@@ -258,16 +269,12 @@ def test_moment_divergence_2d_x_riemann_matches_1d():
     c1 = np.zeros((nx, 2, 3, 3))
     c1[..., 0, :] = np.where(x[:, None] < 0.5, SOD_L, SOD_R)[:, None, :]
     c1[..., 1, 0] = 0.02 * np.sin(3.0 * x)[:, None]
-    div1 = moment_flux_divergence(
-        MomentField(grid1, basis, c1).node_states(), grid1, basis, GAS
-    )
+    div1 = _divergence(MomentField(grid1, basis, c1).node_states(), grid1, basis)
     c2 = np.zeros((nx, ny, 2, 3, 4))
     c2[..., 0] = c1[:, None, :, :, 0]
     c2[..., 1] = c1[:, None, :, :, 1]
     c2[..., 3] = c1[:, None, :, :, 2]
-    div2 = moment_flux_divergence(
-        MomentField(grid2, basis, c2).node_states(), grid2, basis, GAS
-    )
+    div2 = _divergence(MomentField(grid2, basis, c2).node_states(), grid2, basis)
     for j in range(ny):
         np.testing.assert_allclose(div2[:, j, ..., 0], div1[..., 0], atol=1e-13)
         np.testing.assert_allclose(div2[:, j, ..., 1], div1[..., 1], atol=1e-13)
@@ -401,16 +408,18 @@ def test_flux_kernel_matches_the_composed_oracle(ndim, bc):
     rng = np.random.default_rng(7 * ndim + len(bc))
     nodes, grid, basis = _kernel_case(rng, ndim, bc, (9,) if ndim == 1 else (7, 5))
     expected = oracles.flux_divergence(nodes, grid, basis, GAS)
-    np.testing.assert_array_equal(moment_flux_divergence(nodes, grid, basis, GAS), expected)
+    np.testing.assert_array_equal(_divergence(nodes, grid, basis), expected)
     work = fv._Workspace()
     for _ in range(2):
-        got = moment_flux_divergence(nodes, grid, basis, GAS, work=work)
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(_divergence(nodes, grid, basis, work), expected)
     for axis in range(ndim):
         np.testing.assert_array_equal(
-            _flux_difference(nodes, grid, GAS, axis, work),
+            _difference(nodes, grid, axis, work),
             oracles.flux_difference(nodes, grid, GAS, axis),
         )
+    # the windows' speeds give the full-grid scan's step
+    speeds, _ = moment_flux_divergence(nodes, grid, basis, GAS, work=work)
+    assert _cfl_steps(speeds, grid, 0.9) == cfl_time_step(nodes, grid, GAS, 0.9)
 
 
 def test_one_workspace_serves_calls_of_different_shapes():
@@ -423,10 +432,10 @@ def test_one_workspace_serves_calls_of_different_shapes():
     row_grid = grid_1d(10, 0.0, 1.0, bc="periodic")
     work = fv._Workspace()
     for nodes, grid, basis in (small, large, small):
-        got = moment_flux_divergence(nodes, grid, basis, GAS, work=work).copy()
+        got = _divergence(nodes, grid, basis, work)
         np.testing.assert_array_equal(got, oracles.flux_divergence(nodes, grid, basis, GAS))
         np.testing.assert_array_equal(
-            _flux_difference(rows, row_grid, GAS, 0, work),
+            _difference(rows, row_grid, 0, work),
             oracles.flux_difference(rows, row_grid, GAS, 0),
         )
 
@@ -524,11 +533,10 @@ def test_flux_window_keeps_every_bit(name, monkeypatch):
     monkeypatch.setattr(fv, "_hll_unchecked", recording_hll)
     work = fv._Workspace()
     for axis in range(grid.ndim):
-        assert_same_bits(_flux_difference(nodes, grid, GAS, axis, work), expected[axis])
+        assert_same_bits(_difference(nodes, grid, axis, work), expected[axis])
     assert seen == [(axis, n) for axis, n in enumerate(windows) if n]
     assert_same_bits(
-        moment_flux_divergence(nodes, grid, basis, GAS, work=work),
-        oracles.flux_divergence(nodes, grid, basis, GAS),
+        _divergence(nodes, grid, basis, work), oracles.flux_divergence(nodes, grid, basis, GAS)
     )
     if name == "signed_zero":
         # the left flux wins at every x-interface, so the -0.0 cell's
