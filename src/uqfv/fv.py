@@ -79,9 +79,16 @@ class StructuredGrid:
                 raise ValueError(f"n{axis} must be positive, got {n}")
             if not lo < hi:
                 raise ValueError(f"{axis}_min must be less than {axis}_max, got ({lo}, {hi})")
-        for lo_bc, hi_bc in self.bcs:
-            if (lo_bc[0] == "periodic") != (hi_bc[0] == "periodic"):
+        for axis, sides in zip("xy", self.bcs):
+            if (sides[0][0] == "periodic") != (sides[1][0] == "periodic"):
                 raise ValueError("periodic boundaries must pair up on an axis")
+            for side, (kind, state) in zip(("low", "high"), sides):
+                u = np.asarray(state, dtype=float) if kind == "dirichlet" else None
+                if u is not None and not (u.shape == (self.ndim + 2,) and _energy_and_mask(u)[1]):
+                    raise ValueError(
+                        f"dirichlet state on the {side} {axis} side must be {self.ndim + 2} "
+                        f"finite values with rho > 0 and p > 0, got {state}"
+                    )
 
     @property
     def ndim(self) -> int:
@@ -160,28 +167,22 @@ def _check_flux(flux: str) -> None:
         raise ValueError(f"unknown numerical flux: {flux!r}")
 
 
-def _hll_unchecked(
-    ul, ur, gas: GasModel, axis: int, *, sides=None, work=None, room=None
-) -> np.ndarray:
+def _hll_unchecked(ul, ur, gas: GasModel, axis: int, *, sides, work, room) -> np.ndarray:
     """HLL two-wave flux with Davis wave-speed bounds, on admissible states.
 
     s_L = min(v_L - c_L, v_R - c_R), s_R = max(v_L + c_L, v_R + c_R);
     consistent (flux(u, u) = physical flux) and positivity preserving under
     the CFL restriction. ``sides`` is ((f, v, c) of ``ul``, (f, v, c) of
-    ``ur``) from ``_flux_and_speeds`` when the caller has them; ``work`` is
-    the ``_Workspace`` the flux and its temporaries go into (a fresh one
-    without it), and ``room`` the shape, at least ``ul.shape``, its buffers
-    are made for. Every operation keeps the operands and order of the plain
-    formula, so the buffers do not change a bit of the result. Speeds,
+    ``ur``) from ``_flux_and_speeds``; the flux and its temporaries go into
+    the ``_Workspace`` ``work``, in buffers made for the shape ``room``, at
+    least ``ul.shape``. Every operation keeps the operands and order of the
+    plain formula, so the buffers do not change a bit of the result. Speeds,
     masks and their product and difference are made once per state; the
     loop then runs one component at a time, since broadcast along the
     component axis numpy's inner loops would span only 3 or 4 entries.
     """
-    if sides is None:
-        sides = (_flux_and_speeds(ul, gas, axis), _flux_and_speeds(ur, gas, axis))
     (fl, vl, cl), (fr, vr, cr) = sides
-    work = _Workspace() if work is None else work
-    shape, node_room = vl.shape, (ul.shape if room is None else room)[:-1]
+    shape, node_room = vl.shape, room[:-1]
     s_l = np.subtract(vl, cl, out=work.take("s_l", shape, node_room))
     s_r = np.add(vl, cl, out=work.take("s_r", shape, node_room))
     term = work.take("term", shape, node_room)

@@ -104,19 +104,19 @@ class DualSolveStats:
     node_states: np.ndarray | None = None
 
 
-def _newton_matrix(basis: GpcBasis, jac: np.ndarray, rows) -> np.ndarray:
-    """Newton matrices sum_q w_q phi_k(q) phi_j(q) jac_q[a, b] of ``rows`` of a (P, Q, d, d) batch.
+def _newton_matrix(basis: GpcBasis, jac: np.ndarray) -> np.ndarray:
+    """Newton matrices sum_q w_q phi_k(q) phi_j(q) jac_q[a, b] of a (P, Q, d, d) batch.
 
-    One batched matmul gives (rows, a b, k j); one copy puts each matrix in
-    the (k a, j b) order of the unknowns, the (K+1, d) layout of the duals.
-    The gathered rows are a temporary, freed before that copy. A non-finite
-    Jacobian gives a non-finite matrix, which the solve reports.
+    One batched matmul over a view of ``jac`` gives (P, a b, k j); one copy
+    puts each matrix in the (k a, j b) order of the unknowns, the (K+1, d)
+    layout of the duals. A non-finite Jacobian gives a non-finite matrix,
+    which the solve reports.
     """
     _, q, d, _ = jac.shape
     k1 = basis.n_coeffs
     w2 = np.einsum("kq,jq,q->qkj", basis.phi, basis.phi, basis.rule.weights).reshape(q, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.matmul(jac[rows].reshape(-1, q, d * d).transpose(0, 2, 1), w2)
+        prod = np.matmul(jac.reshape(-1, q, d * d).transpose(0, 2, 1), w2)
     return prod.reshape(-1, d, d, k1, k1).transpose(0, 3, 1, 4, 2).reshape(-1, k1 * d, k1 * d)
 
 
@@ -128,32 +128,30 @@ def _solve_batch(
     ``states`` holds the node states of lam, which is in the dual range at
     every node. They set the starting residuals; only the problems above tol
     are evaluated, and every trial goes through ``evaluate``, one map
-    evaluation each. The solve keeps the node states, Jacobian, objective and
-    residual of each problem's current iterate, so an accepted trial is never
-    evaluated again. Returns the iterations and residual max-norms per problem.
+    evaluation each. The problems still iterating keep the duals, moments,
+    node states, Jacobian, objective and residual of their iterate in
+    compact arrays, so an accepted trial is never evaluated again. One that
+    converges writes its duals, states and residual back; the rest move up
+    in place, in the arrays the first evaluation made, not into new ones.
+    Returns the iterations and residual max-norms per problem.
     """
-    w = basis.rule.weights
-    n_prob, k1, d = lam.shape
-    n = k1 * d
-    iters = np.zeros(n_prob, dtype=np.int64)
-
-    def where(p):
-        return tuple(map(int, np.unravel_index(p + offset, shape)))
+    iters = np.zeros(len(lam), dtype=np.int64)
 
     def require(ok, message):
         """Raise DualSolveError at the first active problem where ``ok`` is False;
         its (cells..., element) index fills the message's {index} and is ``index``."""
         if not np.all(ok):
-            p = active[np.argmin(ok)]
-            error = DualSolveError(message.format(index=where(p), residual=rn[p]))
-            error.index = where(p)
+            i = np.argmin(ok)
+            index = tuple(map(int, np.unravel_index(active[i] + offset, shape)))
+            error = DualSolveError(message.format(index=index, residual=rn[i]))
+            error.index = index
             raise error from None
 
     def residual(u, mom):
         """The moment residual mom - project(u) and its max-norm; a non-finite norm reads inf."""
         with np.errstate(over="ignore", invalid="ignore"):
             res = mom - basis.project(u)
-        rn = np.max(np.abs(res.reshape(-1, n)), axis=1)
+        rn = np.max(np.abs(res), axis=(1, 2))
         return res, np.where(np.isfinite(rn), rn, np.inf)
 
     def evaluate(duals, duals_nodes, mom):
@@ -162,18 +160,13 @@ def _solve_batch(
         and the residual."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             u, sstar, jac = _dual_eval(duals_nodes, gas)
-            obj = sstar @ w - np.einsum("pkd,pkd->p", duals, mom)
+            obj = sstar @ basis.rule.weights - np.einsum("pkd,pkd->p", duals, mom)
         return (u, jac, np.where(np.isfinite(obj), obj, np.inf), *residual(u, mom))
 
-    # jac and obj are read only where Newton runs
-    u = states
-    res, rn = residual(u, moments)
-    active = np.flatnonzero(rn > cfg.tol)
-    jac = np.empty(u.shape + (d,))
-    obj = np.empty(n_prob)
-    _, jac[active], obj[active], _, _ = evaluate(
-        lam[active], basis.reconstruct(lam[active]), moments[active]
-    )
+    resid = residual(states, moments)[1]
+    active = np.flatnonzero(resid > cfg.tol)
+    x, mom = lam[active], moments[active]
+    u, jac, obj, res, rn = evaluate(x, basis.reconstruct(x), mom)
 
     while active.size:
         require(
@@ -184,19 +177,15 @@ def _solve_batch(
         )
         # the matrices, an iteration's largest array, are freed before the line search
         try:
-            delta = np.linalg.solve(
-                _newton_matrix(basis, jac, active), res[active].reshape(active.size, n, 1)
-            )
+            delta = np.linalg.solve(_newton_matrix(basis, jac), res.reshape(active.size, -1, 1))
         except np.linalg.LinAlgError:
             # slogdet factors each matrix as solve does; sign 0 marks a singular one
-            sign = np.linalg.slogdet(_newton_matrix(basis, jac, active))[0]
+            sign = np.linalg.slogdet(_newton_matrix(basis, jac))[0]
             require(sign != 0.0, "singular Newton matrix at (cells..., element) {index}")
             raise
-        require(
-            np.all(np.isfinite(delta.reshape(active.size, -1)), axis=1),
-            "non-finite Newton direction at (cells..., element) {index}",
-        )
-        delta = delta.reshape(active.size, k1, d)
+        delta = delta.reshape(x.shape)
+        finite = np.isfinite(delta).all(axis=(1, 2))
+        require(finite, "non-finite Newton direction at (cells..., element) {index}")
 
         step = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
@@ -204,27 +193,31 @@ def _solve_batch(
             todo = np.flatnonzero(~accepted)
             if todo.size == 0:
                 break
-            cand = lam[active[todo]] + step[todo, None, None] * delta[todo]
+            cand = x[todo] + step[todo, None, None] * delta[todo]
             cand_nodes = basis.reconstruct(cand)
             inside = np.all(dual_range_mask(cand_nodes, gas), axis=-1)
             step[todo[~inside]] *= 0.5
             todo, cand = todo[inside], cand[inside]
-            rows = active[todo]
-            t_u, t_jac, t_obj, t_res, t_rn = evaluate(cand, cand_nodes[inside], moments[rows])
+            t_u, t_jac, t_obj, t_res, t_rn = evaluate(cand, cand_nodes[inside], mom[todo])
             # objective decrease governs globally; near roundoff that decrease
             # is unresolvable while the residual norm still falls along the
             # SPD-Hessian Newton direction
-            ok = (t_obj <= obj[rows]) | (t_rn <= rn[rows])
+            ok = (t_obj <= obj[todo]) | (t_rn <= rn[todo])
             step[todo[~ok]] *= 0.5
-            accepted[todo[ok]] = True
-            rows = rows[ok]
-            lam[rows], u[rows], jac[rows], obj[rows], res[rows], rn[rows] = (
+            todo = todo[ok]
+            accepted[todo] = True
+            x[todo], u[todo], jac[todo], obj[todo], res[todo], rn[todo] = (
                 cand[ok], t_u[ok], t_jac[ok], t_obj[ok], t_res[ok], t_rn[ok]
             )
         require(accepted, "line search stalled at (cells..., element) {index}")
         iters[active] += 1
-        active = active[rn[active] > cfg.tol]
-    return iters, rn
+        keep = rn > cfg.tol
+        done, active = active[~keep], active[keep]
+        lam[done], states[done], resid[done] = x[~keep], u[~keep], rn[~keep]
+        for a in (x, mom, u, jac, obj, res, rn):
+            a[: active.size] = a[keep]
+        x, mom, u, jac, obj, res, rn = (a[: active.size] for a in (x, mom, u, jac, obj, res, rn))
+    return iters, resid
 
 
 def solve_duals(

@@ -267,6 +267,8 @@ def sod_reference_statistics(
     pairs, one ``sample`` call per block, and ``np.add.at`` adds them into the
     sums one by one, in point and xi order: no bit depends on the block size.
     """
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     sol = solve_riemann(left, right, gas)
     x_points = np.asarray(x_points, dtype=float)
     offsets = np.asarray([0.0] if sub_points is None else sub_points, dtype=float)
@@ -312,6 +314,8 @@ def sod_reference_on_grid(
     """Grid-aligned reference statistics with sub-cell averaging."""
     if grid.ndim != 1:
         raise ValueError("the exact shock-tube reference is one-dimensional")
+    if subcells < 1:
+        raise ValueError(f"subcells must be >= 1, got {subcells}")
     dx = grid.deltas[0]
     sub = dx * ((np.arange(subcells) + 0.5) / subcells - 0.5)
     mean, var = sod_reference_statistics(
@@ -350,6 +354,8 @@ def _collocation(initial, grid: StructuredGrid, gas: GasModel, t_end, cfl, n_nod
     node's solve took, which does not depend on the block size, since a row's
     steps do not depend on the rows beside it.
     """
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     weights = weights / 2.0
     centers = [grid.cell_centers(axis) for axis in range(grid.ndim)]

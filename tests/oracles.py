@@ -12,6 +12,8 @@ another route than the solvers do. The flux-kernel helpers (``hll_expression``,
 ``flux_difference``, ``flux_divergence``) pin bits, not formulas: they spell
 out the HLL flux as plain expressions, and compose the package's own pieces
 into fresh arrays, in the operation order the buffered kernel must keep.
+``hll`` calls the package's HLL kernel with the sides and buffers the
+windowed flux would hand it.
 ``sod_reference_loop`` pins bits the same way: it is the exact reference's
 loop over points, one ``sample`` call and one sum per point, which the
 blocked ``sod_reference_statistics`` must match at any block size.
@@ -27,8 +29,13 @@ compared with them.
 
 import numpy as np
 
-from uqfv.euler import InadmissibleStateError, entropy_gradient_inverse, is_admissible
-from uqfv.fv import _cfl_steps, _hll_unchecked, cfl_time_step, extend_node_states
+from uqfv.euler import (
+    InadmissibleStateError,
+    _flux_and_speeds,
+    entropy_gradient_inverse,
+    is_admissible,
+)
+from uqfv.fv import _cfl_steps, _hll_unchecked, _Workspace, cfl_time_step, extend_node_states
 from uqfv.ipm import dual_node_states
 from uqfv.riemann import _uncertain_state, solve_riemann
 
@@ -301,6 +308,14 @@ def extend_moments(field, axis=0):
     )
 
 
+def hll(ul, ur, gas, axis, work=None):
+    """``fv._hll_unchecked`` with the sides it takes from ``_flux_and_speeds``,
+    buffers in ``work`` (a fresh ``_Workspace`` without it) made for ``ul.shape``."""
+    sides = (_flux_and_speeds(ul, gas, axis), _flux_and_speeds(ur, gas, axis))
+    work = _Workspace() if work is None else work
+    return _hll_unchecked(ul, ur, gas, axis, sides=sides, work=work, room=ul.shape)
+
+
 def hll_expression(ul, ur, gamma, axis=0):
     """HLL flux with Davis bounds as plain numpy expressions, fresh arrays only.
 
@@ -337,7 +352,7 @@ def hll_expression(ul, ur, gamma, axis=0):
 def flux_difference(node_states, grid, gas, axis):
     """F(i+1/2) - F(i-1/2) along one axis from fresh arrays.
 
-    ``extend_node_states``, then ``_hll_unchecked`` on copies of the left
+    ``extend_node_states``, then ``hll`` on copies of the left
     and right interface states (so every cell's flux is computed twice,
     once per side), then ``np.diff``.
     """
@@ -345,7 +360,7 @@ def flux_difference(node_states, grid, gas, axis):
     n = ext.shape[axis]
     left = np.take(ext, np.arange(n - 1), axis=axis)
     right = np.take(ext, np.arange(1, n), axis=axis)
-    return np.diff(_hll_unchecked(left, right, gas, axis), axis=axis)
+    return np.diff(hll(left, right, gas, axis), axis=axis)
 
 
 def flux_divergence(node_states, grid, basis, gas):

@@ -11,7 +11,6 @@ from uqfv.euler import GasModel, InadmissibleStateError
 from uqfv.fv import (
     MomentField,
     _cfl_steps,
-    _hll_unchecked,
     cfl_time_step,
     deterministic_solve,
     extend_node_states,
@@ -42,7 +41,7 @@ def random_admissible(rng, n, ndim=1):
 def test_hll_consistency_random_states():
     rng = np.random.default_rng(2)
     u = random_admissible(rng, 100)
-    np.testing.assert_allclose(_hll_unchecked(u, u, GAS, 0), physical_flux(u, GAS), atol=1e-13)
+    np.testing.assert_allclose(oracles.hll(u, u, GAS, 0), physical_flux(u, GAS), atol=1e-13)
 
 
 def test_hll_mirror_symmetry():
@@ -50,8 +49,8 @@ def test_hll_mirror_symmetry():
     ul = random_admissible(rng, 50)
     ur = random_admissible(rng, 50)
     mirror = np.array([1.0, -1.0, 1.0])
-    f = _hll_unchecked(ul, ur, GAS, 0)
-    f_mirror = _hll_unchecked(ur * mirror, ul * mirror, GAS, 0)
+    f = oracles.hll(ul, ur, GAS, 0)
+    f_mirror = oracles.hll(ur * mirror, ul * mirror, GAS, 0)
     np.testing.assert_allclose(f, -(f_mirror * mirror), atol=1e-12)
 
 
@@ -62,7 +61,7 @@ def test_hll_sod_interface_selects_middle_state():
     c_r = max_wave_speed(SOD_R, GAS)
     s_l, s_r = min(-c_l, -c_r), max(c_l, c_r)
     assert s_l < 0.0 < s_r
-    flux = _hll_unchecked(SOD_L, SOD_R, GAS, 0)
+    flux = oracles.hll(SOD_L, SOD_R, GAS, 0)
     f_l, f_r = physical_flux(SOD_L, GAS), physical_flux(SOD_R, GAS)
     expected = (s_r * f_l - s_l * f_r + s_l * s_r * (SOD_R - SOD_L)) / (s_r - s_l)
     np.testing.assert_allclose(flux, expected, atol=1e-13)
@@ -74,7 +73,7 @@ def test_hll_matches_independent_oracle():
     ul = random_admissible(rng, 200)
     ur = random_admissible(rng, 200)
     np.testing.assert_allclose(
-        _hll_unchecked(ul, ur, GAS, 0), oracles.hll_1d(ul, ur, GAS.gamma), atol=1e-13
+        oracles.hll(ul, ur, GAS, 0), oracles.hll_1d(ul, ur, GAS.gamma), atol=1e-13
     )
 
 
@@ -196,6 +195,31 @@ def test_extend_node_states_matches_moment_extension():
 def test_periodic_must_pair():
     with pytest.raises(ValueError):
         grid_1d(4, 0.0, 1.0, bc=("periodic", "transmissive"))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [[1.0, 0.0, -1.0], [-1.0, 0.0, 2.5], [1.0, 0.0], [1.0, np.nan, 2.5], [1.0, 0.0, np.inf]],
+)
+def test_dirichlet_state_must_be_admissible_1d(state):
+    # p < 0, rho < 0, two entries, and non-finite entries used to pass; the
+    # first two failed a step later, blaming a grid cell, and the short one
+    # failed deep in the flux
+    message = r"^dirichlet state on the high x side must be 3 finite values with rho > 0 and p > 0"
+    with pytest.raises(ValueError, match=message):
+        grid_1d(20, 0, 1, bc=(("dirichlet", [1.0, 0.0, 2.5]), ("dirichlet", state)))
+
+
+def test_dirichlet_state_must_be_admissible_2d():
+    good = [1.0, 0.5, -0.5, 2.5]
+    grid = grid_2d(4, 3, bc_x=("dirichlet", good), bc_y=(("dirichlet", good), "transmissive"))
+    assert [kind for sides in grid.bcs for kind, _ in sides] == ["dirichlet"] * 3 + ["transmissive"]
+    # a 1D state on a 2D grid has no y-momentum
+    with pytest.raises(ValueError, match=r"^dirichlet state on the low y side must be 4 finite"):
+        grid_2d(4, 3, bc_y=(("dirichlet", SOD_L), "transmissive"))
+    # kinetic energy above the total energy: p < 0
+    with pytest.raises(ValueError, match=r"^dirichlet state on the high x side must be 4 finite"):
+        grid_2d(4, 3, bc_x=(("dirichlet", good), ("dirichlet", [1.0, 2.0, 2.0, 2.5])))
 
 
 def test_unknown_boundary_kind_rejected():
@@ -366,7 +390,7 @@ def test_hll_matches_the_expression_form_bit_for_bit(ndim):
     rng = np.random.default_rng(40 + ndim)
     ul, ur = random_admissible(rng, 4000, ndim), random_admissible(rng, 4000, ndim)
     for axis in range(ndim):
-        got = _hll_unchecked(ul, ur, GAS, axis)
+        got = oracles.hll(ul, ur, GAS, axis)
         np.testing.assert_array_equal(got, oracles.hll_expression(ul, ur, GAS.gamma, axis))
         fl = physical_flux(ul, GAS, axis)
         fr = physical_flux(ur, GAS, axis)
@@ -383,7 +407,7 @@ def test_hll_workspace_reused_across_shapes_and_components():
     work = fv._Workspace()
     for n, ndim in ((300, 1), (1200, 2), (50, 1)):
         ul, ur = random_admissible(rng, n, ndim), random_admissible(rng, n, ndim)
-        got = _hll_unchecked(ul, ur, GAS, ndim - 1, work=work)
+        got = oracles.hll(ul, ur, GAS, ndim - 1, work=work)
         np.testing.assert_array_equal(got, oracles.hll_expression(ul, ur, GAS.gamma, ndim - 1))
 
 

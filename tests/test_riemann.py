@@ -452,6 +452,18 @@ def test_collocation_sigma_zero_variance_vanishes():
     np.testing.assert_allclose(stats.variance, 0.0, atol=1e-13)
 
 
+def test_reference_generators_reject_zero_counts():
+    # these used to raise ZeroDivisionError and numpy's "deg must be a positive integer"
+    grid = grid_1d(10, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^subcells must be >= 1, got 0$"):
+        sod_reference_on_grid(SOD_L, SOD_R, GAS, grid, 0.1, subcells=0)
+    for n_nodes in (0, -1):
+        with pytest.raises(ValueError, match=rf"^n_nodes must be >= 1, got {n_nodes}$"):
+            sod_reference_on_grid(SOD_L, SOD_R, GAS, grid, 0.1, n_nodes=n_nodes)
+        with pytest.raises(ValueError, match=rf"^n_nodes must be >= 1, got {n_nodes}$"):
+            collocation_reference(uncertain_sod, grid, GAS, t_end=0.1, n_nodes=n_nodes)
+
+
 def test_collocation_self_convergence():
     grid = grid_1d(100, 0.0, 1.0)
 

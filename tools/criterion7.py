@@ -11,8 +11,12 @@ node states, after one short warm-up run of each shape in the same process.
 That first timed run of each shape is the cold one, as in the test; the
 process then times both shapes again, in the same order, for the warm one.
 One line per pair gives the cold times, both Newton counts and the cold and
-warm ratios ME-IPM / IPM; the last lines give the median and quartiles of
-the times and of both ratios. The acceptance bound on the ratio is 0.5.
+warm ratios ME-IPM / IPM, and a second line each shape's microseconds per
+Newton iteration (seconds / Newton count), cold and warm. A time ratio is
+then the work ratio (the Newton counts' ratio, the same in every run) times
+the ratio of the per-iteration costs. The last lines give the median and
+quartiles of the times, of both ratios and of the per-iteration costs. The
+acceptance bound on the ratio is 0.5.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHAPES = {"me_ipm": (3, 4), "ipm": (1, 14)}
 NX, T_END = 400, 0.14
+US_KEYS = [(phase, name) for name in SHAPES for phase in ("cold", "warm")]
 
 
 def _sod(x, xi):
@@ -81,17 +86,22 @@ def main(pairs: int) -> int:
         }
         (me, me_newton), (cl, cl_newton) = runs["cold", "me_ipm"], runs["cold", "ipm"]
         warm = runs["warm", "me_ipm"][0] / runs["warm", "ipm"][0]
-        rows.append((me, cl, me / cl, warm))
+        us = [1e6 * runs[key][0] / runs[key][1] for key in US_KEYS]
+        rows.append((me, cl, me / cl, warm, *us))
         print(
             f"pair {i:2d} ({order[0]} first): ME-IPM {me:.3f} s ({me_newton} Newton), "
-            f"IPM {cl:.3f} s ({cl_newton} Newton), ratio {me / cl:.3f}, warm {warm:.3f}",
+            f"IPM {cl:.3f} s ({cl_newton} Newton), ratio {me / cl:.3f}, warm {warm:.3f}\n"
+            f"         us per Newton iteration: ME-IPM {us[0]:.2f} cold, {us[1]:.2f} warm; "
+            f"IPM {us[2]:.2f} cold, {us[3]:.2f} warm; work ratio {me_newton / cl_newton:.3f}",
             flush=True,
         )
-    me, cl, ratio, warm = map(list, zip(*rows))
+    me, cl, ratio, warm, *us = map(list, zip(*rows))
     print(f"ME-IPM s:   {_quartiles(me)}")
     print(f"IPM s:      {_quartiles(cl)}")
     print(f"ratio:      {_quartiles(ratio)}, max {max(ratio):.3f}, bound 0.5")
     print(f"warm ratio: {_quartiles(warm)}, max {max(warm):.3f}")
+    for (phase, name), values in zip(US_KEYS, us):
+        print(f"{name} {phase} us per Newton iteration: {_quartiles(values)}")
     return 0
 
 
