@@ -110,25 +110,19 @@ def is_admissible(u, gas: GasModel) -> bool:
     return bool(np.all(admissible_mask(u, gas)))
 
 
-def _flux_and_speeds(u: np.ndarray, gas: GasModel, axis: int, out=None) -> tuple:
+def _flux_and_speeds(u: np.ndarray, e_int: np.ndarray, gas: GasModel, axis: int, out=None) -> tuple:
     """Directional flux, velocity along ``axis`` and sound speed, from one pressure.
 
+    ``e_int`` is ``_internal_energy(u)``, as the admissibility scan made it.
     ``out`` is (f, v, c), arrays shaped like ``u``, ``u[..., 0]`` and
     ``u[..., 0]`` to write the three into, or None for fresh ones. The
-    pressure passes through c and the |m|^2 terms through v, each operation
-    in the order ``_internal_energy`` and ``_sound_speed_in_place`` take.
+    pressure (gamma - 1) e_int goes into c, which may be ``e_int`` itself.
     """
     rho, m, en = _parts(u)
     if out is None:
         out = (np.empty_like(u), np.empty_like(rho), np.empty_like(rho))
     f, v, c = out
-    p = np.multiply(m[..., 0], m[..., 0], out=c)
-    for i in range(1, m.shape[-1]):
-        p += np.multiply(m[..., i], m[..., i], out=v)
-    p *= 0.5
-    p /= rho
-    np.subtract(en, p, out=p)
-    p *= gas.gamma - 1.0
+    p = np.multiply(e_int, gas.gamma - 1.0, out=c)
     np.divide(m[..., axis], rho, out=v)
     f[..., 0] = m[..., axis]
     np.multiply(m, v[..., None], out=f[..., 1:-1])

@@ -7,10 +7,10 @@ states are reconstructed at the quadrature nodes, the HLL flux is evaluated
 per node, and the flux differences are projected back onto the basis.
 ``integrate`` is the one time loop every solver hands its step to.
 
-The time loops' CFL scan, flux, projection and update run per axis on the
-window where neighbouring node states differ in their bits
-(``_flux_window``, ``moment_flux_divergence``), with the bits of the
-full-grid step; only ``cfl_time_step`` scans the full grid.
+The time loops' CFL scan, flux, projection and update, and ``run_sg``'s
+limiter, run per axis on the window where neighbouring node states differ in
+their bits (``_flux_window``, ``moment_flux_divergence``), with the bits of
+the full-grid step; only ``cfl_time_step`` scans the full grid.
 """
 
 from __future__ import annotations
@@ -340,10 +340,11 @@ def _flux_window(
     Every grid cell outside the window equals, bit for bit, a grid cell in
     it, in every line along the axis, so the window's grid cells (the
     first slab of cells when the window is empty) stand for the whole grid
-    in the scan: their admissibility is checked before the flux sees them,
-    and a failure runs ``cfl_time_step``'s full-grid scan for its located
-    error. The largest |v_axis| + c comes from the flux's own velocity and
-    sound speed, in the operation order of ``cfl_time_step``'s scan.
+    in the scan. The window's internal energy, ghost cells included, goes
+    into the sound-speed buffer once: the scan checks the grid cells' (a
+    failure runs ``cfl_time_step``'s for its located error), and the flux
+    takes its pressure from it. The largest |v_axis| + c comes from the
+    flux's own velocity and sound speed, in ``cfl_time_step``'s order.
 
     Returns (speed, lo, diff): that speed, reduced over the axes ``reduce``
     (all by default), and the differences of the grid cells lo, lo + 1, ...
@@ -371,10 +372,11 @@ def _flux_window(
     # the window's grid cells, without its ghost cells
     inner = max(1 - lo, 0), min(hi, n - 1) - lo
     v, c = (_take_range(a, axis, *inner) for a in out[1:])
-    if not np.all(_energy_and_mask(_take_range(u, axis, *inner), out=c)[1]):
+    e_int, ok = _energy_and_mask(u, out=out[2])
+    if not np.all(_take_range(ok, axis, *inner)):
         # the grid holds these states too: its scan raises at its first bad one
         cfl_time_step(states, grid, gas, 1.0)
-    per_cell = (u,) + _flux_and_speeds(u, gas, axis, out=out)
+    per_cell = (u,) + _flux_and_speeds(u, e_int, gas, axis, out=out)
     diff_shape = list(states.shape)
     diff_shape[axis] = 0
     diff = np.empty(diff_shape)
@@ -396,7 +398,7 @@ def _flux_window(
 
 
 def _window_sum(terms: list, starts: list) -> list:
-    """(cells, total) pieces of sum_axis terms, over the union of the windows.
+    """(cells, total) pieces of sum_axis terms, over the union of the windows, in x order.
 
     ``terms[a]`` holds axis a's term on the grid cells ``starts[a]``,
     ``starts[a] + 1``, ... along axis a; everywhere else it is +0.0. Each
@@ -417,7 +419,7 @@ def _window_sum(terms: list, starts: list) -> list:
     ty[:x0] += 0.0
     ty[x1:] += 0.0
     y = slice(y0, y1)
-    return [((slice(x0, x1),), tx), ((slice(0, x0), y), ty[:x0]), ((slice(x1, None), y), ty[x1:])]
+    return [((slice(0, x0), y), ty[:x0]), ((slice(x0, x1),), tx), ((slice(x1, None), y), ty[x1:])]
 
 
 def _window_update(coeffs, divergence: tuple, grid: StructuredGrid, cfl: float, dt_max: float):
@@ -426,7 +428,7 @@ def _window_update(coeffs, divergence: tuple, grid: StructuredGrid, cfl: float, 
     ``divergence`` is ``moment_flux_divergence``'s (speeds, pieces). The
     step is the CFL step of the speeds, at most ``dt_max``, and
     ``coeffs -= dt * divergence`` runs on the pieces alone, the only cells
-    it changes. Returns the step.
+    it changes (``run_sg`` limits those cells next). Returns the step.
     """
     speeds, pieces = divergence
     dt = min(_cfl_steps(speeds, grid, cfl), dt_max)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,6 +105,15 @@ class DualSolveStats:
     node_states: np.ndarray | None = None
 
 
+@lru_cache(maxsize=8)
+def _hessian_weights(basis: GpcBasis) -> np.ndarray:
+    """The (Q, (K+1)^2) table w_q phi_k(q) phi_j(q), made once per basis, on first use."""
+    phi, w = basis.phi, basis.rule.weights
+    table = np.einsum("kq,jq,q->qkj", phi, phi, w).reshape(w.size, -1)
+    table.setflags(write=False)  # every call shares it
+    return table
+
+
 def _newton_matrix(basis: GpcBasis, jac: np.ndarray) -> np.ndarray:
     """Newton matrices sum_q w_q phi_k(q) phi_j(q) jac_q[a, b] of a (P, Q, d, d) batch.
 
@@ -114,9 +124,8 @@ def _newton_matrix(basis: GpcBasis, jac: np.ndarray) -> np.ndarray:
     """
     _, q, d, _ = jac.shape
     k1 = basis.n_coeffs
-    w2 = np.einsum("kq,jq,q->qkj", basis.phi, basis.phi, basis.rule.weights).reshape(q, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = np.matmul(jac.reshape(-1, q, d * d).transpose(0, 2, 1), w2)
+        prod = np.matmul(jac.reshape(-1, q, d * d).transpose(0, 2, 1), _hessian_weights(basis))
     return prod.reshape(-1, d, d, k1, k1).transpose(0, 3, 1, 4, 2).reshape(-1, k1 * d, k1 * d)
 
 

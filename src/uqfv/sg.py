@@ -171,7 +171,9 @@ def apply_limiter(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damp higher moments of every (cell, element) toward the cell mean.
 
-    Returns the limited coefficients and the applied damping factors. The
+    ``coeffs`` may be a view of some cells of the field (``run_sg``'s
+    pieces); an error's index is the index in it. Returns the limited
+    coefficients and the applied damping factors. The
     zeroth moments are left untouched; afterwards the reconstruction is
     admissible at every quadrature node (verified, LimiterError otherwise).
     Only blocks with an inadmissible node are limited and checked again;
@@ -234,6 +236,11 @@ def run_sg(
     projection (``moment_flux_divergence``) and the update
     (``fv._window_update``) run on the flux windows alone, with the bits
     of the full-grid step.
+
+    The limiter works in place on the pieces the last update changed (a
+    slab in 1D, up to three rectangles in 2D; its errors name grid indices).
+    Other blocks hold the last limiter output, which it would leave as it
+    is. The first step and every filtered step limit the whole grid.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
@@ -241,9 +248,10 @@ def run_sg(
     work = _Workspace()
     # the node states of the coefficients each limiter call returns
     nodes = work.take("nodes", coeffs.shape[:-2] + (basis.n_nodes, coeffs.shape[-1]))
+    region = [(slice(None),)]  # the cells the next limiter call works on
 
     def step(stats: RunStats, dt_max: float) -> float:
-        nonlocal coeffs
+        nonlocal coeffs, region
         with _timed(stats, "filter_limiter_s"):
             if filter_config is not None:
                 dt_est = 0.0
@@ -253,9 +261,21 @@ def run_sg(
                     apply_limiter(coeffs, basis, gas, limiter_config, nodes=nodes)
                     dt_est = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
                 coeffs = apply_filter(coeffs, filter_config, dt_est)
-            coeffs, _ = apply_limiter(coeffs, basis, gas, limiter_config, nodes=nodes)
+                region = [(slice(None),)]
+            for cells in region:
+                try:
+                    coeffs[cells], _ = apply_limiter(
+                        coeffs[cells], basis, gas, limiter_config, nodes=nodes[cells]
+                    )
+                except (LimiterError, InadmissibleStateError) as exc:
+                    # the index in the piece, moved by the piece's start to the grid's
+                    starts = [s.start or 0 for s in cells] + [0] * len(exc.index)
+                    at = tuple(i + start for i, start in zip(exc.index, starts))
+                    exc.args, exc.index = (str(exc).replace(str(exc.index), str(at)),), at
+                    raise
         with _timed(stats, "flux_s"):
             divergence = moment_flux_divergence(nodes, grid, basis, gas, work=work)
+            region = [cells for cells, total in divergence[1] if total.size]
             return _window_update(coeffs, divergence, grid, cfl, dt_max)
 
     stats = integrate(step, t_end, max_steps)

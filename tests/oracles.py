@@ -32,6 +32,7 @@ import numpy as np
 from uqfv.euler import (
     InadmissibleStateError,
     _flux_and_speeds,
+    _internal_energy,
     entropy_gradient_inverse,
     is_admissible,
 )
@@ -311,7 +312,7 @@ def extend_moments(field, axis=0):
 def hll(ul, ur, gas, axis, work=None):
     """``fv._hll_unchecked`` with the sides it takes from ``_flux_and_speeds``,
     buffers in ``work`` (a fresh ``_Workspace`` without it) made for ``ul.shape``."""
-    sides = (_flux_and_speeds(ul, gas, axis), _flux_and_speeds(ur, gas, axis))
+    sides = tuple(_flux_and_speeds(u, _internal_energy(u), gas, axis) for u in (ul, ur))
     work = _Workspace() if work is None else work
     return _hll_unchecked(ul, ur, gas, axis, sides=sides, work=work, room=ul.shape)
 

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from uqfv.basis import GpcBasis, build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError, admissible_mask
-from uqfv.fv import MomentField, deterministic_solve, grid_1d, moment_flux_divergence
+from uqfv.fv import MomentField, deterministic_solve, grid_1d, grid_2d, moment_flux_divergence
 from uqfv.problems import project_initial_data
 from uqfv.sg import (
     FilterConfig,
@@ -419,21 +419,27 @@ def test_apply_limiter_properties(block):
 def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, degree, calls_per_step):
     # the probe limiter estimates dt for the filter exponent; only a
     # dt-scaled exponential filter above degree 0 reads it. The step uses
-    # the node states each limiter call reconstructs, so the whole field is
-    # reconstructed once per limiter call and never again
+    # the node states each limiter call reconstructs: a call reconstructs
+    # the cells it was given, then only its limited blocks, and nothing
+    # else reconstructs. The first step and every filtered step give the
+    # limiter the whole field; an unfiltered run gives it, after its first
+    # step, only the cells the last update changed
     import uqfv.sg as sg_mod
 
-    calls = []
-    reconstructions = []
+    calls, outside = [], []  # calls: (cells given, shapes reconstructed)
+    current = [outside]
     reconstruct = GpcBasis.reconstruct
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return apply_limiter(*args, **kwargs)
+    def counting(coeffs, *args, **kwargs):
+        calls.append((coeffs.shape, []))
+        current[0] = calls[-1][1]
+        try:
+            return apply_limiter(coeffs, *args, **kwargs)
+        finally:
+            current[0] = outside
 
     def counting_reconstruct(self, coeffs, out=None):
-        if coeffs.shape == field.coeffs.shape:
-            reconstructions.append(1)
+        current[0].append(coeffs.shape)
         return reconstruct(self, coeffs, out)
 
     monkeypatch.setattr(sg_mod, "apply_limiter", counting)
@@ -441,11 +447,20 @@ def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, degree, ca
     basis = build_basis(build_partition(-1, 1, 2), degree)
     grid = grid_1d(20, 0.0, 1.0)
     field = project_initial_data(sod_initial, grid, basis)
-    reconstructions.clear()
+    outside.clear()
     result = run_sg(field, GAS, t_end=0.1, filter_config=config)
     assert result.stats.steps > 3
     assert len(calls) == calls_per_step * result.stats.steps
-    assert len(reconstructions) == len(calls)
+    assert outside == []
+    for given, made in calls:
+        # (cells..., L, K+1, d) given, then (limited blocks, K+1, d)
+        assert made[0] == given and all(len(shape) == 3 for shape in made[1:])
+    full = field.coeffs.shape
+    given = [shape for shape, _ in calls]
+    if config is None:
+        assert given[0] == full and all(shape[0] < full[0] for shape in given[1:])
+    else:
+        assert set(given) == {full}
 
 
 def test_run_sg_repeats_bit_for_bit_in_one_process():
@@ -501,3 +516,70 @@ def test_apply_limiter_error_names_global_index(monkeypatch):
     with pytest.raises(LimiterError, match=message) as info:
         apply_limiter(coeffs, basis, GAS)
     assert info.value.index == index
+
+
+def _corrupt_after_update(monkeypatch, grid, index, value):
+    """Patch ``sg._window_update`` so that the second update ends by setting
+    coefficient (cell, ``*index``) to ``value``, where cell is the last cell
+    of the last piece the update changed. Returns the list that receives
+    (cell, the corrupted (K+1, d) block)."""
+    import uqfv.sg as sg_mod
+
+    update, done, hit = sg_mod._window_update, [], []
+
+    def corrupting(coeffs, divergence, *args):
+        done.append(update(coeffs, divergence, *args))
+        if len(done) == 2:
+            cells = [cells for cells, total in divergence[1] if total.size][-1]
+            # a piece that starts past 0 on each of its axes
+            assert all(s.start > 0 for s in cells)
+            cell = tuple(range(n)[s][-1] for s, n in zip(cells, grid.shape))
+            coeffs[cell + index] = value
+            hit.append((cell, coeffs[cell + index[:1]].copy()))
+        return done[-1]
+
+    monkeypatch.setattr(sg_mod, "_window_update", corrupting)
+    return hit
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("error", [InadmissibleStateError, LimiterError])
+def test_run_sg_limiter_error_names_the_grid_index(monkeypatch, ndim, error):
+    # after the second update one block inside the last piece is made
+    # inadmissible: its cell mean, or (with the damping factor forced to 0)
+    # one of its nodes. The next limiter call sees only the pieces, but the
+    # error names the block's index in the grid, not in its piece
+    import uqfv.sg as sg_mod
+
+    basis = build_basis(build_partition(-1, 1, 2), 2)
+    if ndim == 1:
+        grid = grid_1d(20, 0.0, 1.0)
+        field = project_initial_data(lambda x, xi: sod_initial(x, xi, sigma=0.0), grid, basis)
+    else:
+        # the y-pieces hold the columns on each side of the x-window
+        grid = grid_2d(10, 8)
+        left, right = np.array([1.0, 0.0, 0.0, 2.5]), np.array([0.125, 0.0, 0.0, 0.25])
+
+        def half_plane(x, y, xi):
+            x, y, _ = np.broadcast_arrays(x, y, xi)
+            return np.where(((x < 0.5) & (y < 0.5))[..., None], left, right)
+
+        field = project_initial_data(half_plane, grid, basis)
+    if error is InadmissibleStateError:
+        hit = _corrupt_after_update(monkeypatch, grid, (1, 0, 0), -1.0)
+    else:
+        monkeypatch.setattr(sg_mod, "_theta_raw", lambda nodes, means: np.zeros(len(nodes)))
+        hit = _corrupt_after_update(monkeypatch, grid, (1, 1, 0), 5.0)
+    with pytest.raises(error) as info:
+        run_sg(field, GAS, 1.0, max_steps=5)
+    ((cell, block),) = hit
+    if error is InadmissibleStateError:
+        index = cell + (1,)
+        message = f"inadmissible cell mean at (cells..., element) index {index}"
+    else:
+        # the re-check fails first at the block's first inadmissible node
+        node = int(np.argmin(admissible_mask(basis.reconstruct(block), GAS)))
+        index = cell + (1, node)
+        message = f"reconstruction still inadmissible after limiting at index {index}"
+    assert info.value.index == index
+    assert str(info.value) == f"step 2: {message}"
