@@ -428,7 +428,8 @@ def _window_update(coeffs, divergence: tuple, grid: StructuredGrid, cfl: float, 
     ``divergence`` is ``moment_flux_divergence``'s (speeds, pieces). The
     step is the CFL step of the speeds, at most ``dt_max``, and
     ``coeffs -= dt * divergence`` runs on the pieces alone, the only cells
-    it changes (``run_sg`` limits those cells next). Returns the step.
+    it changes (``run_sg`` limits those cells next, ``run_ipm`` re-solves
+    their duals). Returns the step.
     """
     speeds, pieces = divergence
     dt = min(_cfl_steps(speeds, grid, cfl), dt_max)
@@ -436,6 +437,19 @@ def _window_update(coeffs, divergence: tuple, grid: StructuredGrid, cfl: float, 
         total *= dt
         coeffs[cells] -= total
     return dt
+
+
+@contextmanager
+def _grid_index(cells: tuple, errors):
+    """Move the index of a located ``errors`` raised on the piece ``cells`` of a
+    grid to the grid's, in ``.index`` and in the message: adds the slice starts."""
+    try:
+        yield
+    except errors as exc:
+        starts = [s.start or 0 for s in cells] + [0] * len(exc.index)
+        at = tuple(i + start for i, start in zip(exc.index, starts))
+        exc.args, exc.index = (str(exc).replace(str(exc.index), str(at)),), at
+        raise
 
 
 def _take_range(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:

@@ -9,8 +9,11 @@ the new moments.
 
 The dual problems over all (cell, element) pairs are independent; they are
 solved as batched Newton iterations (with per-problem backtracking line
-search) over equal chunks whose bounds depend on the problem count only, so
-results are bit-identical under any solve order and worker count.
+search) over round-robin batches of at most ``_CHUNK`` problems. A
+problem's result does not depend on its batch, so results are bit-identical
+under any solve order and worker count. After the first step only the cells
+the last update changed are solved again: elsewhere the moments, duals and
+states keep their bits, and the last solve left them within tol.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .fv import (  # the benchmark's trace wraps cfl_time_step here, though no s
     RunResult,
     RunStats,
     _check_flux,
+    _grid_index,
     _timed,
     _window_update,
     cfl_time_step,  # noqa: F401
@@ -53,9 +57,8 @@ __all__ = [
     "run_ipm",
 ]
 
-# most problems per batched-solve chunk; chunks depend on the problem count
-# only, so results do not depend on threads
-_CHUNK = 2048
+# most problems per batch: it bounds the Newton temporaries each worker holds
+_CHUNK = 1024
 
 
 class DualSolveError(SolverError, RuntimeError):
@@ -130,28 +133,31 @@ def _newton_matrix(basis: GpcBasis, jac: np.ndarray) -> np.ndarray:
 
 
 def _solve_batch(
-    lam, moments, states, basis: GpcBasis, gas: GasModel, cfg: NewtonConfig, shape, offset=0
+    lam, moments, states, rows, basis: GpcBasis, gas: GasModel, cfg: NewtonConfig, shape
 ):
-    """Newton with line search on a (P, K+1, d) batch; modifies lam and states in place.
+    """Newton with line search on the problems ``rows`` of the flat (P, K+1, d)
+    arrays; modifies lam and states in place.
 
     ``states`` holds the node states of lam, which is in the dual range at
-    every node. They set the starting residuals; only the problems above tol
-    are evaluated, and every trial goes through ``evaluate``, one map
-    evaluation each. The problems still iterating keep the duals, moments,
-    node states, Jacobian, objective and residual of their iterate in
-    compact arrays, so an accepted trial is never evaluated again. One that
-    converges writes its duals, states and residual back; the rest move up
-    in place, in the arrays the first evaluation made, not into new ones.
-    Returns the iterations and residual max-norms per problem.
+    every node. They set the starting residuals of the rows; only the
+    problems above tol are gathered and evaluated, and every trial goes
+    through ``evaluate``, one map evaluation each. The problems still
+    iterating keep the duals, moments, node states, Jacobian, objective and
+    residual of their iterate in compact arrays, so an accepted trial is
+    never evaluated again. One that converges writes its duals, states and
+    residual back to its row; the rest move up in place, in the arrays the
+    first evaluation made, not into new ones. Errors name the row's index
+    in ``shape``.
+    Returns the iterations and residual max-norms of the rows.
     """
-    iters = np.zeros(len(lam), dtype=np.int64)
+    iters = np.zeros(len(rows), dtype=np.int64)
 
     def require(ok, message):
         """Raise DualSolveError at the first active problem where ``ok`` is False;
         its (cells..., element) index fills the message's {index} and is ``index``."""
         if not np.all(ok):
             i = np.argmin(ok)
-            index = tuple(map(int, np.unravel_index(active[i] + offset, shape)))
+            index = tuple(map(int, np.unravel_index(rows[active[i]], shape)))
             error = DualSolveError(message.format(index=index, residual=rn[i]))
             error.index = index
             raise error from None
@@ -172,9 +178,9 @@ def _solve_batch(
             obj = sstar @ basis.rule.weights - np.einsum("pkd,pkd->p", duals, mom)
         return (u, jac, np.where(np.isfinite(obj), obj, np.inf), *residual(u, mom))
 
-    resid = residual(states, moments)[1]
+    resid = residual(states[rows], moments[rows])[1]
     active = np.flatnonzero(resid > cfg.tol)
-    x, mom = lam[active], moments[active]
+    x, mom = lam[rows[active]], moments[rows[active]]
     u, jac, obj, res, rn = evaluate(x, basis.reconstruct(x), mom)
 
     while active.size:
@@ -222,7 +228,7 @@ def _solve_batch(
         iters[active] += 1
         keep = rn > cfg.tol
         done, active = active[~keep], active[keep]
-        lam[done], states[done], resid[done] = x[~keep], u[~keep], rn[~keep]
+        lam[rows[done]], states[rows[done]], resid[done] = x[~keep], u[~keep], rn[~keep]
         for a in (x, mom, u, jac, obj, res, rn):
             a[: active.size] = a[keep]
         x, mom, u, jac, obj, res, rn = (a[: active.size] for a in (x, mom, u, jac, obj, res, rn))
@@ -242,11 +248,12 @@ def solve_duals(
     """Dual coefficients matching the given moments, per (cell, element).
 
     ``moments`` and ``warm_start`` share the layout (cells..., element,
-    K+1, component); every problem is solved independently. The P problems
-    are split into ceil(P / _CHUNK) chunks of equal size (within one); the
-    chunks depend on P only, and min(chunks, ``threads`` or the usable CPUs)
-    workers share them out, so results do not depend on the worker count.
-    An empty batch returns empty duals.
+    K+1, component); every problem is solved independently. W = min(
+    ``threads`` or the usable CPUs, ceil(P / _CHUNK)) workers share out
+    W ceil(P / (W _CHUNK)) batches of the P problems, and problem i goes to
+    batch i mod that count, so a heavy side of the grid is spread over all
+    batches. A problem's result does not depend on its batch, so results do
+    not depend on the worker count. An empty batch returns empty duals.
 
     Every solve starts from the node states of its start duals: from
     ``warm_states``, which must be the states of ``warm_start``, or else from
@@ -278,26 +285,22 @@ def solve_duals(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             warm_states = dual_node_states(lam.reshape(moments.shape), basis, gas)
     states = np.array(warm_states, dtype=float).reshape(n_prob, basis.n_nodes, d)
-    n_chunks = -(-n_prob // _CHUNK)
-    chunks = [
-        slice(i * n_prob // n_chunks, (i + 1) * n_prob // n_chunks)
-        for i in range(n_chunks)
-    ]
+    workers = min(_usable_cpus() if threads is None else threads, -(-n_prob // _CHUNK))
+    workers = max(workers, 1)
+    n_batches = workers * -(-n_prob // (workers * _CHUNK))
     iters = np.zeros(n_prob, dtype=np.int64)
     res = np.zeros(n_prob)
 
-    def work(sl):
-        iters[sl], res[sl] = _solve_batch(
-            lam[sl], mom[sl], states[sl], basis, gas, config, shape, sl.start
-        )
+    def work(batch):
+        rows = np.arange(batch, n_prob, n_batches)
+        iters[rows], res[rows] = _solve_batch(lam, mom, states, rows, basis, gas, config, shape)
 
-    workers = min(len(chunks), _usable_cpus() if threads is None else threads)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, chunks))
+            list(pool.map(work, range(n_batches)))
     else:
-        for sl in chunks:
-            work(sl)
+        for batch in range(n_batches):
+            work(batch)
     stats = DualSolveStats(
         iterations=int(iters.sum()),
         max_residual=float(res.max(initial=0.0)),
@@ -350,34 +353,41 @@ def run_ipm(
     scan, the flux and the projection (``moment_flux_divergence``) and the
     update (``fv._window_update``) run on the flux windows alone, with the
     bits of the full-grid step; the step's workspace is freed before the
-    dual solve.
+    dual solves.
+
+    Step 0 solves the whole grid; every later step solves once per piece
+    the update changed (a slab in 1D, up to three rectangles in 2D; its
+    errors name grid indices) and writes the duals and states back. Other
+    cells keep the bits of their moments, duals and states, so the
+    residual there is the last solve's, at most tol, and a full-grid solve
+    would not iterate them.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
     mom = initial.coeffs.copy()
     lam = nodes = None
 
-    def solve(stats: RunStats, warm: np.ndarray, warm_states=None) -> tuple:
-        with _timed(stats, "dual_solve_s"):
+    def solve(stats: RunStats, cells: tuple, warm: np.ndarray, warm_states=None) -> tuple:
+        with _timed(stats, "dual_solve_s"), _grid_index(cells, DualSolveError):
             duals, dstats = solve_duals(
-                mom, warm, basis, gas, newton, threads, warm_states=warm_states
+                mom[cells], warm, basis, gas, newton, threads, warm_states=warm_states
             )
         stats.newton_iterations += dstats.iterations
         stats.newton_max_residual = max(stats.newton_max_residual, dstats.max_residual)
         return duals, dstats.node_states
 
     def step(stats: RunStats, dt_max: float) -> float:
-        nonlocal mom, lam, nodes
+        nonlocal lam, nodes
         if lam is None:
-            lam, nodes = solve(
-                stats, np.zeros_like(mom) if initial_duals is None else initial_duals
-            )
+            warm = np.zeros_like(mom) if initial_duals is None else initial_duals
+            lam, nodes = solve(stats, (slice(None),), warm)
         with _timed(stats, "flux_s"):
-            # no name holds the divergence, so its workspace is freed before the solve
-            dt = _window_update(
-                mom, moment_flux_divergence(nodes, grid, basis, gas), grid, cfl, dt_max
-            )
-        lam, nodes = solve(stats, lam, nodes)
+            divergence = moment_flux_divergence(nodes, grid, basis, gas)
+            region = [cells for cells, total in divergence[1] if total.size]
+            dt = _window_update(mom, divergence, grid, cfl, dt_max)
+            del divergence  # its workspace is freed before the solves
+        for cells in region:
+            lam[cells], nodes[cells] = solve(stats, cells, lam[cells], nodes[cells])
         return dt
 
     stats = integrate(step, t_end, max_steps)

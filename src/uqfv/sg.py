@@ -21,6 +21,7 @@ from .fv import (  # the benchmark's trace wraps cfl_time_step and moment_flux_d
     RunResult,
     RunStats,
     _check_flux,
+    _grid_index,
     _timed,
     _window_update,
     _Workspace,
@@ -177,7 +178,8 @@ def apply_limiter(
     zeroth moments are left untouched; afterwards the reconstruction is
     admissible at every quadrature node (verified, LimiterError otherwise).
     Only blocks with an inadmissible node are limited and checked again;
-    every other block keeps theta 0 and its coefficients bit for bit.
+    every other block keeps theta 0 and its coefficients bit for bit. With
+    no block limited the result is ``coeffs`` itself, else a new array.
     ``nodes``, if given, is an array shaped like ``basis.reconstruct(coeffs)``
     that receives the node states of the returned coefficients: the
     limiter's own reconstruction, with the limited blocks' re-check in
@@ -200,7 +202,7 @@ def apply_limiter(
     bad = ~np.all(admissible_mask(nodes, gas), axis=-1)
     theta = np.zeros(cells_shape)
     if not np.any(bad):
-        return coeffs.copy(), theta
+        return coeffs, theta
     raw = _theta_raw(nodes[bad], means[bad])
     theta[bad] = np.where(raw > 0.0, np.minimum(raw + config.epsilon, 1.0), 0.0)
     limited = coeffs.copy()
@@ -237,10 +239,11 @@ def run_sg(
     (``fv._window_update``) run on the flux windows alone, with the bits
     of the full-grid step.
 
-    The limiter works in place on the pieces the last update changed (a
-    slab in 1D, up to three rectangles in 2D; its errors name grid indices).
-    Other blocks hold the last limiter output, which it would leave as it
-    is. The first step and every filtered step limit the whole grid.
+    The limiter works on the pieces the last update changed (a slab in 1D,
+    up to three rectangles in 2D; its errors name grid indices), and only a
+    piece with a limited block is written back. Other blocks hold the last
+    limiter output, which it would leave as it is. The first step and every
+    filtered step limit the whole grid.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
@@ -263,16 +266,13 @@ def run_sg(
                 coeffs = apply_filter(coeffs, filter_config, dt_est)
                 region = [(slice(None),)]
             for cells in region:
-                try:
-                    coeffs[cells], _ = apply_limiter(
-                        coeffs[cells], basis, gas, limiter_config, nodes=nodes[cells]
+                piece = coeffs[cells]
+                with _grid_index(cells, (LimiterError, InadmissibleStateError)):
+                    limited, _ = apply_limiter(
+                        piece, basis, gas, limiter_config, nodes=nodes[cells]
                     )
-                except (LimiterError, InadmissibleStateError) as exc:
-                    # the index in the piece, moved by the piece's start to the grid's
-                    starts = [s.start or 0 for s in cells] + [0] * len(exc.index)
-                    at = tuple(i + start for i, start in zip(exc.index, starts))
-                    exc.args, exc.index = (str(exc).replace(str(exc.index), str(at)),), at
-                    raise
+                if limited is not piece:
+                    coeffs[cells] = limited
         with _timed(stats, "flux_s"):
             divergence = moment_flux_divergence(nodes, grid, basis, gas, work=work)
             region = [cells for cells, total in divergence[1] if total.size]

@@ -22,9 +22,14 @@ loops' steps: the full-grid CFL scan (``cfl_time_step``, or the rows' maxima
 of ``max_wave_speed``), and the update of every cell from
 ``flux_divergence`` or ``flux_difference``, which the windowed steps of
 ``run_sg``, ``run_ipm`` and ``deterministic_solve`` must match.
+``full_grid_ipm_step`` adds a dual solve of the whole grid to
+``full_grid_step``, which ``run_ipm``'s solves of the changed pieces must
+match.
 ``zero_filled`` spreads a windowed result, such as the (cells, values)
 pieces of ``moment_flux_divergence``, over every cell, so it can be
-compared with them.
+compared with them. ``assert_same_bits`` compares arrays bit for bit, and
+``corrupt_after_update`` plants a bad block inside a piece of an update,
+for the located errors of the solvers that work on pieces.
 """
 
 import numpy as np
@@ -37,7 +42,7 @@ from uqfv.euler import (
     is_admissible,
 )
 from uqfv.fv import _cfl_steps, _hll_unchecked, _Workspace, cfl_time_step, extend_node_states
-from uqfv.ipm import dual_node_states
+from uqfv.ipm import dual_node_states, solve_duals
 from uqfv.riemann import _uncertain_state, solve_riemann
 
 
@@ -382,6 +387,19 @@ def full_grid_step(coeffs, node_states, grid, basis, gas, cfl, dt_max):
     return dt, coeffs - dt * flux_divergence(node_states, grid, basis, gas)
 
 
+def full_grid_ipm_step(state, grid, basis, gas, cfl, dt_max, threads=None):
+    """(dt, next state, solve stats): an IPM step whose dual solve takes every cell.
+
+    ``state`` is (moments, duals, their node states); ``full_grid_step``
+    moves the moments, then ``solve_duals`` re-solves the whole grid from
+    the duals and states, and the next state holds its duals and states.
+    """
+    moments, lam, nodes = state
+    dt, moments = full_grid_step(moments, nodes, grid, basis, gas, cfl, dt_max)
+    lam, stats = solve_duals(moments, lam, basis, gas, threads=threads, warm_states=nodes)
+    return dt, (moments, lam, stats.node_states), stats
+
+
 def full_grid_row_step(u, grid, gas, cfl, dt_max):
     """(dt, u - sum_axis (dt / h) diff): a step of rows (cells..., rows, d) on every cell.
 
@@ -395,6 +413,36 @@ def full_grid_row_step(u, grid, gas, cfl, dt_max):
         term = (dt / h)[:, None] * flux_difference(u, grid, gas, axis)
         update = term if update is None else update + term
     return dt, u - update
+
+
+def assert_same_bits(got, expected):
+    """Equal bit for bit: unlike ==, this tells -0.0 from +0.0."""
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
+    )
+
+
+def corrupt_after_update(monkeypatch, module, grid, index, value):
+    """Patch ``module._window_update`` so that the second update ends by setting
+    coefficient (cell, ``*index``) to ``value``, where cell is the last cell
+    of the last piece the update changed. Returns the list that receives
+    (cell, the corrupted (K+1, d) block)."""
+    update, done, hit = module._window_update, [], []
+
+    def corrupting(coeffs, divergence, *args):
+        done.append(update(coeffs, divergence, *args))
+        if len(done) == 2:
+            cells = [cells for cells, total in divergence[1] if total.size][-1]
+            # a piece that starts past 0 on each of its axes
+            assert all(s.start > 0 for s in cells)
+            cell = tuple(range(n)[s][-1] for s, n in zip(cells, grid.shape))
+            coeffs[cell + index] = value
+            hit.append((cell, coeffs[cell + index[:1]].copy()))
+        return done[-1]
+
+    monkeypatch.setattr(module, "_window_update", corrupting)
+    return hit
 
 
 def zero_filled(shape, pieces):

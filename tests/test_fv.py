@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import max_wave_speed, physical_flux
+from oracles import assert_same_bits, max_wave_speed, physical_flux
 from uqfv import fv, ipm, riemann, sg
 from uqfv.basis import build_basis, build_partition
 from uqfv.euler import GasModel, InadmissibleStateError
@@ -493,14 +493,6 @@ def test_deterministic_solve_batch_matches_the_composed_oracle(ndim):
     np.testing.assert_array_equal(got, _oracle_deterministic_solve(states, grid, 0.1))
 
 
-def assert_same_bits(got, expected):
-    """Equal bit for bit: unlike ==, this tells -0.0 from +0.0."""
-    assert got.shape == expected.shape
-    np.testing.assert_array_equal(
-        np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
-    )
-
-
 # name: (grid shape, boundary condition, the cells that hold random states,
 # with slice(None) along an axis the states do not vary on, and the number
 # of interfaces the flux window holds per axis, 0 where it is empty). A
@@ -780,10 +772,7 @@ def test_run_ipm_window_step_keeps_every_bit(name, monkeypatch):
     got = ipm.run_ipm(field, GAS, 1.0, initial_duals=duals, max_steps=3).field.coeffs
 
     def step(state, dt_max):
-        moments, lam, nodes = state
-        dt, moments = oracles.full_grid_step(moments, nodes, grid, basis, GAS, 0.9, dt_max)
-        lam, stats = solve_duals(moments, lam, basis, GAS, warm_states=nodes)
-        return dt, (moments, lam, stats.node_states)
+        return oracles.full_grid_ipm_step(state, grid, basis, GAS, 0.9, dt_max)[:2]
 
     lam, stats = solve_duals(moments, duals, basis, GAS)
     expected_dts, (expected, _, _) = _oracle_steps(step, (moments, lam, stats.node_states), 1.0, 3)

@@ -1,3 +1,4 @@
+import math
 import re
 from unittest import mock
 
@@ -159,10 +160,10 @@ def test_solve_duals_decoupling_permutation_invariant():
 
 
 def test_solve_duals_thread_count_invariant(monkeypatch):
-    # 32 problems in equal chunks; duals and per-problem stats are the same
-    # for any chunk size and thread count
-    import uqfv.ipm as ipm_mod
-
+    # 32 problems in round-robin batches: W = min(threads, ceil(32 / chunk))
+    # workers share W ceil(32 / (W chunk)) batches, and problem i goes to
+    # batch i mod that count. Duals and per-problem stats are the same for
+    # any chunk size and thread count
     basis = build_basis(build_partition(-1, 1, 2), 3)
     grid = grid_1d(16, 0.0, 1.0)
     field = project_initial_data(sod_initial, grid, basis)
@@ -172,19 +173,19 @@ def test_solve_duals_thread_count_invariant(monkeypatch):
     batches = []
     solve_batch = ipm_mod._solve_batch
 
-    def recording(lam, *args):
-        batches.append((args[-1], lam.shape[0]))  # (offset, size)
-        return solve_batch(lam, *args)
+    def recording(lam, moments, states, rows, *args):
+        batches.append(rows.tolist())
+        return solve_batch(lam, moments, states, rows, *args)
 
     monkeypatch.setattr(ipm_mod, "_solve_batch", recording)
     monkeypatch.setattr(ipm_mod, "_CHUNK", 32)
     ref, ref_stats = solve_duals(field.coeffs, warm, basis, GAS)
-    assert batches == [(0, 32)]
-    monkeypatch.setattr(ipm_mod, "_CHUNK", 10)
-    for threads in (1, 2, 4):
+    assert batches == [list(range(32))]
+    for chunk, threads, n_batches in [(10, 1, 4), (10, 2, 4), (10, 4, 4), (6, 1, 6), (6, 4, 8)]:
+        monkeypatch.setattr(ipm_mod, "_CHUNK", chunk)
         batches.clear()
         duals, stats = solve_duals(field.coeffs, warm, basis, GAS, threads=threads)
-        assert sorted(batches) == [(0, 8), (8, 8), (16, 8), (24, 8)]
+        assert sorted(batches) == [list(range(b, 32, n_batches)) for b in range(n_batches)]
         np.testing.assert_array_equal(duals, ref)
         np.testing.assert_array_equal(
             stats.per_problem_iterations, ref_stats.per_problem_iterations
@@ -624,30 +625,127 @@ def test_solve_duals_cold_start_equals_warm_states(monkeypatch, ndim, threads):
 )
 def test_run_ipm_flux_sees_the_states_of_its_duals(monkeypatch, ndim, threads):
     # each solve hands its node states to the flux and to the next solve;
-    # at every step they equal the states its duals map to, bit for bit, and
-    # dual_node_states finds every node of every accepted iterate in range
+    # at every step the flux's states equal the states that the run's duals
+    # map to, bit for bit, and dual_node_states finds every node of every
+    # accepted iterate in range. The run's duals are assembled here: the
+    # first solve's, then each re-solve's written over the piece it took
     field, duals0 = sod_batch(monkeypatch, ndim)
     basis = field.basis
     solve, flux = ipm_mod.solve_duals, ipm_mod.moment_flux_divergence
-    duals, checked = [], []
+    duals, pieces, checked = [], [], []
 
     def recording_solve(*args, **kwargs):
         lam, stats = solve(*args, **kwargs)
-        duals.append(lam)
+        if duals:
+            duals[0][pieces.pop(0)] = lam
+        else:
+            duals.append(lam.copy())
         return lam, stats
 
     def checking_flux(nodes, *args, **kwargs):
-        assert np.array_equal(nodes, dual_node_states(duals[-1], basis, GAS))
-        checked.append(len(duals))
-        return flux(nodes, *args, **kwargs)
+        assert not pieces
+        assert np.array_equal(nodes, dual_node_states(duals[0], basis, GAS))
+        result = flux(nodes, *args, **kwargs)
+        pieces.extend(cells for cells, total in result[1] if total.size)
+        checked.append(len(pieces))
+        return result
 
     monkeypatch.setattr(ipm_mod, "solve_duals", recording_solve)
     monkeypatch.setattr(ipm_mod, "moment_flux_divergence", checking_flux)
     result = run_ipm(field, GAS, 1.0, initial_duals=duals0, threads=threads, max_steps=10)
     assert result.stats.newton_iterations > 0
-    # step n's flux takes the states of solve n: the first solve, then the
-    # re-solve that ended step n - 1
-    assert checked == list(range(1, result.stats.steps + 1))
+    # one flux per step, each followed by one solve per piece of its update
+    assert not pieces and len(checked) == result.stats.steps
+    assert all(checked)
+
+
+def piece_case(name):
+    """Initial data, grid and basis: Sod in 1D, a 2D x-interface constant in
+    y, or the riemann_2d Sod states across the uncertain half-plane x < 0.5,
+    y < 0.5 + 0.05 xi, whose updates change y-pieces beside the x-window."""
+    from uqfv.fv import grid_2d
+
+    if name == "sod_1d":
+        return sod_initial, grid_1d(30, 0.0, 1.0), build_basis(build_partition(-1, 1, 3), 3)
+    left, right = np.array([1.0, 0.0, 0.0, 2.5]), np.array([0.125, 0.0, 0.0, 0.25])
+
+    def initial(x, y, xi):
+        x, y, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in (x, y, xi)))
+        if name == "constant_in_y":
+            return np.where((x < 0.5 + 0.05 * xi)[..., None], left, right)
+        return np.where(((x < 0.5) & (y < 0.5 + 0.05 * xi))[..., None], left, right)
+
+    shape = (12, 4) if name == "constant_in_y" else (10, 10)
+    return initial, grid_2d(*shape), build_basis(build_partition(-1, 1, 2), 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["sod_1d", "constant_in_y", "half_plane"])
+def test_run_ipm_piece_solves_keep_every_bit(monkeypatch, name, threads):
+    # after step 0 run_ipm solves only the pieces its update changed, in
+    # batches of at most 8 problems; each step's dt, the states its flux
+    # takes, its Newton iterations and largest residual, and the final
+    # moments equal those of steps that solve the whole grid, bit for bit
+    monkeypatch.setattr(ipm_mod, "_CHUNK", 8)
+    initial, grid, basis = piece_case(name)
+    field = project_initial_data(initial, grid, basis)
+    duals0 = initial_duals_from_states(initial_node_states(initial, grid, basis), basis, GAS)
+    flux, integrate = ipm_mod.moment_flux_divergence, ipm_mod.integrate
+    seen, steps, pieces = [], [], []
+
+    def recording_flux(nodes, *args, **kwargs):
+        seen.append(nodes.copy())
+        result = flux(nodes, *args, **kwargs)
+        pieces.append([total.shape[:grid.ndim] for _, total in result[1] if total.size])
+        return result
+
+    def recording_integrate(step, *args):
+        def recorded(stats, dt_max):
+            dt = step(stats, dt_max)
+            steps.append((dt, stats.newton_iterations, stats.newton_max_residual))
+            return dt
+
+        return integrate(recorded, *args)
+
+    monkeypatch.setattr(ipm_mod, "moment_flux_divergence", recording_flux)
+    monkeypatch.setattr(ipm_mod, "integrate", recording_integrate)
+    got = run_ipm(field, GAS, 1.0, initial_duals=duals0, threads=threads, max_steps=8)
+
+    lam, stats = solve_duals(field.coeffs, duals0, basis, GAS, threads=threads)
+    state, iterations, residual = (field.coeffs, lam, stats.node_states), 0, 0.0
+    for (dt, newton, max_residual), nodes in zip(steps, seen):
+        iterations += stats.iterations
+        residual = max(residual, stats.max_residual)
+        oracles.assert_same_bits(nodes, state[2])
+        expected_dt, state, stats = oracles.full_grid_ipm_step(
+            state, grid, basis, GAS, 0.9, 1.0, threads
+        )
+        assert (dt, newton, max_residual) == (
+            expected_dt, iterations + stats.iterations, max(residual, stats.max_residual)
+        )
+    assert len(steps) == got.stats.steps == 8
+    oracles.assert_same_bits(got.field.coeffs, state[0])
+    # step 1 solves fewer problems than the grid holds; only the half-plane
+    # solves y-pieces (2D pieces narrower than the grid in y)
+    assert sum(map(math.prod, pieces[0])) < math.prod(grid.shape)
+    y_pieces = sum(len(shape) == 2 and shape[1] < grid.shape[1] for p in pieces for shape in p)
+    assert (y_pieces > 0) == (name == "half_plane")
+
+
+@pytest.mark.parametrize("name", ["sod_1d", "half_plane"])
+def test_run_ipm_piece_solve_error_names_the_grid_index(monkeypatch, name):
+    # the second update, made in step 1, ends by giving one block inside its
+    # last piece a NaN density mean. The solves that follow in step 1 take
+    # only the pieces, but the error names the block's index in the grid
+    initial, grid, basis = piece_case(name)
+    field = project_initial_data(initial, grid, basis)
+    hit = oracles.corrupt_after_update(monkeypatch, ipm_mod, grid, (1, 0, 0), np.nan)
+    with pytest.raises(DualSolveError) as info:
+        run_ipm(field, GAS, 1.0, threads=2, max_steps=5)
+    ((cell, _),) = hit
+    index = cell + (1,)
+    assert info.value.index == index
+    assert str(info.value) == f"step 1: non-finite Newton direction at (cells..., element) {index}"
 
 
 @pytest.mark.parametrize("n_elements, degree", [(1, 14), (3, 4)])

@@ -98,7 +98,8 @@ def test_apply_limiter_identity_when_inactive():
     coeffs[..., 0, :] = SOD_L
     coeffs[..., 1, :] = 0.01
     limited, theta = apply_limiter(coeffs, basis, GAS)
-    np.testing.assert_array_equal(limited, coeffs)
+    # with no block limited the input itself comes back, not a copy
+    assert limited is coeffs
     np.testing.assert_array_equal(theta, 0.0)
 
 
@@ -114,8 +115,12 @@ def _violating_field():
 
 def test_apply_limiter_preserves_means_bitwise():
     basis, _, coeffs = _violating_field()
+    before = coeffs.copy()
     limited, theta = apply_limiter(coeffs, basis, GAS)
     assert np.any(theta > 0.0)
+    # a limited result is a new array; the input keeps its values
+    assert limited is not coeffs
+    np.testing.assert_array_equal(coeffs, before)
     np.testing.assert_array_equal(limited[..., 0, :], coeffs[..., 0, :])
 
 
@@ -518,30 +523,6 @@ def test_apply_limiter_error_names_global_index(monkeypatch):
     assert info.value.index == index
 
 
-def _corrupt_after_update(monkeypatch, grid, index, value):
-    """Patch ``sg._window_update`` so that the second update ends by setting
-    coefficient (cell, ``*index``) to ``value``, where cell is the last cell
-    of the last piece the update changed. Returns the list that receives
-    (cell, the corrupted (K+1, d) block)."""
-    import uqfv.sg as sg_mod
-
-    update, done, hit = sg_mod._window_update, [], []
-
-    def corrupting(coeffs, divergence, *args):
-        done.append(update(coeffs, divergence, *args))
-        if len(done) == 2:
-            cells = [cells for cells, total in divergence[1] if total.size][-1]
-            # a piece that starts past 0 on each of its axes
-            assert all(s.start > 0 for s in cells)
-            cell = tuple(range(n)[s][-1] for s, n in zip(cells, grid.shape))
-            coeffs[cell + index] = value
-            hit.append((cell, coeffs[cell + index[:1]].copy()))
-        return done[-1]
-
-    monkeypatch.setattr(sg_mod, "_window_update", corrupting)
-    return hit
-
-
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("error", [InadmissibleStateError, LimiterError])
 def test_run_sg_limiter_error_names_the_grid_index(monkeypatch, ndim, error):
@@ -566,10 +547,10 @@ def test_run_sg_limiter_error_names_the_grid_index(monkeypatch, ndim, error):
 
         field = project_initial_data(half_plane, grid, basis)
     if error is InadmissibleStateError:
-        hit = _corrupt_after_update(monkeypatch, grid, (1, 0, 0), -1.0)
+        hit = oracles.corrupt_after_update(monkeypatch, sg_mod, grid, (1, 0, 0), -1.0)
     else:
         monkeypatch.setattr(sg_mod, "_theta_raw", lambda nodes, means: np.zeros(len(nodes)))
-        hit = _corrupt_after_update(monkeypatch, grid, (1, 1, 0), 5.0)
+        hit = oracles.corrupt_after_update(monkeypatch, sg_mod, grid, (1, 1, 0), 5.0)
     with pytest.raises(error) as info:
         run_sg(field, GAS, 1.0, max_steps=5)
     ((cell, block),) = hit
