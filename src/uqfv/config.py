@@ -11,6 +11,7 @@ check are checked by building those objects, as the runner does.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -152,7 +153,10 @@ class _Section:
                 if word not in _BOOLEANS:
                     raise ValueError(f"not a boolean: {text!r}")
                 return _BOOLEANS[word]
-            return self.kinds[key](text)
+            value = self.kinds[key](text)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"must be finite, got {value}")
+            return value
         except ValueError as exc:
             raise ConfigError(f"[{self.name}] {key}: {exc}") from exc
 

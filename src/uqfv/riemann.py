@@ -30,10 +30,12 @@ __all__ = [
 # blocks of 5 and 45 for the one batch.
 _BLOCK = 25
 
-# (sub-point, node) pairs per sample call in sod_reference_statistics: 8
-# Gauss pieces at 5 sub-points and 100 nodes. After a collocation run, 1600
-# cells took 0.24 s at 4000 and 6000, 0.55 s at 1000 and 0.45 s one cell per
-# call; at 8000, 0.30 s, with 31k minor faults per call against 290 at 4000.
+# (sub-point, node) pairs per sample call for the fan pieces of
+# sod_reference_statistics: 8 pieces at 5 sub-points and 100 nodes. After a
+# collocation run, 1600 cells (1690 fan pieces of 4800) took 0.040-0.054 s
+# at 4000, 0.10-0.15 s at 1000 and 0.054-0.084 s at 8000, with 16.8k minor
+# faults per reference against 560 at 4000; Gauss nodes on all pieces took
+# 0.088-0.17 s at 4000.
 _SAMPLES = 4000
 
 # solve_riemann's Newton stops at |f| <= _RTOL times the data's velocity scale
@@ -263,12 +265,21 @@ def sod_reference_statistics(
     hold per-point offsets (e.g. sub-cell positions relative to the cell
     center); the statistics then describe the sub-point-averaged state.
 
-    All points' pieces are sampled in blocks of ``_SAMPLES`` (sub-point, node)
-    pairs, one ``sample`` call per block, and ``np.add.at`` adds them into the
-    sums one by one, in point and xi order: no bit depends on the block size.
+    Within a piece each sub-point stays in one wave region. A piece none of
+    whose sub-points lies strictly inside a rarefaction fan (every piece at
+    t = 0) has a constant state, which adds (hi - lo)/2 times its midpoint
+    state, all such pieces in one ``sample`` call. Only the fan pieces take
+    Gauss nodes, in blocks of ``_SAMPLES`` (sub-point, node) pairs, one
+    ``sample`` call per block. ``np.add.at`` adds every piece into the sums
+    one by one, in point and xi order: no bit depends on the block size.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    for name, value in (("t", t), ("x0", x0), ("sigma", sigma)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     sol = solve_riemann(left, right, gas)
     x_points = np.asarray(x_points, dtype=float)
     offsets = np.asarray([0.0] if sub_points is None else sub_points, dtype=float)
@@ -284,18 +295,31 @@ def sod_reference_statistics(
     # every point's pieces, points in order and each point's pieces in xi order
     point, piece = np.nonzero(np.diff(edges) > 1e-15)
     lo, hi = edges[point, piece][:, None], edges[point, piece + 1][:, None]
-    mid, half, quarter = 0.5 * (lo + hi), 0.5 * (hi - lo), 0.25 * (hi - lo)
-    mean, second = np.zeros((len(xs), 3)), np.zeros((len(xs), 3))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # a piece is a fan piece if, at its midpoint, some sub-point's x - x0 - sigma*xi
+    # lies strictly between a fan's ends times t: never at t = 0, with no division
+    offset = xs[point] - x0 - sigma * mid
+    fan = np.any(
+        ((sol.left_head * t < offset) & (offset < sol.left_tail * t))
+        | ((sol.right_tail * t < offset) & (offset < sol.right_head * t)),
+        axis=1,
+    )
+    # each piece's (hi-lo)/2-weighted mean and second moment; density of xi is 1/2
+    m, m2 = np.empty((len(point), 3)), np.empty((len(point), 3))
+    const = np.flatnonzero(~fan)
+    state = _uncertain_state(sol, xs[point[const]].T, t, mid[const, 0], x0, sigma).mean(0)
+    m[const], m2[const] = half[const] * state, half[const] * state**2
+    fans = np.flatnonzero(fan)
     step = max(1, _SAMPLES // (len(offsets) * n_nodes))
-    for start in range(0, len(point), step):
-        block, at = slice(start, start + step), point[start : start + step]
+    for block in (fans[start : start + step] for start in range(0, len(fans), step)):
         xi = mid[block] + half[block] * gl_nodes
         # (sub-points, pieces, nodes, 3), averaged over the sub-points
-        states = _uncertain_state(sol, xs[at].T[..., None], t, xi, x0, sigma).mean(0)
-        # density of xi is 1/2; piece scaling (hi-lo)/2
-        w = (quarter[block] * gl_weights)[:, None, :]
-        np.add.at(mean, at, np.matmul(w, states)[:, 0])
-        np.add.at(second, at, np.matmul(w, states**2)[:, 0])
+        states = _uncertain_state(sol, xs[point[block]].T[..., None], t, xi, x0, sigma).mean(0)
+        w = (0.5 * half[block] * gl_weights)[:, None, :]
+        m[block], m2[block] = np.matmul(w, states)[:, 0], np.matmul(w, states**2)[:, 0]
+    mean, second = np.zeros((len(xs), 3)), np.zeros((len(xs), 3))
+    np.add.at(mean, point, m)
+    np.add.at(second, point, m2)
     var = np.maximum(second - mean**2, 0.0)
     return mean, var
 

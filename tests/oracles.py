@@ -14,10 +14,12 @@ out the HLL flux as plain expressions, and compose the package's own pieces
 into fresh arrays, in the operation order the buffered kernel must keep.
 ``hll`` calls the package's HLL kernel with the sides and buffers the
 windowed flux would hand it.
-``sod_reference_loop`` pins bits the same way: it is the exact reference's
-loop over points, one ``sample`` call and one sum per point, which the
-blocked ``sod_reference_statistics`` must match at any block size.
-``full_grid_step`` and ``full_grid_row_step`` do the same for the time
+``sod_reference_loop`` is the exact reference's loop over points, one
+``sample`` call per point and one Gauss sum per piece, which
+``sod_reference_statistics`` must match to round-off. It also counts the
+pieces whose Gauss states vary: the fan pieces, which alone take Gauss nodes
+in ``sod_reference_statistics``.
+``full_grid_step`` and ``full_grid_row_step`` pin bits for the time
 loops' steps: the full-grid CFL scan (``cfl_time_step``, or the rows' maxima
 of ``max_wave_speed``), and the update of every cell from
 ``flux_divergence`` or ``flux_difference``, which the windowed steps of
@@ -511,11 +513,12 @@ def legendre_dual(lam, gas):
 
 def sod_reference_loop(left, right, gas, x_points, t, x0=0.5, sigma=0.05, n_nodes=100,
                        sub_points=None):
-    """``sod_reference_statistics`` (sigma > 0) point by point, with its piece count.
+    """``sod_reference_statistics`` (sigma > 0) point by point, with its piece counts.
 
     Each point's xi-interval is cut where a wave crosses one of its
     sub-points, and each piece's Gauss sums are added into the point's sums
-    in xi order. Returns the mean, the variance and the number of pieces.
+    in xi order. Returns the mean, the variance, the number of pieces and the
+    number of pieces whose Gauss states are not all equal.
     """
     sol = solve_riemann(left, right, gas)
     offsets = np.asarray([0.0] if sub_points is None else sub_points, dtype=float)
@@ -523,7 +526,7 @@ def sod_reference_loop(left, right, gas, x_points, t, x0=0.5, sigma=0.05, n_node
     mean = np.zeros((len(x_points), 3))
     second = np.zeros((len(x_points), 3))
     speeds = sol.wave_speeds
-    pieces = 0
+    pieces = fans = 0
     for i, x in enumerate(np.asarray(x_points, dtype=float)):
         xs = x + offsets
         cuts = ((xs[:, None] - x0 - speeds[None, :] * t) / sigma).ravel()
@@ -535,9 +538,10 @@ def sod_reference_loop(left, right, gas, x_points, t, x0=0.5, sigma=0.05, n_node
         xi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * gl_nodes
         # (sub-points, pieces, nodes, 3), averaged over the sub-points
         states = _uncertain_state(sol, xs[:, None, None], t, xi, x0, sigma).mean(axis=0)
+        fans += np.count_nonzero(np.any(states != states[:, :1], axis=(1, 2)))
         # density of xi is 1/2; piece scaling (hi-lo)/2
         weights = 0.25 * (hi - lo) * gl_weights
         for w, piece in zip(weights, states):
             mean[i] += w @ piece
             second[i] += w @ piece**2
-    return mean, np.maximum(second - mean**2, 0.0), pieces
+    return mean, np.maximum(second - mean**2, 0.0), pieces, fans

@@ -234,7 +234,7 @@ t_end = 0.1
     [
         ("sod_1d", "rho_l = -1.0", "rho_l must be positive, got -1.0"),
         ("sod_1d", "rho_r = 0", "rho_r must be positive, got 0.0"),
-        ("sod_1d", "e_l = nan", "e_l must be positive, got nan"),
+        ("sod_1d", "e_l = -2.5", "e_l must be positive, got -2.5"),
         ("riemann_2d", "e_r = -0.25", "e_r must be positive, got -0.25"),
         ("custom_1d", "pressure = 0", "pressure must be positive, got 0.0"),
         # rho0 - |amplitude| (1 + |xi_coupling|) = 0.05 - 0.1 * 1.5
@@ -338,13 +338,30 @@ ME_IPM = MINIMAL_SOD.replace("me_hsg", "me_ipm")
             MINIMAL_SOD.replace("degree = 4", "degree = 4\nquadrature = foo"),
             "[basis] unknown quadrature kind: 'foo'",
         ),
+        # every float key is finite: unchecked, t_end = inf never ends, t_end =
+        # nan runs 0 steps, and sigma = nan or x0 = nan gives nan errors
+        (MINIMAL_SOD + "t_end = inf\n", "[method] t_end: must be finite, got inf"),
+        (MINIMAL_SOD + "t_end = nan\n", "[method] t_end: must be finite, got nan"),
+        (
+            MINIMAL_SOD.replace("sod_1d", "sod_1d\nsigma = nan"),
+            "[problem] sigma: must be finite, got nan",
+        ),
+        (
+            MINIMAL_SOD.replace("sod_1d", "sod_1d\nx0 = nan"),
+            "[problem] x0: must be finite, got nan",
+        ),
+        (
+            MINIMAL_SOD.replace("sod_1d", "sod_1d\ne_l = nan"),
+            "[problem] e_l: must be finite, got nan",
+        ),
     ],
     ids=[
         "unparsable", "missing-key", "limiter-with-ipm", "unknown-preset", "negative-sigma",
         "unknown-method", "no-nodes", "unknown-reference", "no-reference-nodes",
         "no-reference-subcells", "newton-tol", "riemann-2d-without-ny",
         "gamma", "nx", "ny", "bc", "bc-y", "degree", "n-elements", "quad-points", "cc-level",
-        "quadrature",
+        "quadrature", "t-end-inf", "t-end-nan", "sigma-nan", "x0-nan",
+        "e-l-nan",
     ],
 )
 def test_rejections(text, message):

@@ -317,7 +317,7 @@ def test_sod_statistics_unreached_region():
         SOD_L, SOD_R, GAS, np.array([0.05]), t=0.14, sigma=0.05
     )
     np.testing.assert_allclose(mean[0], SOD_L, atol=1e-13)
-    np.testing.assert_allclose(var[0], 0.0, atol=1e-14)
+    assert np.array_equal(var[0], np.zeros(3))
 
 
 def test_sod_statistics_against_brute_force():
@@ -392,39 +392,51 @@ REFERENCE_CASES = {
 @pytest.mark.parametrize("pieces_per_block", [1, 7, "default", "all"])
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
 def test_sod_statistics_blocks_match_the_loop_over_points(monkeypatch, case, pieces_per_block):
-    """Any block of Gauss pieces gives the per-point loop's statistics bit for bit."""
+    """Any block of fan pieces gives the default block's statistics bit for
+    bit, and the per-point Gauss loop's to round-off."""
     args = REFERENCE_CASES[case]
-    mean, var, pieces = sod_reference_loop(*args[:2], GAS, *args[2:])
+    mean, var, _, fans = sod_reference_loop(*args[:2], GAS, *args[2:])
+    default_mean, default_var = sod_reference_statistics(*args[:2], GAS, *args[2:])
     n_nodes, sub_points = args[-2:]
     samples = (1 if sub_points is None else len(sub_points)) * n_nodes  # per piece
     if pieces_per_block == "all":
-        monkeypatch.setattr(riemann, "_SAMPLES", pieces * samples + samples)
+        monkeypatch.setattr(riemann, "_SAMPLES", fans * samples + samples)
     elif pieces_per_block != "default":
         monkeypatch.setattr(riemann, "_SAMPLES", pieces_per_block * samples)
     got_mean, got_var = sod_reference_statistics(*args[:2], GAS, *args[2:])
-    assert np.array_equal(got_mean, mean)
-    assert np.array_equal(got_var, var)
+    assert np.array_equal(got_mean, default_mean)
+    assert np.array_equal(got_var, default_var)
+    np.testing.assert_allclose(got_mean, mean, rtol=1e-14, atol=0.0)
+    # the loop's Gauss weights add to 2 only to round-off, so its variance of
+    # a constant piece is round-off, not 0
+    np.testing.assert_allclose(got_var, var, rtol=0.0, atol=1e-12 * var.max() + 1e-14)
 
 
 def test_sod_statistics_cases_cover_the_block_edges():
-    """The cases above reach what the blocks must get right."""
-    pieces = {
-        case: sod_reference_loop(*args[:2], GAS, *args[2:])[2]
-        for case, args in REFERENCE_CASES.items()
-    }
-    assert pieces["sod"] % 7 != 0  # the last of the blocks of 7 is partial
-    assert pieces["unreached cells"] == 2
+    """The cases above reach what the blocks and the constant pieces must get right."""
+    pieces, fans = {}, {}
+    for case, args in REFERENCE_CASES.items():
+        pieces[case], fans[case] = sod_reference_loop(*args[:2], GAS, *args[2:])[2:]
+    assert fans["sod"] % 7 != 0  # the last of the blocks of 7 is partial
+    assert 0 < fans["sod"] < pieces["sod"]
+    assert pieces["unreached cells"] == 2 and fans["unreached cells"] == 0
+    assert fans["t = 0"] == 0 < pieces["t = 0"]
     # the duplicate sub-point adds no piece
     left, right, x, t, x0, sigma, n_nodes, _ = REFERENCE_CASES["duplicated sub-points"]
     single = sod_reference_loop(left, right, GAS, x, t, x0, sigma, n_nodes, [-0.004, 0.0, 0.004])
     assert pieces["duplicated sub-points"] == single[2]
+    # Toro 123 has a fan on each side, so the classification must know both
     sol = solve_riemann(*_TORO_123, GAS)
     assert sol.left_wave == sol.right_wave == "rarefaction"
     assert sol.p_star < 1e-3 * 0.4
+    left, right, x, *rest = REFERENCE_CASES["toro 123 near vacuum"]
+    for side in (x < 0.5, x > 0.5):
+        assert sod_reference_loop(left, right, GAS, x[side], *rest)[3] > 0
 
 
 def test_sod_statistics_samples_once_per_block(monkeypatch):
-    """One ``sample`` call per block of pieces, not one per point."""
+    """One ``sample`` call for the midpoints of all constant pieces, then one
+    per block of fan pieces, not one per point."""
     calls = []
     sample = riemann.RiemannSolution.sample
     monkeypatch.setattr(
@@ -432,12 +444,33 @@ def test_sod_statistics_samples_once_per_block(monkeypatch):
     )
     x = np.linspace(0.00125, 0.99875, 400)
     sub = 0.0025 * _SOD_SUB
-    _, _, pieces = sod_reference_loop(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
+    _, _, pieces, fans = sod_reference_loop(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
     calls.clear()
     sod_reference_statistics(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
     block = riemann._SAMPLES // (len(sub) * 100)
-    assert len(calls) == -(-pieces // block) < len(x)
-    assert max(calls) <= riemann._SAMPLES
+    # fewer calls than Gauss blocks of all pieces would take
+    assert len(calls) == 1 + -(-fans // block) < -(-pieces // block)
+    assert calls[0] == len(sub) * (pieces - fans)
+    assert sum(calls[1:]) == len(sub) * 100 * fans
+    assert max(calls[1:]) <= riemann._SAMPLES
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"t": -0.1}, r"t must be >= 0, got -0\.1"),
+        ({"t": np.inf}, "t must be finite, got inf"),
+        ({"t": np.nan}, "t must be finite, got nan"),
+        ({"x0": np.nan}, "x0 must be finite, got nan"),
+        ({"sigma": np.nan}, "sigma must be finite, got nan"),
+        ({"sigma": -np.inf}, "sigma must be finite, got -inf"),
+    ],
+)
+def test_sod_reference_rejects_negative_or_non_finite_data(kwargs, message):
+    # unchecked, t = -0.1 gives the mirrored solution and sigma = nan a density of -0.2
+    grid = grid_1d(10, 0.0, 1.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sod_reference_on_grid(SOD_L, SOD_R, GAS, grid, **{"t": 0.1, **kwargs})
 
 
 def test_collocation_sigma_zero_variance_vanishes():

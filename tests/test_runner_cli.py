@@ -1,3 +1,6 @@
+import runpy
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,6 +269,16 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.ini")])
     assert code == 2
+
+
+def test_cli_module_exits_with_main_code(tmp_path, monkeypatch, capsys):
+    # a fresh run of the module, as ``python -m uqfv.cli`` starts it
+    monkeypatch.delitem(sys.modules, "uqfv.cli")
+    monkeypatch.setattr(sys, "argv", ["uqfv", "run", "--config", str(tmp_path / "nope.ini")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("uqfv.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert "config error: config file not found" in capsys.readouterr().err
 
 
 def test_cli_has_no_threads_option(tmp_path, capsys):
