@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .basis import GpcBasis, build_basis, build_partition
-from .config import BasisSpec, GridSpec, ProblemSpec
 from .euler import GasModel
 from .fv import MomentField, StructuredGrid, grid_1d, grid_2d
+
+if TYPE_CHECKING:
+    from .config import BasisSpec, GridSpec, ProblemSpec
 
 __all__ = [
     "make_gas",
@@ -64,16 +68,6 @@ def make_initial(problem: ProblemSpec):
     initial(x, y, xi) -> (..., 4).
     """
     gamma = problem.gamma
-    if problem.preset in ("sod_1d", "riemann_2d"):
-        left, right = _sod_states(problem, two_d=problem.preset == "riemann_2d")
-
-        def initial(*coords):
-            # the interface x0 + sigma*xi splits the first coordinate
-            x, *_, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in coords))
-            mask = (x < problem.x0 + problem.sigma * xi)[..., None]
-            return np.where(mask, left, right)
-
-        return initial
     if problem.preset == "custom_1d":
         # smooth sine density bump with uncertain amplitude, uniform pressure
         def initial(x, xi):
@@ -88,7 +82,15 @@ def make_initial(problem: ProblemSpec):
             return u
 
         return initial
-    raise ValueError(f"unknown preset {problem.preset!r}")
+    left, right = _sod_states(problem, two_d=problem.preset == "riemann_2d")
+
+    def initial(*coords):
+        # the interface x0 + sigma*xi splits the first coordinate
+        x, *_, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in coords))
+        mask = (x < problem.x0 + problem.sigma * xi)[..., None]
+        return np.where(mask, left, right)
+
+    return initial
 
 
 def initial_node_states(initial, grid: StructuredGrid, basis: GpcBasis) -> np.ndarray:

@@ -30,8 +30,8 @@ __all__ = [
 # blocks of 5 and 45 for the one batch.
 _BLOCK = 25
 
-# (sub-point, node) pairs per sample call for the fan pieces of
-# sod_reference_statistics: 8 pieces at 5 sub-points and 100 nodes. After a
+# (sub-point, node) pairs per sample call of sod_reference_statistics: 8 fan
+# pieces or 800 constant ones at 5 sub-points and 100 nodes. After a
 # collocation run, 1600 cells (1690 fan pieces of 4800) took 0.040-0.054 s
 # at 4000, 0.10-0.15 s at 1000 and 0.054-0.084 s at 8000, with 16.8k minor
 # faults per reference against 560 at 4000; Gauss nodes on all pieces took
@@ -267,11 +267,12 @@ def sod_reference_statistics(
 
     Within a piece each sub-point stays in one wave region. A piece none of
     whose sub-points lies strictly inside a rarefaction fan (every piece at
-    t = 0) has a constant state, which adds (hi - lo)/2 times its midpoint
-    state, all such pieces in one ``sample`` call. Only the fan pieces take
-    Gauss nodes, in blocks of ``_SAMPLES`` (sub-point, node) pairs, one
-    ``sample`` call per block. ``np.add.at`` adds every piece into the sums
-    one by one, in point and xi order: no bit depends on the block size.
+    t = 0) has a constant state, which the midpoint rule integrates
+    exactly: it adds (hi - lo)/2 times its midpoint state. Only the fan
+    pieces take Gauss nodes. Both kinds go in blocks of ``_SAMPLES``
+    (sub-point, node) pairs, one ``sample`` call per block. ``np.add.at``
+    adds every piece into the sums one by one, in point and xi order: no bit
+    depends on the block size.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -288,7 +289,6 @@ def sod_reference_statistics(
         mean = _uncertain_state(sol, xs, t, 0.0, x0, sigma).mean(axis=1)
         return mean, np.zeros_like(mean)
 
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
     cuts = ((xs[..., None] - x0 - sol.wave_speeds * t) / sigma).reshape(len(xs), -1)
     # cuts beyond -1 or 1 clip to it, and their zero-width pieces drop out
     edges = np.sort(np.clip(np.pad(cuts, [(0, 0), (1, 1)], constant_values=(-1, 1)), -1, 1))
@@ -306,17 +306,16 @@ def sod_reference_statistics(
     )
     # each piece's (hi-lo)/2-weighted mean and second moment; density of xi is 1/2
     m, m2 = np.empty((len(point), 3)), np.empty((len(point), 3))
-    const = np.flatnonzero(~fan)
-    state = _uncertain_state(sol, xs[point[const]].T, t, mid[const, 0], x0, sigma).mean(0)
-    m[const], m2[const] = half[const] * state, half[const] * state**2
-    fans = np.flatnonzero(fan)
-    step = max(1, _SAMPLES // (len(offsets) * n_nodes))
-    for block in (fans[start : start + step] for start in range(0, len(fans), step)):
-        xi = mid[block] + half[block] * gl_nodes
-        # (sub-points, pieces, nodes, 3), averaged over the sub-points
-        states = _uncertain_state(sol, xs[point[block]].T[..., None], t, xi, x0, sigma).mean(0)
-        w = (0.5 * half[block] * gl_weights)[:, None, :]
-        m[block], m2[block] = np.matmul(w, states)[:, 0], np.matmul(w, states**2)[:, 0]
+    midpoint = np.zeros(1), np.full(1, 2.0)  # exact on the constant pieces
+    for kind, (nodes, weights) in ((~fan, midpoint), (fan, np.polynomial.legendre.leggauss(n_nodes))):
+        pieces = np.flatnonzero(kind)
+        step = max(1, _SAMPLES // (len(offsets) * len(nodes)))
+        for block in (pieces[start : start + step] for start in range(0, len(pieces), step)):
+            xi = mid[block] + half[block] * nodes
+            # (sub-points, pieces, nodes, 3), averaged over the sub-points
+            states = _uncertain_state(sol, xs[point[block]].T[..., None], t, xi, x0, sigma).mean(0)
+            w = (0.5 * half[block] * weights)[:, None, :]
+            m[block], m2[block] = np.matmul(w, states)[:, 0], np.matmul(w, states**2)[:, 0]
     mean, second = np.zeros((len(xs), 3)), np.zeros((len(xs), 3))
     np.add.at(mean, point, m)
     np.add.at(second, point, m2)

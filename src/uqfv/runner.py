@@ -38,19 +38,19 @@ def run(config: RunConfig, output_dir=None) -> RunReport:
     gas = make_gas(config.problem)
     grid = make_grid(config.grid, config.problem)
     initial = make_initial(config.problem)
-    method = config.method.name
-    if method != "collocation":
+    solver = config.method.traits.solver
+    if solver != "collocation":
         basis = make_basis(config.basis)
         field0 = project_initial_data(initial, grid, basis)
     out = Path(output_dir if output_dir is not None else config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
 
-    if method == "collocation":
+    if solver == "collocation":
         statistics, stats = _collocation(
             initial, grid, gas, config.method.t_end, config.method.cfl, config.method.nodes
         )
     else:
-        if method in ("ipm", "me_ipm"):
+        if solver == "ipm":
             duals0 = initial_duals_from_states(
                 initial_node_states(initial, grid, basis), basis, gas
             )

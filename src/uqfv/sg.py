@@ -243,7 +243,7 @@ def run_sg(
     up to three rectangles in 2D; its errors name grid indices), and only a
     piece with a limited block is written back. Other blocks hold the last
     limiter output, which it would leave as it is. The first step and every
-    filtered step limit the whole grid.
+    step whose filter changed the coefficients limit the whole grid.
     """
     _check_flux(flux)
     grid, basis = initial.grid, initial.basis
@@ -263,8 +263,8 @@ def run_sg(
                     # from a probe-limited (admissible) reconstruction
                     apply_limiter(coeffs, basis, gas, limiter_config, nodes=nodes)
                     dt_est = min(cfl_time_step(nodes, grid, gas, cfl), dt_max)
-                coeffs = apply_filter(coeffs, filter_config, dt_est)
-                region = [(slice(None),)]
+                if (filtered := apply_filter(coeffs, filter_config, dt_est)) is not coeffs:
+                    coeffs, region = filtered, [(slice(None),)]
             for cells in region:
                 piece = coeffs[cells]
                 with _grid_index(cells, (LimiterError, InadmissibleStateError)):

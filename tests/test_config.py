@@ -1,3 +1,7 @@
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -265,6 +269,8 @@ name = hsg
 t_end = 0.1
 """
 ME_IPM = MINIMAL_SOD.replace("me_hsg", "me_ipm")
+COLLOCATION = "[problem]\npreset = sod_1d\n[grid]\nnx = 50\n[method]\nname = collocation\n"
+EXACT_SOD = MINIMAL_SOD + "[output]\nreference = exact_sod\n"
 
 
 @pytest.mark.parametrize(
@@ -279,11 +285,12 @@ ME_IPM = MINIMAL_SOD.replace("me_hsg", "me_ipm")
         (MINIMAL_SOD.replace("preset = sod_1d", ""), "[problem] missing required key 'preset'"),
         (
             ME_IPM + "[limiter]\nenabled = false\n",
-            "[limiter] is only valid for the stochastic Galerkin methods",
+            "[limiter] is only read by the stochastic Galerkin methods",
         ),
         (
             MINIMAL_SOD.replace("sod_1d", "sod_3d"),
-            "unknown problem preset 'sod_3d'; options: ('sod_1d', 'custom_1d', 'riemann_2d')",
+            "[problem] unknown problem preset 'sod_3d'; "
+            "options: ('sod_1d', 'custom_1d', 'riemann_2d')",
         ),
         (
             MINIMAL_SOD.replace("sod_1d", "sod_1d\nsigma = -0.1"),
@@ -291,17 +298,14 @@ ME_IPM = MINIMAL_SOD.replace("me_hsg", "me_ipm")
         ),
         (
             MINIMAL_SOD.replace("me_hsg", "me_foo"),
-            "unknown method 'me_foo'; options: "
+            "[method] unknown method 'me_foo'; options: "
             "('hsg', 'fhsg', 'ipm', 'me_hsg', 'me_fhsg', 'me_ipm', 'collocation')",
         ),
-        (MINIMAL_SOD.replace("me_hsg", "me_hsg\nnodes = 0"), "[method] nodes must be >= 1, got 0"),
+        (COLLOCATION + "nodes = 0\n", "[method] nodes must be >= 1, got 0"),
         (MINIMAL_SOD + "[output]\nreference = foo\n", "[output] unknown reference 'foo'"),
+        (EXACT_SOD + "reference_nodes = 0\n", "[output] reference_nodes must be >= 1, got 0"),
         (
-            MINIMAL_SOD + "[output]\nreference_nodes = 0\n",
-            "[output] reference_nodes must be >= 1, got 0",
-        ),
-        (
-            MINIMAL_SOD + "[output]\nreference_subcells = 0\n",
+            EXACT_SOD + "reference_subcells = 0\n",
             "[output] reference_subcells must be >= 1, got 0",
         ),
         (ME_IPM + "[newton]\ntol = 0\n", "[newton] newton tolerance must be positive, got 0.0"),
@@ -370,9 +374,10 @@ def test_rejections(text, message):
     assert str(info.value) == message
 
 
-def test_make_initial_rejects_unknown_preset():
-    with pytest.raises(ValueError, match=r"^unknown preset 'sod_3d'$"):
-        make_initial(ProblemSpec("sod_3d"))
+def test_problem_spec_rejects_unknown_preset():
+    # so make_initial, which takes a ProblemSpec, never sees one
+    with pytest.raises(ValueError, match=r"^unknown problem preset 'sod_3d'; options: "):
+        ProblemSpec("sod_3d")
 
 
 def test_custom_density_bump_just_positive_accepted():
@@ -434,3 +439,20 @@ def test_filter_kind_defaults_to_exponential():
     assert cfg.filter.kind == "exponential"
     assert cfg.filter.strength == 2.0
     assert cfg.filter.dt_scaled is True
+
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("stats_hashes", ROOT / "tools" / "stats_hashes.py")
+stats_hashes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stats_hashes)
+SHIPPED = {
+    "readme": re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1),
+    **stats_hashes.CONFIGS,
+    **stats_hashes.HALF_PLANE,
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_every_shipped_config_parses(name):
+    # README's example and the golden configs set only keys their runs read
+    assert isinstance(parse_config(SHIPPED[name]), RunConfig)

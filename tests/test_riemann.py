@@ -435,24 +435,29 @@ def test_sod_statistics_cases_cover_the_block_edges():
 
 
 def test_sod_statistics_samples_once_per_block(monkeypatch):
-    """One ``sample`` call for the midpoints of all constant pieces, then one
-    per block of fan pieces, not one per point."""
+    """One ``sample`` call per block of constant pieces, then one per block
+    of fan pieces, not one per point. At 1600 cells the constant pieces
+    fill more than one block."""
     calls = []
     sample = riemann.RiemannSolution.sample
     monkeypatch.setattr(
         riemann.RiemannSolution, "sample", lambda sol, s: calls.append(s.size) or sample(sol, s)
     )
-    x = np.linspace(0.00125, 0.99875, 400)
-    sub = 0.0025 * _SOD_SUB
-    _, _, pieces, fans = sod_reference_loop(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
-    calls.clear()
-    sod_reference_statistics(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
-    block = riemann._SAMPLES // (len(sub) * 100)
-    # fewer calls than Gauss blocks of all pieces would take
-    assert len(calls) == 1 + -(-fans // block) < -(-pieces // block)
-    assert calls[0] == len(sub) * (pieces - fans)
-    assert sum(calls[1:]) == len(sub) * 100 * fans
-    assert max(calls[1:]) <= riemann._SAMPLES
+    for cells in (400, 1600):
+        x = np.linspace(0.5 / cells, 1.0 - 0.5 / cells, cells)
+        sub = _SOD_SUB / cells
+        _, _, pieces, fans = sod_reference_loop(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
+        calls.clear()
+        sod_reference_statistics(SOD_L, SOD_R, GAS, x, 0.14, sub_points=sub)
+        const_block = riemann._SAMPLES // len(sub)
+        block = riemann._SAMPLES // (len(sub) * 100)
+        const_calls = -(-(pieces - fans) // const_block)
+        assert const_calls == (1 if cells == 400 else 4)
+        # fewer calls than Gauss blocks of all pieces would take
+        assert len(calls) == const_calls + -(-fans // block) < -(-pieces // block)
+        assert sum(calls[:const_calls]) == len(sub) * (pieces - fans)
+        assert sum(calls[const_calls:]) == len(sub) * 100 * fans
+        assert max(calls) <= riemann._SAMPLES
 
 
 @pytest.mark.parametrize(

@@ -244,6 +244,69 @@ def test_cli_rejects_before_running(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
+COLLOCATION_SMALL = "[problem]\npreset = sod_1d\n[grid]\nnx = 40\n[method]\nname = collocation\n"
+FHSG_SMALL = SOD_SMALL.replace("degree = 3\nn_elements = 2", "degree = 3").replace("me_hsg", "fhsg")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            COLLOCATION_SMALL + "[basis]\nn_elements = 4\ndegree = 9\nquadrature = cc\ncc_level = 2\n",
+            "[basis] is only read by every method except collocation",
+        ),
+        (SOD_SMALL.replace("t_end = 0.05", "t_end = 0.05\nnodes = 7"),
+         "[method] nodes is only read by collocation"),
+        (
+            CUSTOM_PERIODIC.replace("custom_1d", "custom_1d\nsigma = 0.2\nx0 = 0.3"),
+            "[problem] x0 is only read by sod_1d and riemann_2d",
+        ),
+        (
+            SOD_SMALL.replace("sod_1d", "sod_1d\namplitude = 0.3"),
+            "[problem] amplitude is only read by custom_1d",
+        ),
+        (
+            FHSG_SMALL + "[filter]\nkind = l2\nstrength = 0.1\norder = 7\n",
+            "[filter] order is only read by the exponential filter",
+        ),
+        (
+            FHSG_SMALL + "[filter]\nkind = l2\nstrength = 0.1\ndt_scaled = false\n",
+            "[filter] dt_scaled is only read by the exponential filter",
+        ),
+        (
+            CUSTOM_PERIODIC + "[output]\nreference_nodes = 3\n",
+            "[output] reference_nodes is only read by a run with a reference",
+        ),
+        (
+            CUSTOM_PERIODIC + "[output]\nerrors_csv = e.csv\n",
+            "[output] errors_csv is only read by a run with a reference",
+        ),
+        (
+            CUSTOM_PERIODIC + "[output]\nreference = collocation\nreference_subcells = 9\n",
+            "[output] reference_subcells is only read by exact_sod",
+        ),
+        (
+            FHSG_SMALL + "[filter]\nkind = exponential\n",
+            "[filter] strength must be > 0 for the filtered methods, got 0.0",
+        ),
+    ],
+    ids=[
+        "basis-for-collocation", "nodes-without-collocation", "sod-keys-for-custom",
+        "custom-key-for-sod", "order-for-l2", "dt-scaled-for-l2", "reference-nodes-without-reference",
+        "errors-csv-without-reference", "subcells-for-collocation-reference", "no-filter-strength",
+    ],
+)
+def test_cli_rejects_keys_the_run_does_not_read(tmp_path, capsys, text, message):
+    # each of these keys used to be accepted and then left unread, and a
+    # filtered run of strength 0 filtered nothing
+    config_path = tmp_path / "bad.ini"
+    config_path.write_text(text)
+    code = main(["run", "--config", str(config_path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_quadrature_too_small_for_degree(tmp_path, capsys):
     # 3 Gauss nodes cannot make a degree-4 basis orthonormal; the parser
     # builds the basis, so the CLI exits 2 and creates no output

@@ -419,6 +419,7 @@ def test_apply_limiter_properties(block):
         (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 3, 2),
         (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=True), 0, 1),
         (None, 3, 1),
+        (FilterConfig("exponential", strength=0.0), 3, 1),
     ],
 )
 def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, degree, calls_per_step):
@@ -426,9 +427,10 @@ def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, degree, ca
     # dt-scaled exponential filter above degree 0 reads it. The step uses
     # the node states each limiter call reconstructs: a call reconstructs
     # the cells it was given, then only its limited blocks, and nothing
-    # else reconstructs. The first step and every filtered step give the
-    # limiter the whole field; an unfiltered run gives it, after its first
-    # step, only the cells the last update changed
+    # else reconstructs. The first step and every step whose filter changed
+    # the coefficients give the limiter the whole field; a run with no
+    # filter, or with unit gains (strength 0 or degree 0), gives it, after
+    # its first step, only the cells the last update changed
     import uqfv.sg as sg_mod
 
     calls, outside = [], []  # calls: (cells given, shapes reconstructed)
@@ -462,10 +464,43 @@ def test_run_sg_probes_only_when_filter_reads_dt(monkeypatch, config, degree, ca
         assert made[0] == given and all(len(shape) == 3 for shape in made[1:])
     full = field.coeffs.shape
     given = [shape for shape, _ in calls]
-    if config is None:
+    if config is None or config.strength == 0.0 or degree == 0:
         assert given[0] == full and all(shape[0] < full[0] for shape in given[1:])
     else:
         assert set(given) == {full}
+
+
+@pytest.mark.parametrize(
+    "config, degree",
+    [
+        (FilterConfig("exponential", strength=0.0), 3),
+        (FilterConfig("l2", strength=0.0), 3),
+        (FilterConfig("exponential", strength=2.0, order=10, dt_scaled=False), 0),
+        (FilterConfig("l2", strength=0.01), 0),
+    ],
+)
+def test_run_sg_unit_gain_filter_is_the_unfiltered_run(monkeypatch, config, degree):
+    # a filter whose gains are all 1 returns the coefficients themselves, so
+    # the run limits the cells the unfiltered run limits and keeps its bits
+    import uqfv.sg as sg_mod
+
+    def run(filter_config):
+        blocks = []
+
+        def counting(coeffs, *args, **kwargs):
+            blocks.append(coeffs.shape[:-2])
+            return apply_limiter(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(sg_mod, "apply_limiter", counting)
+        basis = build_basis(build_partition(-1, 1, 2), degree)
+        field = project_initial_data(sod_initial, grid_1d(30, 0.0, 1.0), basis)
+        return run_sg(field, GAS, t_end=0.1, filter_config=filter_config), blocks
+
+    (plain, plain_blocks), (filtered, filtered_blocks) = run(None), run(config)
+    assert filtered.stats.steps == plain.stats.steps > 3
+    assert filtered_blocks == plain_blocks
+    assert plain_blocks[1][0] < 30  # after step 0 the limiter sees a window
+    np.testing.assert_array_equal(filtered.field.coeffs, plain.field.coeffs)
 
 
 def test_run_sg_repeats_bit_for_bit_in_one_process():

@@ -1,7 +1,14 @@
 """Criterion 7 in isolated runs: ME-IPM 3x4 against IPM 1x14 on Sod at 400 cells.
 
-    python3 tools/criterion7.py        # 10 pairs
-    python3 tools/criterion7.py 20     # 20 pairs
+    python3 tools/criterion7.py           # 10 pairs
+    python3 tools/criterion7.py 20        # 20 pairs
+    python3 tools/criterion7.py --2d 4    # 4 pairs on the 2D half-plane data
+
+With ``--2d`` both shapes run on the half-plane data of
+``tools/stats_hashes.py`` instead: the ``riemann_2d`` Sod states, L where
+x < 0.5 and y < 0.5 + 0.05 xi and R elsewhere, on 32 x 32 cells up to
+t = 0.1, with the dual solves on 2 threads. ME-IPM's Newton count there is
+the one ``tests/golden.json`` records for ``half_plane_2d_me_ipm``.
 
 Each pair runs in a fresh interpreter, with the ``src/`` tree of the checkout
 this script sits in; even pairs run ME-IPM first, odd pairs IPM first. A run
@@ -30,7 +37,8 @@ import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHAPES = {"me_ipm": (3, 4), "ipm": (1, 14)}
-NX, T_END = 400, 0.14
+# cells per axis, end time and dual-solve threads (None: the usable CPUs)
+CASES = {"1d": (400, 0.14, None), "2d": (32, 0.1, 2)}
 US_KEYS = [(phase, name) for name in SHAPES for phase in ("cold", "warm")]
 
 
@@ -39,31 +47,41 @@ def _sod(x, xi):
     return np.where((x < 0.5 + 0.05 * xi)[..., None], [1.0, 0.0, 2.5], [0.125, 0.0, 0.25])
 
 
-def _run(name: str, nx: int, max_steps: int | None = None) -> tuple[float, int]:
-    """Seconds and Newton iterations of one ``run_ipm`` call."""
-    from uqfv import GasModel, build_basis, build_partition, grid_1d, project_initial_data, run_ipm
+def _half_plane(x, y, xi):
+    x, y, xi = np.broadcast_arrays(*(np.asarray(c, float) for c in (x, y, xi)))
+    inside = (x < 0.5) & (y < 0.5 + 0.05 * xi)
+    return np.where(inside[..., None], [1.0, 0.0, 0.0, 2.5], [0.125, 0.0, 0.0, 0.25])
+
+
+def _run(name: str, case: str, n: int, max_steps: int | None = None) -> tuple[float, int]:
+    """Seconds and Newton iterations of one ``run_ipm`` call on ``n`` cells per axis."""
+    from uqfv import GasModel, build_basis, build_partition, grid_1d, grid_2d
+    from uqfv import project_initial_data, run_ipm
     from uqfv.ipm import initial_duals_from_states
     from uqfv.problems import initial_node_states
 
+    _, t_end, threads = CASES[case]
     gas = GasModel(1.4)
     n_elements, degree = SHAPES[name]
     basis = build_basis(build_partition(-1.0, 1.0, n_elements), degree)
-    grid = grid_1d(nx, 0.0, 1.0)
-    field = project_initial_data(_sod, grid, basis)
-    duals0 = initial_duals_from_states(initial_node_states(_sod, grid, basis), basis, gas)
+    grid, initial = (grid_2d(n, n), _half_plane) if case == "2d" else (grid_1d(n, 0.0, 1.0), _sod)
+    field = project_initial_data(initial, grid, basis)
+    duals0 = initial_duals_from_states(initial_node_states(initial, grid, basis), basis, gas)
     start = time.perf_counter()
-    result = run_ipm(field, gas, T_END, cfl=0.9, initial_duals=duals0, max_steps=max_steps)
+    result = run_ipm(
+        field, gas, t_end, cfl=0.9, initial_duals=duals0, threads=threads, max_steps=max_steps
+    )
     return time.perf_counter() - start, result.stats.newton_iterations
 
 
-def _pair(order: list[str]) -> None:
+def _pair(case: str, order: list[str]) -> None:
     """Child process: warm up both shapes, then time each in ``order``, twice."""
     sys.path.insert(0, str(SRC))
     for name in order:
-        _run(name, 20, max_steps=3)
+        _run(name, case, 8 if case == "2d" else 20, max_steps=3)
     for phase in ("cold", "warm"):
         for name in order:
-            seconds, newton = _run(name, NX)
+            seconds, newton = _run(name, case, CASES[case][0])
             print(phase, name, seconds, newton, flush=True)
 
 
@@ -72,12 +90,12 @@ def _quartiles(values) -> str:
     return f"median {q2:.3f} (quartiles {q1:.3f}-{q3:.3f})"
 
 
-def main(pairs: int) -> int:
+def main(pairs: int, case: str) -> int:
     rows = []
     for i in range(pairs):
         order = ["me_ipm", "ipm"] if i % 2 == 0 else ["ipm", "me_ipm"]
         out = subprocess.run(
-            [sys.executable, __file__, "--pair", *order],
+            [sys.executable, __file__, "--pair", case, *order],
             check=True, capture_output=True, text=True,
         ).stdout
         runs = {
@@ -107,6 +125,8 @@ def main(pairs: int) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--pair"]:
-        _pair(sys.argv[2:])
+        _pair(sys.argv[2], sys.argv[3:])
     else:
-        sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 10))
+        args = [a for a in sys.argv[1:] if a != "--2d"]
+        case = "2d" if len(args) < len(sys.argv) - 1 else "1d"
+        sys.exit(main(int(args[0]) if args else 10, case))
